@@ -160,6 +160,13 @@ def _write_manifest(command: str, resolved: dict, outputs: list[str]) -> None:
     manifest.write(manifest_path(outputs[0]))
 
 
+def _check_counts(vals: dict, least: dict) -> None:
+    """Reject any count option below its smallest meaningful value."""
+    for flag, low in least.items():
+        if vals[flag] < low:
+            raise ConfigError(f"--{flag} must be >= {low}, got {vals[flag]}")
+
+
 def _print_report(lines: list[tuple[str, object]], out: str | None) -> None:
     text = "\n".join(
         f"{key} = {value if isinstance(value, str) else format(value, '.12g')}"
@@ -200,15 +207,18 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         simulate_ltfsm if vals["density"] == "laplace" else simulate_ltfsm_gaussian_density
     )
     path = simulator(config, params, stream)
+    try:
+        holder = format(holder_exponent_estimate(path.times, path.values), ".12g")
+    except ValueError:
+        # descriptive only: undefined below 8 intervals or with fewer than
+        # two lags of nonzero increment, which is no reason to fail the run
+        holder = "unavailable"
     write_csv(vals["out"], ["t", "value"], [path.times, path.values])
     _write_manifest("simulate", vals, [vals["out"]])
     print(f"terms = {params.P}")
     print(f"head_terms = {params.N}")
     print(f"bandwidth = {params.k}")
-    print(
-        "holder_exponent_estimate = "
-        f"{holder_exponent_estimate(path.times, path.values):.12g}"
-    )
+    print(f"holder_exponent_estimate = {holder}")
     print(f"output = {vals['out']}")
     return 0
 
@@ -275,6 +285,12 @@ def _cmd_validate_cf(args: argparse.Namespace) -> int:
         )
     if vals["method"] not in ("series", "rwrr"):
         raise ConfigError("method must be 'series' or 'rwrr'")
+    _check_counts(
+        vals,
+        {"paths": 2, "times": 2, "terms": 1, "bandwidth": 1, "points": 1, "steps": 1},
+    )
+    if not (math.isfinite(vals["T"]) and vals["T"] > 0.0):
+        raise ConfigError(f"--T must be finite and > 0, got {vals['T']}")
     threshold = vals["threshold"]
     if threshold is None:
         threshold = 0.99 if vals["method"] == "series" else 0.95
@@ -322,6 +338,7 @@ def _cmd_stable_check(args: argparse.Namespace) -> int:
             "alpha must lie in (0, 2): the arrival series represents strictly "
             "stable laws below the Gaussian index"
         )
+    _check_counts(vals, {"terms": 1, "samples": 2})
     result = stable_marginal_check(
         alpha=vals["alpha"],
         terms=vals["terms"],

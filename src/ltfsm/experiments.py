@@ -108,11 +108,19 @@ def series_path_ensemble(
     chunk_rows = max(1, min(n_paths, 4_000_000 // block or 1))
     starts = list(range(0, n_paths, chunk_rows))
 
+    # at H = 1/2 only the first m words of each 2m-word noise block are used:
+    # every word is still drawn, but the rest are never converted
+    used = m if hurst == 0.5 else 2 * m
+
     def worker(start: int) -> np.ndarray:
         rows = min(chunk_rows, n_paths - start)
-        u = np.empty((rows, block))
+        u = np.empty((rows, 3 * p + p * used))
         for r in range(rows):
-            u[r] = raw_to_uniform(stream.substream(start + r).raw(block))
+            raw = stream.substream(start + r).raw(block)
+            u[r, : 3 * p] = raw_to_uniform(raw[: 3 * p])
+            u[r, 3 * p :].reshape(p, used)[...] = raw_to_uniform(
+                raw[3 * p :].reshape(p, 2 * m)[:, :used]
+            )
         gammas = np.cumsum(uniform_to_exponential(u[:, :p]), axis=1)
         gweights = uniform_to_gaussian(u[:, p : 2 * p])
         if density == "laplace":
@@ -124,11 +132,10 @@ def series_path_ensemble(
                 (2.0 * np.pi) ** (0.5 / alpha)
                 * np.exp(locations * locations / (2.0 * alpha))
             )
-        noise_u = u[:, 3 * p :].reshape(rows * p, 2 * m)
+        noise_u = u[:, 3 * p :].reshape(rows * p, used)
         if hurst == 0.5:
-            # mirrors the Hurst-1/2 branch of fgn_from_noise; the second half
-            # of each noise block stays unconsumed by ndtri on purpose
-            fgn = uniform_to_gaussian(noise_u[:, :m]) * spacing**0.5
+            # mirrors the Hurst-1/2 branch of fgn_from_noise
+            fgn = uniform_to_gaussian(noise_u) * spacing**0.5
         else:
             fgn = fgn_from_noise(hurst, m, spacing, uniform_to_gaussian(noise_u))
         paths = np.empty((rows * p, m + 1))

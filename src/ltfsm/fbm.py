@@ -12,6 +12,12 @@ rare non-definite cases.  A non-definite embedding with no feasible fallback
 raises :class:`EmbeddingError` -- negative eigenvalues are never truncated
 silently.
 
+The embedding of length ``2 m`` is real and symmetric, so its eigenvalues come
+from a real FFT of its first row, and the random spectrum it is driven by is
+Hermitian: only its ``m + 1`` independent coefficients are formed, and one
+real inverse FFT of length ``2 m`` returns the fGn.  No complex transform of
+the full ``2 m`` points is ever computed.
+
 Noise convention: a path with ``points = m`` increments always consumes one
 block of ``2 m`` standard normals, in order, regardless of the synthesis
 route (the embedding needs all ``2 m``; the Hurst-1/2 shortcut and the
@@ -80,19 +86,22 @@ def _embedding_coefficients(hurst: float, points: int):
     """Unit-spacing synthesis coefficients, or None if not nonneg. definite.
 
     For the even circulant embedding of length ``L = 2 * points`` with first
-    row ``[c_0 .. c_m, c_{m-1} .. c_1]`` the eigenvalues are the real FFT of
-    the row; the returned array ``a`` of length ``m + 1`` holds
-    ``a_0 = sqrt(lambda_0 / L)``, ``a_m = sqrt(lambda_m / L)`` and
-    ``a_j = sqrt(lambda_j / (2 L))`` in between.
+    row ``[c_0 .. c_m, c_{m-1} .. c_1]`` the eigenvalues are the FFT of the
+    row.  The row is real and symmetric, so they are real with
+    ``lambda_j = lambda_{L - j}``, and the ``m + 1`` values of its ``rfft``
+    hold them all (definiteness is checked on those).  The returned array
+    ``a`` of length ``m + 1`` holds ``a_0 = sqrt(lambda_0 / L)``,
+    ``a_m = sqrt(lambda_m / L)`` and ``a_j = sqrt(lambda_j / (2 L))`` in
+    between.
     """
     m = points
     c = increment_autocovariance(hurst, np.arange(m + 1))
     row = np.concatenate([c, c[m - 1 : 0 : -1]])
-    lam = np.fft.fft(row).real
+    lam = np.fft.rfft(row).real
     tol = _EIG_RTOL * float(lam.max(initial=0.0))
     if lam.min() < -tol:
         return None
-    lam = np.clip(lam[: m + 1], 0.0, None)
+    lam = np.clip(lam, 0.0, None)
     length = 2 * m
     coef = np.sqrt(lam / (2.0 * length))
     coef[0] = np.sqrt(lam[0] / length)
@@ -146,6 +155,14 @@ def fgn_from_noise(
     ``noise`` may be ``(2m,)`` or batched ``(r, 2m)``; the transform is linear
     and applied row-wise.  Which route runs is decided by ``(hurst, points,
     method)`` alone, so equal inputs always give bitwise-equal outputs.
+
+    On the circulant route the halves ``g1 = noise[:m]`` and
+    ``g2 = noise[m:]`` drive the Hermitian spectrum ``w`` of length ``2 m``:
+    ``w_0 = a_0 g1_0``, ``w_m = a_m g2_0``, ``w_j = a_j (g1_j + i g2_j)`` for
+    ``0 < j < m`` and ``w_{2m-j} = conj(w_j)``.  The fGn is the first ``m``
+    entries of ``FFT(w)``, which is real.  Only ``w_0 .. w_m`` are formed, and
+    ``FFT(w)`` is computed as the unnormalized inverse real FFT of their
+    conjugates.
     """
     _check_hurst(hurst)
     if points < 1:
@@ -166,16 +183,15 @@ def fgn_from_noise(
         factor = _cholesky_factor(hurst, m)
         return (noise[..., :m] @ factor.T) * scale
     coef = _embedding_coefficients(hurst, m)
-    g1 = noise[..., :m]
-    g2 = noise[..., m:]
-    w = np.zeros(noise.shape[:-1] + (2 * m,), dtype=complex)
-    w[..., 0] = coef[0] * g1[..., 0]
-    if m > 1:
-        w[..., 1:m] = coef[1:m] * (g1[..., 1:m] + 1j * g2[..., 1:m])
-        w[..., m + 1 :] = np.conj(w[..., 1:m])[..., ::-1]
-    w[..., m] = coef[m] * g2[..., 0]
-    z = np.fft.fft(w, axis=-1)
-    return z[..., :m].real * scale
+    # conj(w_0 .. w_m), the imaginary parts of the DC and Nyquist terms zero
+    half = np.empty(noise.shape[:-1] + (m + 1,), dtype=complex)
+    np.multiply(noise[..., :m], coef[:m], out=half.real[..., :m])
+    half.real[..., m] = coef[m] * noise[..., m]
+    np.multiply(noise[..., m + 1 :], -coef[1:m], out=half.imag[..., 1:m])
+    half.imag[..., 0] = 0.0
+    half.imag[..., m] = 0.0
+    z = np.fft.irfft(half, n=2 * m, axis=-1, norm="forward")
+    return z[..., :m] * scale
 
 
 @dataclass(frozen=True)

@@ -110,6 +110,18 @@ def test_simulate_manifest_reruns_byte_identically(tmp_path):
     assert "seed = 42" in manifest
 
 
+def test_simulate_without_a_holder_diagnostic_still_succeeds(tmp_path, capsys):
+    # 7 intervals leave a single dyadic lag: the diagnostic is undefined
+    code, out = _simulate(tmp_path, "g7.csv", ["--grid", "7"])
+    assert code == 0
+    assert "holder_exponent_estimate = unavailable" in capsys.readouterr().out
+    assert len(out.read_text().splitlines()) == 9
+    rerun = tmp_path / "g7b.csv"
+    assert main(["simulate", "--config", str(out) + ".manifest",
+                 "--out", str(rerun)]) == 0
+    assert rerun.read_bytes() == out.read_bytes()
+
+
 def test_simulate_flags_override_the_config_file(tmp_path):
     cfg = tmp_path / "base.cfg"
     cfg.write_text("alpha = 1.2\nhurst = 0.5\nepsilon = 0.9\nseed = 7\n")
@@ -208,6 +220,32 @@ def test_validate_cf_requires_the_linear_regime(capsys):
     assert "alpha must be exactly 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "flag, value",
+    [
+        ("--times", "0"),
+        ("--times", "1"),
+        ("--paths", "1"),
+        ("--terms", "0"),
+        ("--bandwidth", "0"),
+        ("--points", "0"),
+        ("--steps", "0"),
+        ("--T", "0"),
+        ("--T", "-1"),
+        ("--T", "inf"),
+        ("--T", "nan"),
+    ],
+)
+def test_validate_cf_rejects_bad_sizes_before_running(tmp_path, capsys, flag, value):
+    out = tmp_path / "cf.csv"
+    assert main(CF_ARGS + [flag, value, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert flag in err
+    assert "Traceback" not in err
+    assert not out.exists()
+    assert not (tmp_path / "cf.csv.manifest").exists()
+
+
 def test_validate_cf_rwrr_method(tmp_path, capsys):
     out = tmp_path / "cfr.csv"
     code = main(["validate-cf", "--alpha", "1", "--hurst", "0.5", "--seed", "7",
@@ -240,6 +278,21 @@ def test_stable_check_writes_a_rerunnable_report(tmp_path):
     assert main(["stable-check", "--config", str(out) + ".manifest",
                  "--out", str(rerun)]) == 0
     assert rerun.read_bytes() == out.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "flag, value", [("--terms", "0"), ("--terms", "-3"), ("--samples", "1")]
+)
+def test_stable_check_rejects_bad_counts_before_running(tmp_path, capsys, flag, value):
+    out = tmp_path / "sc.txt"
+    args = ["stable-check", "--alpha", "1.5", "--terms", "300", "--samples", "300",
+            "--seed", "3", "--out", str(out)]
+    assert main(args + [flag, value]) == 2
+    err = capsys.readouterr().err
+    assert flag in err
+    assert "Traceback" not in err
+    assert not out.exists()
+    assert not (tmp_path / "sc.txt.manifest").exists()
 
 
 def test_stable_check_rejects_the_gaussian_edge(capsys):

@@ -78,6 +78,39 @@ def test_batched_noise_matches_row_by_row_synthesis():
     np.testing.assert_allclose(batch, singles, rtol=1e-12, atol=1e-15)
 
 
+def _full_spectrum_fgn(hurst, m, spacing, noise):
+    """Davies-Harte on the full 2m-point Hermitian spectrum, one complex FFT."""
+    c = increment_autocovariance(hurst, np.arange(m + 1))
+    row = np.concatenate([c, c[m - 1 : 0 : -1]])
+    lam = np.clip(np.fft.fft(row).real[: m + 1], 0.0, None)
+    coef = np.sqrt(lam / (4.0 * m))
+    coef[0] = np.sqrt(lam[0] / (2.0 * m))
+    coef[m] = np.sqrt(lam[m] / (2.0 * m))
+    g1 = noise[..., :m]
+    g2 = noise[..., m:]
+    w = np.zeros(noise.shape[:-1] + (2 * m,), dtype=complex)
+    w[..., 0] = coef[0] * g1[..., 0]
+    if m > 1:
+        w[..., 1:m] = coef[1:m] * (g1[..., 1:m] + 1j * g2[..., 1:m])
+        w[..., m + 1 :] = np.conj(w[..., 1:m])[..., ::-1]
+    w[..., m] = coef[m] * g2[..., 0]
+    return np.fft.fft(w, axis=-1)[..., :m].real * spacing**hurst
+
+
+@pytest.mark.parametrize("hurst", [0.3, 0.7, 0.9])
+@pytest.mark.parametrize("m", [1, 2, 3, 5, 128, 1000])
+@pytest.mark.parametrize("rows", [None, 4])
+def test_half_spectrum_synthesis_matches_the_full_spectrum_reference(hurst, m, rows):
+    shape = (2 * m,) if rows is None else (rows, 2 * m)
+    noise = RandomStream(m).gaussian(int(np.prod(shape))).reshape(shape)
+    out = fgn_from_noise(hurst, m, 0.37, noise, method="davies-harte")
+    ref = _full_spectrum_fgn(hurst, m, 0.37, noise)
+    assert out.dtype == np.float64
+    assert out.shape == shape[:-1] + (m,)
+    # relative to the largest reference value: single entries may sit near 0
+    assert np.max(np.abs(out - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
 def test_noise_block_length_is_validated():
     with pytest.raises(ValueError):
         fgn_from_noise(0.3, 8, 0.1, np.zeros(15))
