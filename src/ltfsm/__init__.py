@@ -25,7 +25,6 @@ from .fbm import (
     fbm_covariance,
     fbm_path,
     fgn_from_noise,
-    holder_ratio,
     increment_autocovariance,
 )
 from .localtime import (
@@ -92,7 +91,6 @@ __all__ = [
     "fbm_covariance",
     "fbm_path",
     "fgn_from_noise",
-    "holder_ratio",
     "increment_autocovariance",
     "OccupationCurve",
     "discretized_occupation",

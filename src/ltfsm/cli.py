@@ -167,6 +167,13 @@ def _check_counts(vals: dict, least: dict) -> None:
             raise ConfigError(f"--{flag} must be >= {low}, got {vals[flag]}")
 
 
+def _check_finite(vals: dict, flags: tuple[str, ...]) -> None:
+    """Reject a non-finite value of any of ``flags`` that is set."""
+    for flag in flags:
+        if vals[flag] is not None and not math.isfinite(vals[flag]):
+            raise ConfigError(f"--{flag} must be finite, got {vals[flag]}")
+
+
 def _print_report(lines: list[tuple[str, object]], out: str | None) -> None:
     text = "\n".join(
         f"{key} = {value if isinstance(value, str) else format(value, '.12g')}"
@@ -291,6 +298,7 @@ def _cmd_validate_cf(args: argparse.Namespace) -> int:
     )
     if not (math.isfinite(vals["T"]) and vals["T"] > 0.0):
         raise ConfigError(f"--T must be finite and > 0, got {vals['T']}")
+    _check_finite(vals, ("u", "threshold"))
     threshold = vals["threshold"]
     if threshold is None:
         threshold = 0.99 if vals["method"] == "series" else 0.95
@@ -339,6 +347,7 @@ def _cmd_stable_check(args: argparse.Namespace) -> int:
             "stable laws below the Gaussian index"
         )
     _check_counts(vals, {"terms": 1, "samples": 2})
+    _check_finite(vals, ("threshold",))
     result = stable_marginal_check(
         alpha=vals["alpha"],
         terms=vals["terms"],

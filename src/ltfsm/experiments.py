@@ -5,6 +5,16 @@ and consumes raw words in exactly the order documented for the corresponding
 single-path operation, so results are independent of chunk sizes and of the
 worker count: parallelism only distributes whole replicates.
 
+A chunk of replicates draws its rows through
+:func:`ltfsm.streams.substream_words`, one reused Philox per chunk, instead
+of building one :class:`~ltfsm.streams.RandomStream` per replicate.  The
+series ensemble converts each row to uniforms as it arrives, so a chunk never
+holds its raw words and its uniforms at once.  The arrival-series drivers
+(:func:`lepage_marginal_samples`, :func:`tail_moment_sweep`) keep the chunk as
+raw words, convert only the exponential words to floats, and apply the
+Rademacher signs as sign-bit flips (see the :mod:`ltfsm.streams` docstring);
+the results are bitwise those of converting every word to a uniform.
+
 The series drivers use fixed per-term sizes (:func:`ltfsm.process.flat_params`
 style): ``terms`` series terms, kernel bandwidth ``bandwidth`` and ``points``
 fBm increments per term.  The epsilon-tuned rules produce per-term grids far
@@ -31,10 +41,10 @@ from .process import SamplePath, simulate_rwrr_baseline
 from .streams import (
     RandomStream,
     raw_to_uniform,
+    substream_words,
     uniform_to_exponential,
     uniform_to_gaussian,
     uniform_to_laplace_half,
-    uniform_to_rademacher,
 )
 from .validation import CfEstimate, empirical_cf, linreg_r2
 
@@ -115,8 +125,7 @@ def series_path_ensemble(
     def worker(start: int) -> np.ndarray:
         rows = min(chunk_rows, n_paths - start)
         u = np.empty((rows, 3 * p + p * used))
-        for r in range(rows):
-            raw = stream.substream(start + r).raw(block)
+        for r, raw in enumerate(substream_words(stream, start, rows, block)):
             u[r, : 3 * p] = raw_to_uniform(raw[: 3 * p])
             u[r, 3 * p :].reshape(p, used)[...] = raw_to_uniform(
                 raw[3 * p :].reshape(p, 2 * m)[:, :used]
@@ -270,6 +279,44 @@ def cf_linearity_experiment(
 
 # -- marginal distribution against the oracle -----------------------------------
 
+_SIGN_BIT = np.uint64(1 << 63)
+
+
+def _raw_block(stream: RandomStream, start: int, rows: int, width: int) -> np.ndarray:
+    """Rows ``start .. start + rows - 1`` of :func:`substream_words` as one
+    ``(rows, width)`` block."""
+    raw = np.empty((rows, width), dtype=np.uint64)
+    for r, words in enumerate(substream_words(stream, start, rows, width)):
+        raw[r] = words
+    return raw
+
+
+def _signed_arrival_sums(
+    raw: np.ndarray, arrivals: int, skip: int, alpha: float
+) -> np.ndarray:
+    """Row sums of ``Gamma_n**(-1/alpha) * eps_n`` over ``n = skip + 1 ..
+    arrivals``.
+
+    Each row of ``raw`` holds ``arrivals`` exponential words, then one sign
+    word per summed term; the sign words are overwritten.  Bitwise equal to
+    converting every word to a uniform and multiplying by
+    :func:`~ltfsm.streams.uniform_to_rademacher` signs: ``eps_n = +1`` iff the
+    word's top bit is set, and a product with ``+-1.0`` only flips the sign
+    bit, so the signs are XOR-ed into the floats' sign bits.
+    """
+    x = raw_to_uniform(raw[:, :arrivals])
+    np.log(x, out=x)
+    np.negative(x, out=x)
+    np.cumsum(x, axis=1, out=x)
+    x = x[:, skip:]
+    x **= -1.0 / alpha
+    signs = raw[:, arrivals:]
+    np.invert(signs, out=signs)
+    signs &= _SIGN_BIT
+    bits = x.view(np.uint64)
+    bits ^= signs
+    return np.sum(x, axis=1)
+
 
 def lepage_marginal_samples(
     alpha: float,
@@ -291,12 +338,8 @@ def lepage_marginal_samples(
 
     def worker(start: int) -> np.ndarray:
         rows = min(chunk_rows, n_samples - start)
-        u = np.empty((rows, 2 * terms))
-        for r in range(rows):
-            u[r] = raw_to_uniform(stream.substream(start + r).raw(2 * terms))
-        gammas = np.cumsum(uniform_to_exponential(u[:, :terms]), axis=1)
-        signs = uniform_to_rademacher(u[:, terms:])
-        return np.sum(gammas ** (-1.0 / alpha) * signs, axis=1)
+        raw = _raw_block(stream, start, rows, 2 * terms)
+        return _signed_arrival_sums(raw, terms, 0, alpha)
 
     return np.concatenate(_run_chunks(worker, starts, threads))
 
@@ -374,15 +417,8 @@ def tail_moment_sweep(
         done = 0
         while done < replicates:
             rows = min(chunk_rows, replicates - done)
-            u = np.empty((rows, total + (total - n_low)))
-            for r in range(rows):
-                u[r] = raw_to_uniform(
-                    sub.substream(done + r).raw(total + (total - n_low))
-                )
-            gammas = np.cumsum(uniform_to_exponential(u[:, :total]), axis=1)
-            signs = uniform_to_rademacher(u[:, total:])
-            tail = np.sum(gammas[:, n_low:] ** (-1.0 / alpha) * signs, axis=1)
-            sq = tail**2
+            raw = _raw_block(sub, done, rows, total + (total - n_low))
+            sq = _signed_arrival_sums(raw, total, n_low, alpha) ** 2
             acc += float(np.sum(sq))
             acc_sq += float(np.sum(sq**2))
             done += rows

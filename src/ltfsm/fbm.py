@@ -39,7 +39,6 @@ __all__ = [
     "increment_autocovariance",
     "fgn_from_noise",
     "fbm_path",
-    "holder_ratio",
 ]
 
 # Dense Cholesky above this many increments is not worth the cubic cost.
@@ -239,18 +238,3 @@ def fbm_path(
     np.cumsum(fgn, out=values[1:])
     return FbmPath(hurst=hurst, horizon=horizon, values=values)
 
-
-def holder_ratio(path: FbmPath, exponent: float) -> float:
-    """Largest increment ratio ``|v_i - v_j| / |t_i - t_j|**exponent``."""
-    if exponent <= 0.0:
-        raise ValueError("exponent must be > 0")
-    values = path.values
-    m = len(values) - 1
-    if m < 1:
-        raise ValueError("path needs at least one increment")
-    d = path.spacing
-    best = 0.0
-    for lag in range(1, m + 1):
-        num = float(np.max(np.abs(values[lag:] - values[:-lag])))
-        best = max(best, num / (lag * d) ** exponent)
-    return best

@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable
 
 import numpy as np
@@ -88,7 +88,8 @@ class SeriesConfig:
       Hurst index are not Holder exponents of the motion);
     * ``0 <= beta < 1/alpha - 1/2`` (per-term error growth; 0 is always
       admissible);
-    * ``c_p > 0``, ``c_k > 0``, ``max_points >= 0``.
+    * ``c_p > 0``, ``c_k > 0``, ``max_points >= 0``;
+    * every float field is finite.
     """
 
     alpha: float
@@ -107,7 +108,11 @@ class SeriesConfig:
     max_points: int = 262144
 
     def __post_init__(self) -> None:
-        bad: list[str] = []
+        bad = [
+            f"{name} must be finite"
+            for name in _FLOAT_FIELDS
+            if not math.isfinite(getattr(self, name))
+        ]
         if not 0.0 < self.alpha < 2.0:
             bad.append("alpha must lie in (0, 2)")
         if not 0.0 < self.hurst < 1.0:
@@ -150,6 +155,9 @@ class SeriesConfig:
     @property
     def grid_times(self) -> np.ndarray:
         return np.arange(self.grid_points + 1) * (self.horizon / self.grid_points)
+
+
+_FLOAT_FIELDS = tuple(f.name for f in fields(SeriesConfig) if f.type == "float")
 
 
 @dataclass(frozen=True)
@@ -203,18 +211,30 @@ def tune(config: SeriesConfig) -> TuningParams:
     N = 1
     while (N + 1) * alpha <= q:
         N += 1
-    p_formula = math.ceil(
-        config.c_p * config.epsilon ** (-2.0 * config.eta * alpha / (2.0 - alpha))
-    )
+    try:
+        p_formula = math.ceil(
+            config.c_p * config.epsilon ** (-2.0 * config.eta * alpha / (2.0 - alpha))
+        )
+        k = max(
+            1, math.ceil(config.c_k * config.epsilon ** (-config.eta / config.delta))
+        )
+        k_power = float(k) ** ((2.0 + config.delta) / config.delta_prime)
+    except OverflowError:
+        raise ConfigError(
+            "tuned sizes overflow the float range (truncation P, bandwidth k or "
+            "its grid power); raise epsilon or lower c_p / c_k"
+        ) from None
     P = max(p_formula, N + 1)
-    k = max(1, math.ceil(config.c_k * config.epsilon ** (-config.eta / config.delta)))
-    k_power = float(k) ** ((2.0 + config.delta) / config.delta_prime)
     head_exp = 1.0 / (config.delta_prime * alpha)
     tail_exp = config.beta / config.delta_prime
     max_points = config.max_points
 
     def head_m(n: int, gamma: float) -> int:
-        return _clamp_points(gamma ** (-head_exp) * k_power, max_points)
+        try:
+            value = gamma ** (-head_exp) * k_power
+        except OverflowError:  # an early arrival at a small alpha
+            value = math.inf
+        return _clamp_points(value, max_points)
 
     def tail_m(n: int) -> int:
         return _clamp_points(k_power * float(n) ** (-tail_exp), max_points)

@@ -23,6 +23,21 @@ into several yields the identical sequence, so higher layers may document draw
 *order* alone and remain bitwise reproducible.  The ``uniform_to_*`` helpers
 are the single source of the transforms; batched drivers apply them to raw
 blocks and get bitwise the same variates as the stream methods.
+
+Batched substream rows: :func:`substream_words` yields the first ``width``
+words of many consecutive child substreams from one reused Philox.  Philox is
+counter-based, so a child stream is nothing but a key with the counter at 0;
+resetting the key, counter and output buffer of one bit generator gives the
+same words as building ``stream.substream(j)``, without the OS-entropy pull
+that every ``Philox`` construction makes (``_philox_key`` defines the key
+layout for both).
+
+Sign-bit identity: the Rademacher sign of a raw word ``w`` is ``+1`` exactly
+when the top bit of ``w`` is set (``u >= 1/2`` iff ``w >> 11 >= 2**52``), and
+multiplying a float by ``+-1.0`` only flips its sign bit.  A kernel that holds
+raw words may therefore apply signs by XOR-ing the complement of each sign
+word's top bit into the float's sign bit, bitwise equal to
+``x * uniform_to_rademacher(raw_to_uniform(w))``.
 """
 
 from __future__ import annotations
@@ -36,10 +51,8 @@ from scipy.special import ndtri
 __all__ = [
     "RandomStream",
     "poisson_arrivals",
-    "sample_gaussian",
-    "sample_laplace_half",
-    "sample_rademacher",
     "raw_to_uniform",
+    "substream_words",
     "uniform_to_exponential",
     "uniform_to_gaussian",
     "uniform_to_laplace_half",
@@ -64,6 +77,11 @@ def _splitmix64(z: int) -> int:
 def _mix64(parent: int, child: int) -> int:
     """Derive a child substream id from (parent id, child index)."""
     return _splitmix64((parent + _GOLDEN * (child + 1)) & _MASK64)
+
+
+def _philox_key(seed: int, substream_id: int) -> tuple[int, int]:
+    """Philox key words (low, high) of the stream ``(seed, substream_id)``."""
+    return seed & _MASK64, substream_id & _MASK64
 
 
 # -- positional transforms (single source of truth) ---------------------------
@@ -112,7 +130,7 @@ class RandomStream:
     _bitgen: Philox = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        key = (self.seed & _MASK64) | ((self.substream_id & _MASK64) << 64)
+        key = np.array(_philox_key(self.seed, self.substream_id), dtype=np.uint64)
         object.__setattr__(self, "_bitgen", Philox(key=key))
 
     # -- stream algebra ---------------------------------------------------
@@ -171,16 +189,27 @@ def poisson_arrivals(count: int, stream) -> np.ndarray:
     return np.cumsum(stream.exponential(count))
 
 
-def sample_gaussian(stream, size: int | None = None):
-    """Standard normal variate(s) from ``stream``."""
-    return stream.gaussian(size)
+def substream_words(stream: RandomStream, start: int, rows: int, width: int):
+    """Iterator over ``rows`` arrays: row ``r`` holds the first ``width`` raw
+    words of ``stream.substream(start + r)``, bitwise equal to
+    ``stream.substream(start + r).raw(width)``.
+
+    All rows come from one ``Philox`` whose key, counter and output buffer
+    are reset before each row, which costs a fraction of constructing a new
+    bit generator per row.  Each row is a fresh array owned by the caller.
+    """
+    if start < 0:
+        raise ValueError("substream index must be >= 0")
+    return _substream_rows(stream, start, rows, width)
 
 
-def sample_laplace_half(stream, size: int | None = None):
-    """Laplace(0, 1/2) variate(s) (density ``exp(-2|x|)``) from ``stream``."""
-    return stream.laplace_half(size)
-
-
-def sample_rademacher(stream, size: int | None = None):
-    """Rademacher sign(s) from ``stream``."""
-    return stream.rademacher(size)
+def _substream_rows(stream: RandomStream, start: int, rows: int, width: int):
+    bitgen = Philox(key=0)
+    # a fresh generator's state: counter 0, empty output buffer; assigning it
+    # with a new key restarts the generator at the head of that substream
+    state = bitgen.state
+    key = state["state"]["key"]
+    for r in range(rows):
+        key[:] = _philox_key(stream.seed, _mix64(stream.substream_id, start + r))
+        bitgen.state = state
+        yield bitgen.random_raw(width)

@@ -311,3 +311,36 @@ def test_no_subcommand_prints_help(capsys):
 def test_unknown_subcommand_exits_via_argparse():
     with pytest.raises(SystemExit):
         main(["transmogrify"])
+
+
+# -- non-finite options ------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        SIM_ARGS + ["--T", "inf"],
+        SIM_ARGS + ["--T", "nan"],
+        SIM_ARGS + ["--cp", "inf"],
+        SIM_ARGS + ["--ck", "1e300"],
+        SIM_ARGS + ["--delta", "nan"],
+        CF_ARGS + ["--u", "inf"],
+        CF_ARGS + ["--u", "nan"],
+        CF_ARGS + ["--threshold", "inf"],
+        ["stable-check", "--alpha", "1.5", "--terms", "30", "--samples", "30",
+         "--seed", "3", "--threshold", "inf"],
+        ["stable-check", "--alpha", "1.5", "--terms", "30", "--samples", "30",
+         "--seed", "3", "--threshold", "nan"],
+    ],
+    ids=lambda args: "-".join([args[0], args[-2].lstrip("-"), args[-1]]),
+)
+def test_non_finite_and_overflowing_options_are_rejected_before_writing(
+    tmp_path, capsys, args
+):
+    out = tmp_path / "run.out"
+    assert main(args + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+    assert not out.exists()
+    assert not (tmp_path / "run.out.manifest").exists()

@@ -158,6 +158,53 @@ def test_lepage_samples_follow_the_documented_layout():
         lepage_marginal_samples(2.0, 50, 8, RandomStream(66))
 
 
+def _reference_signed_sums(stream, start, rows, arrivals, skip, alpha):
+    """Per-row reference: one substream per row, every word a uniform."""
+    out = np.empty(rows)
+    for r in range(rows):
+        u = raw_to_uniform(stream.substream(start + r).raw(2 * arrivals - skip))
+        gammas = np.cumsum(uniform_to_exponential(u[:arrivals]))
+        signs = uniform_to_rademacher(u[arrivals:])
+        out[r] = np.sum(gammas[skip:] ** (-1.0 / alpha) * signs)
+    return out
+
+
+@pytest.mark.parametrize("alpha", [1.0, 1.2])
+@pytest.mark.parametrize("threads", [1, 2, 3])
+def test_lepage_samples_are_bitwise_equal_to_the_per_row_reference(alpha, threads):
+    # 2 000 terms: 500-row chunks, so 1 201 samples span three chunks
+    stream = RandomStream(71).substream(4)
+    samples = lepage_marginal_samples(alpha, 2000, 1201, stream, threads=threads)
+    reference = np.concatenate(
+        [
+            _reference_signed_sums(stream, start, min(500, 1201 - start), 2000, 0, alpha)
+            for start in range(0, 1201, 500)
+        ]
+    )
+    assert samples.tobytes() == reference.tobytes()
+
+
+@pytest.mark.parametrize("alpha", [1.0, 1.2])
+def test_tail_moment_sweep_is_bitwise_equal_to_the_per_row_reference(alpha):
+    # N = 40, factor 64: 2 560 arrivals, 390-row chunks, 1 201 replicates
+    n_low, factor, replicates = 40, 64, 1201
+    total = factor * n_low
+    chunk = 2_000_000 // (2 * total)
+    stream = RandomStream(72)
+    sweep = tail_moment_sweep(alpha, [n_low], replicates, stream, factor=factor)
+    sub = stream.substream(0)
+    acc = acc_sq = 0.0
+    for start in range(0, replicates, chunk):
+        rows = min(chunk, replicates - start)
+        sq = _reference_signed_sums(sub, start, rows, total, n_low, alpha) ** 2
+        acc += float(np.sum(sq))
+        acc_sq += float(np.sum(sq**2))
+    mean = acc / replicates
+    var = max(acc_sq / replicates - mean**2, 0.0) * replicates / (replicates - 1)
+    expected = np.array([mean, np.sqrt(var / replicates)])
+    assert np.array(sweep[n_low]).tobytes() == expected.tobytes()
+
+
 def test_stable_marginal_check_wires_substreams_and_stays_deterministic():
     res = stable_marginal_check(1.2, 200, 400, RandomStream(5))
     assert res.alpha == 1.2

@@ -10,7 +10,6 @@ from ltfsm import (
     fbm_covariance,
     fbm_path,
     fgn_from_noise,
-    holder_ratio,
     increment_autocovariance,
 )
 from ltfsm.streams import RandomStream
@@ -181,14 +180,3 @@ def test_cholesky_size_limit_is_enforced():
     m = fbm_module._CHOLESKY_LIMIT + 1
     with pytest.raises(EmbeddingError):
         fgn_from_noise(0.7, m, 1.0, np.zeros(2 * m), method="cholesky")
-
-
-def test_holder_ratio_hand_value():
-    # values (0, 1, 3) on [0, 1]: lag-1 sup is 2 at spacing 1/2, lag-2 sup is 3
-    path = FbmPath(hurst=0.5, horizon=1.0, values=np.array([0.0, 1.0, 3.0]))
-    expected = max(2.0 / 0.5**0.5, 3.0)
-    assert holder_ratio(path, 0.5) == pytest.approx(expected, rel=1e-12)
-    with pytest.raises(ValueError):
-        holder_ratio(path, 0.0)
-    with pytest.raises(ValueError):
-        holder_ratio(FbmPath(hurst=0.5, horizon=1.0, values=np.array([0.0])), 0.5)

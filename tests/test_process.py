@@ -119,6 +119,24 @@ def test_uncapped_overflow_is_an_error():
         params.points_for(1, 0.01)
 
 
+def test_config_rejects_non_finite_floats_and_tune_rejects_overflow():
+    for name in ("alpha", "epsilon", "horizon", "delta_prime", "c_p", "c_k"):
+        for bad in (math.inf, math.nan):
+            with pytest.raises(ConfigError, match=f"{name} must be finite"):
+                SeriesConfig(**{"alpha": 1.2, "hurst": 0.5, name: bad})
+    with pytest.raises(ConfigError, match="overflow"):
+        tune(SeriesConfig(alpha=1.2, hurst=0.5, c_k=1e300))
+    with pytest.raises(ConfigError, match="overflow"):
+        tune(SeriesConfig(alpha=1.2, hurst=0.5, c_p=1e300, epsilon=1e-300))
+
+
+def test_head_rule_overflow_is_capped_like_any_huge_grid():
+    # gamma ** (-1 / (delta' alpha)) exceeds the float range at alpha = 0.01
+    params = tune(SeriesConfig(alpha=0.01, hurst=0.5, epsilon=0.9, max_points=64))
+    with pytest.warns(RuntimeWarning, match="capped at max_points=64"):
+        assert params.points_for(1, 0.1) == 64
+
+
 def test_tuning_params_validate_their_sizes():
     with pytest.raises(ConfigError):
         TuningParams(P=0, N=0, k=1, head_m=lambda n, g: 1, tail_m=lambda n: 1)

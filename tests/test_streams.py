@@ -10,9 +10,7 @@ from ltfsm.streams import (
     RandomStream,
     poisson_arrivals,
     raw_to_uniform,
-    sample_gaussian,
-    sample_laplace_half,
-    sample_rademacher,
+    substream_words,
     uniform_to_exponential,
     uniform_to_gaussian,
     uniform_to_laplace_half,
@@ -69,6 +67,25 @@ def test_substreams_differ_and_are_reproducible():
     assert np.array_equal(a, RandomStream(11).substream(0).raw(16))
     with pytest.raises(ValueError):
         base.substream(-1)
+
+
+@pytest.mark.parametrize("width", [1, 2, 3, 5, 4096])
+def test_substream_words_rows_equal_the_per_substream_draws(width):
+    # widths off a multiple of 4 would expose Philox buffer words leaking
+    # from one row into the next
+    for stream in (RandomStream(11), RandomStream(2**64 + 3, 5).substream(2).substream(7)):
+        for start in (0, 9):
+            rows = list(substream_words(stream, start, 6, width))
+            assert len(rows) == 6
+            for r, words in enumerate(rows):
+                assert words.dtype == np.uint64
+                assert np.array_equal(words, stream.substream(start + r).raw(width))
+    assert list(substream_words(RandomStream(11), 4, 0, width)) == []
+
+
+def test_substream_words_rejects_a_negative_start():
+    with pytest.raises(ValueError):
+        substream_words(RandomStream(11), -1, 3, 4)
 
 
 def test_nested_substreams_depart_from_flat_ones():
@@ -150,6 +167,15 @@ def test_rademacher_is_an_unbiased_sign():
     assert list(uniform_to_rademacher(np.array([0.49, 0.5, 0.51]))) == [-1.0, 1.0, 1.0]
 
 
+def test_rademacher_sign_is_the_top_bit_of_the_raw_word():
+    edges = np.array(
+        [0, 2**63 - 2**11, 2**63 - 1, 2**63, 2**64 - 1], dtype=np.uint64
+    )
+    words = np.concatenate([edges, RandomStream(21).raw(100000)])
+    expected = np.where(words >> np.uint64(63), 1.0, -1.0)
+    assert np.array_equal(uniform_to_rademacher(raw_to_uniform(words)), expected)
+
+
 # -- arrivals ----------------------------------------------------------------------
 
 
@@ -175,18 +201,6 @@ def test_poisson_arrivals_consume_the_stream_exponentials():
     assert np.array_equal(poisson_arrivals(3, Stub()), [1.0, 2.0, 3.0])
     with pytest.raises(ValueError):
         poisson_arrivals(0, Stub())
-
-
-def test_module_level_samplers_delegate_to_the_stream():
-    assert np.array_equal(
-        sample_gaussian(RandomStream(12), 4), RandomStream(12).gaussian(4)
-    )
-    assert np.array_equal(
-        sample_laplace_half(RandomStream(12), 4), RandomStream(12).laplace_half(4)
-    )
-    assert np.array_equal(
-        sample_rademacher(RandomStream(12), 4), RandomStream(12).rademacher(4)
-    )
 
 
 # -- stable oracle ------------------------------------------------------------------
