@@ -7,7 +7,7 @@ Brownian motion.  The package provides
 * deterministic, splittable random streams (:mod:`ltfsm.streams`),
 * exact fractional Brownian motion sampling (:mod:`ltfsm.fbm`),
 * kernel-smoothed occupation measures (:mod:`ltfsm.localtime`),
-* the shot-noise series machinery and its error bounds
+* the error budgets of the truncated shot-noise series
   (:mod:`ltfsm.shotnoise`),
 * the epsilon-driven tuning and path simulators (:mod:`ltfsm.process`),
 * Monte Carlo validation statistics (:mod:`ltfsm.validation`) and batched
@@ -37,14 +37,11 @@ from .localtime import (
 )
 from .shotnoise import (
     BoundReport,
-    SeriesTerm,
     approximation_bound,
     approximation_bound_lp,
     bound_B_q,
     bound_H_nq,
     build_bound_report,
-    h_map,
-    sum_series,
     truncation_bound,
     truncation_bound_lp,
 )
@@ -99,14 +96,11 @@ __all__ = [
     "kernel_phi_k",
     "occupation_oracle",
     "BoundReport",
-    "SeriesTerm",
     "approximation_bound",
     "approximation_bound_lp",
     "bound_B_q",
     "bound_H_nq",
     "build_bound_report",
-    "h_map",
-    "sum_series",
     "truncation_bound",
     "truncation_bound_lp",
     "ConfigError",

@@ -28,7 +28,7 @@ import sys
 from . import __version__
 from .fbm import EmbeddingError
 from .experiments import cf_linearity_experiment, stable_marginal_check
-from .io import RunManifest, manifest_path, read_config, write_csv
+from .io import RunManifest, config_value_problem, manifest_path, read_config, write_csv
 from .process import (
     ConfigError,
     SeriesConfig,
@@ -144,6 +144,9 @@ def _resolve(args: argparse.Namespace, schema: dict, command: str) -> dict:
             value = default
         if value is None and required:
             raise ConfigError(f"missing required option --{flag}")
+        problem = config_value_problem(value) if typ is str and value else None
+        if problem:
+            raise ConfigError(f"--{flag} {value!r} {problem}; a manifest cannot carry it")
         resolved[flag] = value
     return resolved
 
@@ -214,6 +217,11 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         simulate_ltfsm if vals["density"] == "laplace" else simulate_ltfsm_gaussian_density
     )
     path = simulator(config, params, stream)
+    if not all(map(math.isfinite, path.values)):
+        raise ValueError(
+            "the simulated path is not finite: its series coefficients overflow "
+            f"the float range at alpha = {config.alpha:g}; nothing was written"
+        )
     try:
         holder = format(holder_exponent_estimate(path.times, path.values), ".12g")
     except ValueError:

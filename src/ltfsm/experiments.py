@@ -35,9 +35,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fbm import fgn_from_noise
-from .localtime import grid_index, kernel_phi_k
-from .process import SamplePath, simulate_rwrr_baseline
+from .localtime import grid_index
+from .process import (
+    _occupation_curves,
+    gaussian_density_weight,
+    laplace_weight,
+    simulate_rwrr_baseline,
+)
 from .streams import (
     RandomStream,
     raw_to_uniform,
@@ -111,7 +115,6 @@ def series_path_ensemble(
     threads = resolve_threads(threads)
     m = points
     p = terms
-    spacing = horizon / m
     idx = grid_index(m, horizon, np.arange(grid_points + 1) * (horizon / grid_points))
     block = 3 * p + p * 2 * m
     # ~32 MB of raw words per chunk
@@ -134,27 +137,16 @@ def series_path_ensemble(
         gweights = uniform_to_gaussian(u[:, p : 2 * p])
         if density == "laplace":
             locations = uniform_to_laplace_half(u[:, 2 * p : 3 * p])
-            weights = gweights * np.exp(2.0 * np.abs(locations) / alpha)
+            weights = gweights * laplace_weight(locations, alpha)
         else:
             locations = uniform_to_gaussian(u[:, 2 * p : 3 * p])
-            weights = gweights * (
-                (2.0 * np.pi) ** (0.5 / alpha)
-                * np.exp(locations * locations / (2.0 * alpha))
-            )
-        noise_u = u[:, 3 * p :].reshape(rows * p, used)
-        if hurst == 0.5:
-            # mirrors the Hurst-1/2 branch of fgn_from_noise
-            fgn = uniform_to_gaussian(noise_u) * spacing**0.5
-        else:
-            fgn = fgn_from_noise(hurst, m, spacing, uniform_to_gaussian(noise_u))
-        paths = np.empty((rows * p, m + 1))
-        paths[:, 0] = 0.0
-        np.cumsum(fgn, axis=1, out=paths[:, 1:])
-        centers = locations.reshape(rows * p, 1)
-        prefix = np.cumsum(kernel_phi_k(bandwidth, paths - centers), axis=1) * (
-            horizon / m
-        )
-        curves = prefix[:, idx].reshape(rows, p, len(idx))
+            weights = gweights * gaussian_density_weight(locations, alpha)
+        normals = uniform_to_gaussian(u[:, 3 * p :].reshape(rows, p, used))
+        del u  # a chunk-sized buffer, freed before the fGn synthesis
+        curves = _occupation_curves(
+            hurst, m, horizon, bandwidth, normals.reshape(rows * p, used),
+            locations.reshape(rows * p, 1), idx,
+        ).reshape(rows, p, len(idx))
         coef = gammas ** (-1.0 / alpha) * weights
         out = np.zeros((rows, len(idx)))
         for n in range(p):  # increasing-arrival order

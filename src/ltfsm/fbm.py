@@ -5,12 +5,11 @@ The generator targets the exact closed-form covariance
     Cov(B_s, B_t) = (|s|**2H + |t|**2H - |t - s|**2H) / 2
 
 by synthesizing fractional Gaussian noise (the increment process) and taking
-cumulative sums.  The primary route is circulant embedding of the increment
-autocovariance (exact in distribution whenever the even embedding is
-nonnegative definite); a dense Cholesky factorization is the fallback for the
-rare non-definite cases.  A non-definite embedding with no feasible fallback
-raises :class:`EmbeddingError` -- negative eigenvalues are never truncated
-silently.
+cumulative sums, by circulant embedding of the increment autocovariance: exact
+in distribution, as the even embedding of fGn is nonnegative definite for
+every H in (0, 1) (Dietrich & Newsam 1997).  An embedding that comes out
+non-definite in floating point raises :class:`EmbeddingError` (there is no
+fallback route); negative eigenvalues are never truncated silently.
 
 The embedding of length ``2 m`` is real and symmetric, so its eigenvalues come
 from a real FFT of its first row, and the random spectrum it is driven by is
@@ -19,10 +18,9 @@ real inverse FFT of length ``2 m`` returns the fGn.  No complex transform of
 the full ``2 m`` points is ever computed.
 
 Noise convention: a path with ``points = m`` increments always consumes one
-block of ``2 m`` standard normals, in order, regardless of the synthesis
-route (the embedding needs all ``2 m``; the Hurst-1/2 shortcut and the
-Cholesky route use the first ``m``).  Fixed block sizes keep counter-based
-streams aligned across methods.
+block of ``2 m`` standard normals, in order (the embedding needs all ``2 m``;
+the Hurst-1/2 shortcut uses the first ``m``).  Fixed block sizes keep
+counter-based streams aligned across Hurst indices.
 """
 
 from __future__ import annotations
@@ -41,14 +39,12 @@ __all__ = [
     "fbm_path",
 ]
 
-# Dense Cholesky above this many increments is not worth the cubic cost.
-_CHOLESKY_LIMIT = 4096
 # Relative tolerance under which embedding eigenvalues count as zero.
 _EIG_RTOL = 1e-12
 
 
 class EmbeddingError(RuntimeError):
-    """Raised when no exact synthesis route exists for the requested grid."""
+    """Raised when a grid's circulant embedding is not nonnegative definite."""
 
 
 def _check_hurst(hurst: float) -> None:
@@ -108,54 +104,16 @@ def _embedding_coefficients(hurst: float, points: int):
     return coef
 
 
-@lru_cache(maxsize=16)
-def _cholesky_factor(hurst: float, points: int) -> np.ndarray:
-    """Unit-spacing lower Cholesky factor of the increment covariance."""
-    c = increment_autocovariance(hurst, np.arange(points))
-    idx = np.arange(points)
-    cov = c[np.abs(idx[:, None] - idx[None, :])]
-    return np.linalg.cholesky(cov)
-
-
-def _resolve_method(hurst: float, points: int, method: str) -> str:
-    if method not in ("auto", "davies-harte", "cholesky"):
-        raise ValueError("method must be 'auto', 'davies-harte' or 'cholesky'")
-    if method == "cholesky":
-        if points > _CHOLESKY_LIMIT:
-            raise EmbeddingError(
-                f"cholesky synthesis limited to {_CHOLESKY_LIMIT} increments"
-            )
-        return "cholesky"
-    definite = _embedding_coefficients(hurst, points) is not None
-    if definite:
-        return "davies-harte"
-    if method == "davies-harte":
-        raise EmbeddingError(
-            "circulant embedding is not nonnegative definite for "
-            f"hurst={hurst}, points={points}"
-        )
-    if points > _CHOLESKY_LIMIT:
-        raise EmbeddingError(
-            "circulant embedding not nonnegative definite and grid too large "
-            "for the dense fallback"
-        )
-    return "cholesky"
-
-
 def fgn_from_noise(
-    hurst: float,
-    points: int,
-    spacing: float,
-    noise: np.ndarray,
-    method: str = "auto",
+    hurst: float, points: int, spacing: float, noise: np.ndarray
 ) -> np.ndarray:
     """Map a block of ``2 * points`` standard normals to one fGn vector.
 
     ``noise`` may be ``(2m,)`` or batched ``(r, 2m)``; the transform is linear
-    and applied row-wise.  Which route runs is decided by ``(hurst, points,
-    method)`` alone, so equal inputs always give bitwise-equal outputs.
+    and applied row-wise.  At H = 1/2 the fGn is the first ``m`` normals
+    scaled by ``spacing**(1/2)``.
 
-    On the circulant route the halves ``g1 = noise[:m]`` and
+    Otherwise the halves ``g1 = noise[:m]`` and
     ``g2 = noise[m:]`` drive the Hermitian spectrum ``w`` of length ``2 m``:
     ``w_0 = a_0 g1_0``, ``w_m = a_m g2_0``, ``w_j = a_j (g1_j + i g2_j)`` for
     ``0 < j < m`` and ``w_{2m-j} = conj(w_j)``.  The fGn is the first ``m``
@@ -171,17 +129,16 @@ def fgn_from_noise(
     noise = np.asarray(noise, dtype=float)
     if noise.shape[-1] != 2 * points:
         raise ValueError("noise block must have length 2 * points")
-    if method not in ("auto", "davies-harte", "cholesky"):
-        raise ValueError("method must be 'auto', 'davies-harte' or 'cholesky'")
     m = points
     scale = spacing**hurst
     if hurst == 0.5:
         return noise[..., :m] * scale
-    route = _resolve_method(hurst, m, method)
-    if route == "cholesky":
-        factor = _cholesky_factor(hurst, m)
-        return (noise[..., :m] @ factor.T) * scale
     coef = _embedding_coefficients(hurst, m)
+    if coef is None:
+        raise EmbeddingError(
+            "circulant embedding is not nonnegative definite for "
+            f"hurst={hurst}, points={points}"
+        )
     # conj(w_0 .. w_m), the imaginary parts of the DC and Nyquist terms zero
     half = np.empty(noise.shape[:-1] + (m + 1,), dtype=complex)
     np.multiply(noise[..., :m], coef[:m], out=half.real[..., :m])
@@ -190,6 +147,7 @@ def fgn_from_noise(
     half.imag[..., 0] = 0.0
     half.imag[..., m] = 0.0
     z = np.fft.irfft(half, n=2 * m, axis=-1, norm="forward")
+    del half
     return z[..., :m] * scale
 
 
@@ -214,13 +172,7 @@ class FbmPath:
         return np.arange(self.points + 1) * self.spacing
 
 
-def fbm_path(
-    hurst: float,
-    horizon: float,
-    points: int,
-    stream,
-    method: str = "auto",
-) -> FbmPath:
+def fbm_path(hurst: float, horizon: float, points: int, stream) -> FbmPath:
     """Sample one fBm path with ``points`` increments on [0, horizon].
 
     Consumes exactly ``2 * points`` normals from ``stream``; the first value
@@ -232,7 +184,7 @@ def fbm_path(
     if points < 1:
         raise ValueError("points must be >= 1")
     noise = stream.gaussian(2 * points)
-    fgn = fgn_from_noise(hurst, points, horizon / points, noise, method=method)
+    fgn = fgn_from_noise(hurst, points, horizon / points, noise)
     values = np.empty(points + 1)
     values[0] = 0.0
     np.cumsum(fgn, out=values[1:])

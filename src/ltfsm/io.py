@@ -4,17 +4,20 @@ CSV files carry a header line, comma separators, ``\\n`` line endings and no
 quoting; every float is printed with ``%.17g`` so re-parsing reproduces the
 binary value exactly.  Config files and manifests are flat ``key = value``
 text; a manifest is itself a valid config file, which is how a run is
-reproduced (``--config <manifest>``).
+reproduced (``--config <manifest>``).  A ``#`` starts a comment only at the
+start of a line or after whitespace, so a value such as ``x#y.csv`` survives.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
     "format_value",
+    "config_value_problem",
     "write_csv",
     "read_config",
     "RunManifest",
@@ -48,12 +51,26 @@ def write_csv(path: str, header: list[str], columns: list[np.ndarray]) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
+_COMMENT = re.compile(r"(?:^|\s)#")
+
+
+def config_value_problem(value: str) -> str | None:
+    """Why ``value`` would not read back unchanged from a config file, or None."""
+    if "\n" in value or "\r" in value:
+        return "contains a line break"
+    if value != value.strip():
+        return "starts or ends with whitespace"
+    if _COMMENT.search(" " + value):  # after "key = "
+        return "holds a '#' at its start or after whitespace"
+    return None
+
+
 def read_config(path: str) -> dict[str, str]:
     """Parse a flat ``key = value`` file (``#`` comments, blank lines ok)."""
     out: dict[str, str] = {}
     with open(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
+            line = _COMMENT.split(raw, 1)[0].strip()
             if not line:
                 continue
             if "=" not in line:

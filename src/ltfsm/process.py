@@ -36,20 +36,26 @@ RuntimeWarning fires whenever it binds, and ``max_points = 0`` disables it).
 Draw order for one path (one stream, strictly sequential): P exponentials
 (arrivals), P normals (weights), P location variates, then per term
 ``n = 1 .. P`` one block of ``2 * m_{n,k}`` normals for the fBm increments.
+
+:class:`TuningParams` is plain data: ``P``, ``N``, ``k``, ``k_power =
+k**((2 + delta)/delta')``, ``head_exp = 1/(delta' alpha)``, ``tail_exp =
+beta/delta'`` and ``max_points``; :func:`flat_params` is the rule with
+``N = 0``, ``k_power = points`` and no cap.  One kernel, ``_occupation_curves``
+(fGn, cumulative path, kernel prefix sums), serves the simulators here with
+one row per term and :func:`ltfsm.experiments.series_path_ensemble` with one
+row per term and replicate; each caller sums its terms in arrival order.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field, fields
-from typing import Callable
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .fbm import FbmPath, fgn_from_noise
-from .localtime import discretized_occupation
-from .shotnoise import SeriesTerm, sum_series
+from .fbm import fgn_from_noise
+from .localtime import grid_index, kernel_phi_k
 from .streams import poisson_arrivals
 
 __all__ = [
@@ -162,27 +168,36 @@ _FLOAT_FIELDS = tuple(f.name for f in fields(SeriesConfig) if f.type == "float")
 
 @dataclass(frozen=True)
 class TuningParams:
-    """Realized simulation sizes: truncation P, head length N, bandwidth k,
-    and the per-term grid rules."""
+    """Realized simulation sizes: truncation ``P``, head length ``N``,
+    bandwidth ``k``, and the numbers of the per-term grid rule."""
 
     P: int
     N: int
     k: int
-    head_m: Callable[[int, float], int] = field(repr=False)
-    tail_m: Callable[[int], int] = field(repr=False)
+    k_power: float
+    head_exp: float = 0.0
+    tail_exp: float = 0.0
+    max_points: int = 0
 
     def __post_init__(self) -> None:
         if self.P < 1 or self.k < 1 or self.N < 0:
             raise ConfigError("TuningParams requires P >= 1, k >= 1, N >= 0")
 
     def points_for(self, n: int, gamma: float) -> int:
-        """Grid size of term ``n`` (1-based) with arrival time ``gamma``."""
+        """Grid size of term ``n`` (1-based) with arrival time ``gamma``, by
+        the head/tail rule in the module docstring."""
         if n <= self.N:
-            return self.head_m(n, gamma)
-        return self.tail_m(n)
+            try:
+                value = gamma ** (-self.head_exp) * self.k_power
+            except OverflowError:  # an early arrival at a small alpha
+                value = math.inf
+        else:
+            value = self.k_power * float(n) ** (-self.tail_exp)
+        return _clamp_points(value, self.max_points)
 
 
 def _clamp_points(value: float, max_points: int) -> int:
+    # stacklevel 3: a cap warning names the line that called points_for
     if math.isinf(value) or value >= 2**62:
         if max_points <= 0:
             raise ValueError(
@@ -224,22 +239,15 @@ def tune(config: SeriesConfig) -> TuningParams:
             "tuned sizes overflow the float range (truncation P, bandwidth k or "
             "its grid power); raise epsilon or lower c_p / c_k"
         ) from None
-    P = max(p_formula, N + 1)
-    head_exp = 1.0 / (config.delta_prime * alpha)
-    tail_exp = config.beta / config.delta_prime
-    max_points = config.max_points
-
-    def head_m(n: int, gamma: float) -> int:
-        try:
-            value = gamma ** (-head_exp) * k_power
-        except OverflowError:  # an early arrival at a small alpha
-            value = math.inf
-        return _clamp_points(value, max_points)
-
-    def tail_m(n: int) -> int:
-        return _clamp_points(k_power * float(n) ** (-tail_exp), max_points)
-
-    return TuningParams(P=P, N=N, k=k, head_m=head_m, tail_m=tail_m)
+    return TuningParams(
+        P=max(p_formula, N + 1),
+        N=N,
+        k=k,
+        k_power=k_power,
+        head_exp=1.0 / (config.delta_prime * alpha),
+        tail_exp=config.beta / config.delta_prime,
+        max_points=config.max_points,
+    )
 
 
 def flat_params(terms: int, bandwidth: int, points: int) -> TuningParams:
@@ -251,14 +259,7 @@ def flat_params(terms: int, bandwidth: int, points: int) -> TuningParams:
     """
     if terms < 1 or bandwidth < 1 or points < 1:
         raise ConfigError("terms, bandwidth and points must all be >= 1")
-    m = int(points)
-    return TuningParams(
-        P=int(terms),
-        N=0,
-        k=int(bandwidth),
-        head_m=lambda n, gamma: m,
-        tail_m=lambda n: m,
-    )
+    return TuningParams(P=int(terms), N=0, k=int(bandwidth), k_power=float(points))
 
 
 @dataclass(frozen=True)
@@ -281,6 +282,29 @@ def gaussian_density_weight(x: np.ndarray, alpha: float) -> np.ndarray:
     return (2.0 * np.pi) ** (0.5 / alpha) * np.exp(x * x / (2.0 * alpha))
 
 
+def _occupation_curves(hurst, m, horizon, bandwidth, noise, centers, idx):
+    """Row ``r``: the occupation functional at level ``centers[r]`` of the fBm
+    path with ``m`` increments driven by row ``r`` of ``noise`` (``2 * m``
+    normals; at H = 1/2 the first ``m`` suffice), at path indices ``idx`` --
+    bitwise :func:`~ltfsm.localtime.discretized_occupation`.  Each
+    intermediate is released before the next one is formed."""
+    spacing = horizon / m
+    if hurst == 0.5:  # the Hurst-1/2 branch of fgn_from_noise
+        fgn = noise[:, :m] * spacing**0.5
+    else:
+        fgn = fgn_from_noise(hurst, m, spacing, noise)
+    del noise
+    paths = np.empty((len(fgn), m + 1))
+    paths[:, 0] = 0.0
+    np.cumsum(fgn, axis=1, out=paths[:, 1:])
+    del fgn
+    paths -= centers
+    prefix = np.cumsum(kernel_phi_k(bandwidth, paths), axis=1)
+    del paths
+    prefix *= horizon / m
+    return prefix[:, idx]
+
+
 def _simulate_series_path(
     config: SeriesConfig, params: TuningParams, stream, location_kind: str
 ) -> SamplePath:
@@ -294,28 +318,18 @@ def _simulate_series_path(
         locations = stream.gaussian(params.P)
         weights = gauss_weights * gaussian_density_weight(locations, alpha)
     times = config.grid_times
-    horizon = config.horizon
-    terms = []
-    for n in range(1, params.P + 1):
-        m = params.points_for(n, float(gammas[n - 1]))
-        noise = stream.gaussian(2 * m)
-        fgn = fgn_from_noise(config.hurst, m, horizon / m, noise)
-        values = np.empty(m + 1)
-        values[0] = 0.0
-        np.cumsum(fgn, out=values[1:])
-        fpath = FbmPath(hurst=config.hurst, horizon=horizon, values=values)
-        curve = discretized_occupation(fpath, params.k, float(locations[n - 1]), times)
-        terms.append(
-            SeriesTerm(
-                gamma=float(gammas[n - 1]),
-                weight=float(weights[n - 1]),
-                location=float(locations[n - 1]),
-                inner_curve=curve.values,
-            )
-        )
-    values = sum_series(terms, alpha)
-    values[0] = 0.0
-    return SamplePath(times=times, values=values)
+    hurst, k, horizon = config.hurst, params.k, config.horizon
+    total = np.zeros(len(times))
+    for n in range(params.P):  # increasing-arrival order, one term in memory
+        gamma = float(gammas[n])
+        m = params.points_for(n + 1, gamma)
+        idx = grid_index(m, horizon, times)
+        curve = _occupation_curves(
+            hurst, m, horizon, k, stream.gaussian(2 * m)[None], locations[n], idx
+        )[0]
+        total += gamma ** (-1.0 / alpha) * (float(weights[n]) * curve)
+    total[0] = 0.0
+    return SamplePath(times=times, values=total)
 
 
 def simulate_ltfsm(config: SeriesConfig, params: TuningParams, stream) -> SamplePath:

@@ -1,15 +1,8 @@
-"""Shot-noise (arrival-weighted) series engine and its error budgets.
+"""Error budgets of the truncated shot-noise (arrival-weighted) series.
 
-Series engine
--------------
-A truncated series sums terms ``h(Gamma_n, V_n) = Gamma_n**(-1/alpha) * V_n``
-over Poisson arrival times ``Gamma_1 < Gamma_2 < ...``, with ``V_n`` a scalar
-weight times an inner curve sampled on a common grid.  Terms are always summed
-in increasing-arrival order (largest magnitude first), which fixes the
-floating-point result for reproducibility.
+The series sums ``Gamma_n**(-1/alpha) * V_n`` over Poisson arrival times
+``Gamma_1 < Gamma_2 < ...`` (simulated in :mod:`ltfsm.process`).
 
-Error budgets
--------------
 With ``q >= 2``, ``B_q`` denotes the Gaussian-moment constant (``B_2 = 1``;
 for larger ``q`` it is ``sqrt(2) * (Gamma((q+1)/2) / sqrt(pi))**(1/q)``), and
 
@@ -27,15 +20,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
-import numpy as np
 from scipy.special import gammaln
 
 __all__ = [
-    "h_map",
-    "SeriesTerm",
-    "sum_series",
     "bound_B_q",
     "bound_H_nq",
     "truncation_bound",
@@ -45,52 +33,6 @@ __all__ = [
     "BoundReport",
     "build_bound_report",
 ]
-
-
-# -- series engine ------------------------------------------------------------
-
-
-def h_map(gamma: float, alpha: float, inner):
-    """Arrival-to-weight map ``gamma**(-1/alpha) * inner``."""
-    if gamma <= 0.0:
-        raise ValueError("gamma must be > 0")
-    if not 0.0 < alpha <= 2.0:
-        raise ValueError("alpha must lie in (0, 2]")
-    inner = np.asarray(inner, dtype=float)
-    out = gamma ** (-1.0 / alpha) * inner
-    return out if out.ndim else float(out)
-
-
-@dataclass(frozen=True)
-class SeriesTerm:
-    """One series term: arrival time, scalar weight, center, inner curve."""
-
-    gamma: float
-    weight: float
-    location: float
-    inner_curve: np.ndarray
-
-
-def sum_series(terms: Sequence[SeriesTerm], alpha: float) -> np.ndarray:
-    """Sum ``h(Gamma_n, weight_n * curve_n)`` in increasing-arrival order."""
-    if len(terms) == 0:
-        raise ValueError("terms must be nonempty")
-    if not 0.0 < alpha < 2.0:
-        raise ValueError("alpha must lie in (0, 2)")
-    width = len(np.asarray(terms[0].inner_curve))
-    gammas = np.empty(len(terms))
-    for i, term in enumerate(terms):
-        if term.gamma <= 0.0:
-            raise ValueError("gamma must be > 0")
-        if len(np.asarray(term.inner_curve)) != width:
-            raise ValueError("inner curves must share one grid")
-        gammas[i] = term.gamma
-    order = np.argsort(gammas, kind="stable")
-    total = np.zeros(width)
-    for i in order:
-        term = terms[i]
-        total += h_map(term.gamma, alpha, term.weight * np.asarray(term.inner_curve))
-    return total
 
 
 # -- moment constants ----------------------------------------------------------

@@ -344,3 +344,44 @@ def test_non_finite_and_overflowing_options_are_rejected_before_writing(
     assert "Traceback" not in err
     assert not out.exists()
     assert not (tmp_path / "run.out.manifest").exists()
+
+
+def test_simulate_refuses_to_write_a_non_finite_path(tmp_path, capsys):
+    # a Laplace location with exp(2|x|/alpha) beyond the float range
+    out = tmp_path / "nf.csv"
+    args = ["simulate", "--alpha", "0.01", "--hurst", "0.5", "--epsilon", "0.9",
+            "--max-points", "64", "--grid", "10", "--seed", "6", "--out", str(out)]
+    with pytest.warns(RuntimeWarning):
+        assert main(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "not finite" in err
+    assert "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
+# -- string options and manifests ----------------------------------------------------
+
+
+def test_an_output_name_with_a_hash_replays_from_its_manifest(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(SIM_ARGS + ["--out", "x#y.csv"]) == 0
+    first = (tmp_path / "x#y.csv").read_bytes()
+    assert "out = x#y.csv\n" in (tmp_path / "x#y.csv.manifest").read_text()
+    (tmp_path / "x#y.csv").unlink()
+    assert main(["simulate", "--config", "x#y.csv.manifest"]) == 0
+    assert (tmp_path / "x#y.csv").read_bytes() == first
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["x#y.csv", "x#y.csv.manifest"]
+
+
+@pytest.mark.parametrize(
+    "value", ["a\nb.csv", " lead.csv", "trail.csv ", "a #b.csv", "a\t#b.csv", "#a.csv"]
+)
+def test_string_options_a_manifest_cannot_carry_are_rejected(
+    tmp_path, capsys, monkeypatch, value
+):
+    monkeypatch.chdir(tmp_path)
+    assert main(SIM_ARGS + ["--out", value]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --out ")
+    assert "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []

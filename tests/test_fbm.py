@@ -24,10 +24,10 @@ def _target_covariance(hurst: float, m: int, spacing: float) -> np.ndarray:
     return acv[np.abs(idx[:, None] - idx[None, :])]
 
 
-def _realized_covariance(hurst: float, m: int, spacing: float, method: str):
+def _realized_covariance(hurst: float, m: int, spacing: float):
     # the noise -> fgn map is linear; feeding the identity recovers its matrix
     basis = np.eye(2 * m)
-    a = fgn_from_noise(hurst, m, spacing, basis, method=method).T
+    a = fgn_from_noise(hurst, m, spacing, basis).T
     return a @ a.T
 
 
@@ -59,15 +59,8 @@ def test_increment_autocovariances_sum_to_the_terminal_variance():
 def test_synthesis_matches_the_target_covariance_exactly():
     for hurst in (0.2, 0.3, 0.7, 0.85):
         target = _target_covariance(hurst, 32, 1.0 / 32)
-        realized = _realized_covariance(hurst, 32, 1.0 / 32, "davies-harte")
+        realized = _realized_covariance(hurst, 32, 1.0 / 32)
         np.testing.assert_allclose(realized, target, atol=1e-14)
-
-
-def test_cholesky_route_matches_the_target_covariance():
-    for hurst in (0.3, 0.7):
-        target = _target_covariance(hurst, 24, 1.0)
-        realized = _realized_covariance(hurst, 24, 1.0, "cholesky")
-        np.testing.assert_allclose(realized, target, atol=1e-12)
 
 
 def test_batched_noise_matches_row_by_row_synthesis():
@@ -102,7 +95,7 @@ def _full_spectrum_fgn(hurst, m, spacing, noise):
 def test_half_spectrum_synthesis_matches_the_full_spectrum_reference(hurst, m, rows):
     shape = (2 * m,) if rows is None else (rows, 2 * m)
     noise = RandomStream(m).gaussian(int(np.prod(shape))).reshape(shape)
-    out = fgn_from_noise(hurst, m, 0.37, noise, method="davies-harte")
+    out = fgn_from_noise(hurst, m, 0.37, noise)
     ref = _full_spectrum_fgn(hurst, m, 0.37, noise)
     assert out.dtype == np.float64
     assert out.shape == shape[:-1] + (m,)
@@ -129,14 +122,9 @@ def test_hurst_half_shortcut_scales_the_first_half_of_the_block():
 def test_noise_budget_is_route_independent():
     # a path always costs 2 * points normals, so downstream draws stay aligned
     takes = []
-    for kwargs in (
-        dict(hurst=0.5),
-        dict(hurst=0.3),
-        dict(hurst=0.3, method="cholesky"),
-        dict(hurst=0.7, method="davies-harte"),
-    ):
+    for hurst in (0.5, 0.3, 0.7):
         s = RandomStream(42)
-        fbm_path(horizon=1.0, points=64, stream=s, **kwargs)
+        fbm_path(hurst=hurst, horizon=1.0, points=64, stream=s)
         takes.append(s.uniform())
     assert len(set(takes)) == 1
 
@@ -154,8 +142,6 @@ def test_fbm_path_shape_and_determinism():
 
 def test_path_arguments_are_validated():
     with pytest.raises(ValueError):
-        fbm_path(0.5, 1.0, 8, RandomStream(1), method="spectral")
-    with pytest.raises(ValueError):
         fbm_path(0.5, 0.0, 8, RandomStream(1))
     with pytest.raises(ValueError):
         fbm_path(0.5, 1.0, 0, RandomStream(1))
@@ -166,17 +152,4 @@ def test_path_arguments_are_validated():
 def test_non_definite_embeddings_fail_loudly(monkeypatch):
     monkeypatch.setattr(fbm_module, "_embedding_coefficients", lambda h, p: None)
     with pytest.raises(EmbeddingError):
-        fgn_from_noise(0.7, 8, 1.0, np.zeros(16), method="davies-harte")
-    # auto falls back to the dense route inside its size limit ...
-    out = fgn_from_noise(0.7, 8, 1.0, np.ones(16), method="auto")
-    assert out.shape == (8,)
-    # ... and refuses loudly beyond it
-    monkeypatch.setattr(fbm_module, "_CHOLESKY_LIMIT", 4)
-    with pytest.raises(EmbeddingError):
-        fgn_from_noise(0.7, 8, 1.0, np.zeros(16), method="auto")
-
-
-def test_cholesky_size_limit_is_enforced():
-    m = fbm_module._CHOLESKY_LIMIT + 1
-    with pytest.raises(EmbeddingError):
-        fgn_from_noise(0.7, m, 1.0, np.zeros(2 * m), method="cholesky")
+        fgn_from_noise(0.7, 8, 1.0, np.zeros(16))

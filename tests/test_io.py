@@ -5,7 +5,14 @@ import math
 import numpy as np
 import pytest
 
-from ltfsm.io import RunManifest, format_value, manifest_path, read_config, write_csv
+from ltfsm.io import (
+    RunManifest,
+    config_value_problem,
+    format_value,
+    manifest_path,
+    read_config,
+    write_csv,
+)
 
 
 def test_format_value_round_trips_floats():
@@ -87,3 +94,16 @@ def test_manifest_is_a_valid_config_file(tmp_path):
     assert parsed["alpha"] == format_value(1.2)
     assert parsed["seed"] == "42"
     assert parsed["output"] == str(out)
+
+
+def test_read_config_keeps_a_hash_that_does_not_follow_whitespace(tmp_path):
+    cfg = tmp_path / "hash.cfg"
+    cfg.write_text("out = x#y.csv\nname = a#b # comment\n#whole line\ntab = v\t#c\n")
+    assert read_config(str(cfg)) == {"out": "x#y.csv", "name": "a#b", "tab": "v"}
+
+
+def test_config_value_problem_names_what_the_format_cannot_carry():
+    for good in ("x#y.csv", "run.csv", "a b.csv", "a=b", "z#"):
+        assert config_value_problem(good) is None
+    for bad in ("a\nb", "a\rb", " a", "a ", "\ta", "a #b", "a\t#b", "#a"):
+        assert config_value_problem(bad) is not None

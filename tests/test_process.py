@@ -1,6 +1,7 @@
 """Unit tests for the tuned simulation of the flagship process."""
 
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from ltfsm import (
     discretized_occupation,
     fgn_from_noise,
     flat_params,
+    grid_index,
     gaussian_density_weight,
     laplace_weight,
     poisson_arrivals,
@@ -22,6 +24,7 @@ from ltfsm import (
     simulate_rwrr_baseline,
     tune,
 )
+from ltfsm.process import _occupation_curves
 from ltfsm.streams import RandomStream
 
 
@@ -138,10 +141,56 @@ def test_head_rule_overflow_is_capped_like_any_huge_grid():
 
 
 def test_tuning_params_validate_their_sizes():
-    with pytest.raises(ConfigError):
-        TuningParams(P=0, N=0, k=1, head_m=lambda n, g: 1, tail_m=lambda n: 1)
+    sizes = dict(P=1, N=0, k=1, k_power=1.0)
+    assert TuningParams(**sizes) == flat_params(1, 1, 1)
+    for name, bad in (("P", 0), ("N", -1), ("k", 0)):
+        with pytest.raises(ConfigError):
+            TuningParams(**{**sizes, name: bad})
     with pytest.raises(ConfigError):
         flat_params(0, 1, 1)
+
+
+def test_tuning_params_are_plain_comparable_picklable_data():
+    cfg = SeriesConfig(alpha=1.2, hurst=0.7, epsilon=0.4, delta=0.17, delta_prime=0.2)
+    params = tune(cfg)
+    assert params == tune(cfg)
+    coarser = SeriesConfig(alpha=1.2, hurst=0.7, epsilon=0.5, delta=0.17, delta_prime=0.2)
+    assert params != tune(coarser)
+    assert pickle.loads(pickle.dumps(params)) == params
+    assert pickle.loads(pickle.dumps(flat_params(7, 3, 64))) == flat_params(7, 3, 64)
+    assert (params.k_power, params.head_exp, params.tail_exp, params.max_points) == (
+        float(params.k) ** (2.17 / 0.2),
+        1.0 / (0.2 * 1.2),
+        0.0,
+        262144,
+    )
+
+
+@pytest.mark.parametrize(
+    "n, gamma",
+    [
+        (1, 0.5), (1, 2.0), (2, 7.5), (2, 1e4), (3, 0.01), (3, 1e-300), (4, 123.0),
+        (9, 0.1), (50, 3.0),
+    ],
+)
+def test_points_for_follows_the_documented_rule(n, gamma):
+    params = TuningParams(
+        P=60, N=3, k=4, k_power=300.5, head_exp=1.7, tail_exp=0.4, max_points=1000
+    )
+    if n <= params.N:
+        try:
+            requested = gamma ** (-params.head_exp) * params.k_power
+        except OverflowError:
+            requested = math.inf
+    else:
+        requested = params.k_power * n ** (-params.tail_exp)
+    if requested > params.max_points:
+        with pytest.warns(RuntimeWarning, match="capped at max_points=1000") as caught:
+            assert params.points_for(n, gamma) == params.max_points
+        # the warning names the line that called points_for
+        assert [w.filename for w in caught] == [__file__]
+    else:
+        assert params.points_for(n, gamma) == max(1, math.floor(requested))
 
 
 def test_flat_params_use_one_grid_size_everywhere():
@@ -216,6 +265,27 @@ def test_tuned_simulation_runs_end_to_end_when_capped():
         path = simulate_ltfsm(cfg, tune(cfg), RandomStream(7))
     assert len(path.values) == 11
     assert np.all(np.isfinite(path.values))
+
+
+@pytest.mark.parametrize("hurst", [0.3, 0.5, 0.7])
+@pytest.mark.parametrize("rows", [1, 5])
+def test_occupation_curves_rows_are_the_per_path_occupation(hurst, rows):
+    m, k, horizon = 48, 3, 1.7
+    times = np.arange(11) * (horizon / 10)
+    idx = grid_index(m, horizon, times)
+    noise = RandomStream(rows).gaussian(rows * 2 * m).reshape(rows, 2 * m)
+    centers = RandomStream(rows + 100).gaussian(rows).reshape(rows, 1) * 0.3
+    curves = _occupation_curves(hurst, m, horizon, k, noise, centers, idx)
+    assert curves.shape == (rows, len(idx))
+    for r in range(rows):
+        fgn = fgn_from_noise(hurst, m, horizon / m, noise[r])
+        values = np.concatenate([[0.0], np.cumsum(fgn)])
+        path = FbmPath(hurst=hurst, horizon=horizon, values=values)
+        expect = discretized_occupation(path, k, float(centers[r, 0]), times).values
+        assert np.array_equal(curves[r], expect)
+    if hurst == 0.5:  # only the first m normals of a block are read
+        half = _occupation_curves(hurst, m, horizon, k, noise[:, :m].copy(), centers, idx)
+        assert np.array_equal(half, curves)
 
 
 # -- discrete baseline -----------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Unit tests for the series engine and its error budgets."""
+"""Unit tests for the error budgets of the shot-noise series."""
 
 import math
 
@@ -6,14 +6,11 @@ import numpy as np
 import pytest
 
 from ltfsm import (
-    SeriesTerm,
     approximation_bound,
     approximation_bound_lp,
     bound_B_q,
     bound_H_nq,
     build_bound_report,
-    h_map,
-    sum_series,
     truncation_bound,
     truncation_bound_lp,
 )
@@ -28,65 +25,6 @@ B_6 = 1.5704178024750197
 TRUNC_LP_53122 = 4.2052208700336
 # vol**(q/p) * B_3**3 * (Gamma(3) 6**3 / Gamma(6)) * (1/5)**1.5, same setup
 APPROX_LP_53122 = 1.4533243326836134
-
-
-# -- series engine ----------------------------------------------------------------
-
-
-def test_h_map_is_the_inverse_power_weighting():
-    assert h_map(16.0, 2.0, 3.0) == pytest.approx(0.75, rel=1e-15)
-    assert h_map(8.0, 1.0, np.array([2.0, -4.0])) == pytest.approx([0.25, -0.5])
-    with pytest.raises(ValueError):
-        h_map(0.0, 1.0, 1.0)
-    with pytest.raises(ValueError):
-        h_map(1.0, 2.5, 1.0)
-
-
-def _terms(gammas, weights, curves):
-    return [
-        SeriesTerm(gamma=g, weight=w, location=0.0, inner_curve=np.asarray(c))
-        for g, w, c in zip(gammas, weights, curves)
-    ]
-
-
-def test_sum_series_orders_by_arrival_for_a_fixed_float_result():
-    rng = np.random.default_rng(0)
-    curves = rng.normal(size=(6, 4))
-    gammas = [3.0, 1.0, 6.0, 2.0, 5.0, 4.0]
-    weights = [1.0, -2.0, 0.5, 3.0, -1.0, 2.0]
-    forward = sum_series(_terms(gammas, weights, curves), 1.3)
-    shuffled_idx = [4, 0, 5, 2, 1, 3]
-    shuffled = sum_series(
-        _terms(
-            [gammas[i] for i in shuffled_idx],
-            [weights[i] for i in shuffled_idx],
-            [curves[i] for i in shuffled_idx],
-        ),
-        1.3,
-    )
-    assert np.array_equal(forward, shuffled)
-    # hand value: the sorted accumulation of gamma**(-1/alpha) * w * curve
-    order = np.argsort(gammas)
-    expect = np.zeros(4)
-    for i in order:
-        expect += gammas[i] ** (-1.0 / 1.3) * (weights[i] * curves[i])
-    assert np.array_equal(forward, expect)
-
-
-def test_sum_series_cancellation_and_validation():
-    curve = np.array([1.0, 2.0])
-    cancel = sum_series(
-        _terms([2.0, 2.0], [1.5, -1.5], [curve, curve]), 1.0
-    )
-    assert np.array_equal(cancel, np.zeros(2))
-    with pytest.raises(ValueError):
-        sum_series([], 1.0)
-    with pytest.raises(ValueError):
-        sum_series(_terms([1.0], [1.0], [curve]), 2.0)
-    with pytest.raises(ValueError):
-        sum_series(_terms([1.0, 2.0], [1.0, 1.0], [curve, np.ones(3)]), 1.0)
-    with pytest.raises(ValueError):
-        sum_series(_terms([-1.0], [1.0], [curve]), 1.0)
 
 
 # -- moment constants ----------------------------------------------------------------
