@@ -5,15 +5,21 @@ and consumes raw words in exactly the order documented for the corresponding
 single-path operation, so results are independent of chunk sizes and of the
 worker count: parallelism only distributes whole replicates.
 
-A chunk of replicates draws its rows through
-:func:`ltfsm.streams.substream_words`, one reused Philox per chunk, instead
-of building one :class:`~ltfsm.streams.RandomStream` per replicate.  The
-series ensemble converts each row to uniforms as it arrives, so a chunk never
-holds its raw words and its uniforms at once.  The arrival-series drivers
-(:func:`lepage_marginal_samples`, :func:`tail_moment_sweep`) keep the chunk as
-raw words, convert only the exponential words to floats, and apply the
-Rademacher signs as sign-bit flips (see the :mod:`ltfsm.streams` docstring);
-the results are bitwise those of converting every word to a uniform.
+A chunk of replicates draws its rows from one reused Philox (see
+:func:`ltfsm.streams.substream_words`) instead of building one
+:class:`~ltfsm.streams.RandomStream` per replicate.  The series ensemble
+copies each row's words into preallocated ``uint64`` head and noise buffers
+(at H = 1/2 only the used half of each noise block), converts them to
+uniforms in place and runs ``ndtri`` into the same memory; the occupation
+kernel then works in one path-sized buffer.  The random-walk ensemble runs
+the walk kernel of :func:`ltfsm.process.simulate_rwrr_baseline` row by row,
+so its rows equal that function's paths bitwise; a row is a dozen short NumPy
+calls that hold the interpreter lock, so more threads do not speed it up.
+The arrival-series drivers (:func:`lepage_marginal_samples`,
+:func:`tail_moment_sweep`) keep the chunk as raw words, convert only the
+exponential words to floats, and apply the Rademacher signs as sign-bit flips
+(see the :mod:`ltfsm.streams` docstring); the results are bitwise those of
+converting every word to a uniform.
 
 The series drivers use fixed per-term sizes (:func:`ltfsm.process.flat_params`
 style): ``terms`` series terms, kernel bandwidth ``bandwidth`` and ``points``
@@ -35,15 +41,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .localtime import grid_index
+from .localtime import _check_bandwidth, grid_index
+from .oracle import _stable_from_uniforms
 from .process import (
     _occupation_curves,
+    _rwrr_walk,
     gaussian_density_weight,
     laplace_weight,
-    simulate_rwrr_baseline,
 )
 from .streams import (
     RandomStream,
+    _substream_heads,
+    _uniform_in_place,
     raw_to_uniform,
     substream_words,
     uniform_to_exponential,
@@ -73,6 +82,13 @@ def resolve_threads(threads: int | None = None) -> int:
     if threads < 1:
         raise ValueError("thread count must be >= 1")
     return threads
+
+
+def _check_counts(**counts: int) -> None:
+    """Reject, by name, the first count below 1, before anything is drawn."""
+    for name, value in counts.items():
+        if value < 1:
+            raise ValueError(f"{name} must be >= 1")
 
 
 def _run_chunks(worker, chunks, threads: int):
@@ -110,8 +126,8 @@ def series_path_ensemble(
         raise ValueError("alpha must lie in (0, 2)")
     if density not in ("laplace", "gaussian"):
         raise ValueError("density must be 'laplace' or 'gaussian'")
-    if n_paths < 1 or terms < 1 or points < 1:
-        raise ValueError("n_paths, terms and points must all be >= 1")
+    _check_counts(n_paths=n_paths, terms=terms, points=points, grid_points=grid_points)
+    _check_bandwidth(bandwidth)
     threads = resolve_threads(threads)
     m = points
     p = terms
@@ -122,17 +138,17 @@ def series_path_ensemble(
     starts = list(range(0, n_paths, chunk_rows))
 
     # at H = 1/2 only the first m words of each 2m-word noise block are used:
-    # every word is still drawn, but the rest are never converted
+    # every word is still drawn, but the rest are never kept
     used = m if hurst == 0.5 else 2 * m
 
     def worker(start: int) -> np.ndarray:
         rows = min(chunk_rows, n_paths - start)
-        u = np.empty((rows, 3 * p + p * used))
+        head = np.empty((rows, 3 * p), dtype=np.uint64)
+        noise = np.empty((rows, p, used), dtype=np.uint64)
         for r, raw in enumerate(substream_words(stream, start, rows, block)):
-            u[r, : 3 * p] = raw_to_uniform(raw[: 3 * p])
-            u[r, 3 * p :].reshape(p, used)[...] = raw_to_uniform(
-                raw[3 * p :].reshape(p, 2 * m)[:, :used]
-            )
+            head[r] = raw[: 3 * p]
+            noise[r] = raw[3 * p :].reshape(p, 2 * m)[:, :used]
+        u = _uniform_in_place(head)
         gammas = np.cumsum(uniform_to_exponential(u[:, :p]), axis=1)
         gweights = uniform_to_gaussian(u[:, p : 2 * p])
         if density == "laplace":
@@ -141,8 +157,8 @@ def series_path_ensemble(
         else:
             locations = uniform_to_gaussian(u[:, 2 * p : 3 * p])
             weights = gweights * gaussian_density_weight(locations, alpha)
-        normals = uniform_to_gaussian(u[:, 3 * p :].reshape(rows, p, used))
-        del u  # a chunk-sized buffer, freed before the fGn synthesis
+        normals = _uniform_in_place(noise)
+        uniform_to_gaussian(normals, out=normals)
         curves = _occupation_curves(
             hurst, m, horizon, bandwidth, normals.reshape(rows * p, used),
             locations.reshape(rows * p, 1), idx,
@@ -166,7 +182,18 @@ def rwrr_path_ensemble(
     grid_points: int = 20,
     threads: int | None = None,
 ) -> np.ndarray:
-    """Matrix of random-walk-with-rewards paths, one row per replicate."""
+    """Matrix of random-walk-with-rewards paths, one row per replicate.
+
+    Row ``j`` is bitwise ``simulate_rwrr_baseline(alpha, steps, grid_points,
+    stream.substream(j), horizon).values``.  Each row draws from one reused
+    Philox per chunk: ``steps`` sign words (the top bit gives the step), then
+    the rewards' words, continuing where the signs stopped.
+    """
+    if not 0.0 < alpha <= 2.0:
+        raise ValueError("alpha must lie in (0, 2]")
+    _check_counts(n_paths=n_paths, steps=steps, grid_points=grid_points)
+    if not horizon > 0.0:
+        raise ValueError("horizon must be > 0")
     threads = resolve_threads(threads)
     chunk_rows = max(1, min(n_paths, 512))
     starts = list(range(0, n_paths, chunk_rows))
@@ -174,11 +201,18 @@ def rwrr_path_ensemble(
     def worker(start: int) -> np.ndarray:
         rows = min(chunk_rows, n_paths - start)
         out = np.empty((rows, grid_points + 1))
-        for r in range(rows):
-            path = simulate_rwrr_baseline(
-                alpha, steps, grid_points, stream.substream(start + r), horizon
-            )
-            out[r] = path.values
+        for r, bitgen in enumerate(_substream_heads(stream, start, rows)):
+            words = bitgen.random_raw(steps)
+            words >>= np.uint64(63)  # 1 iff the step is +1 (sign-bit identity)
+            moves = words.view(np.int64)
+            moves *= 2
+            moves -= 1
+
+            def draw_rewards(sites: int) -> np.ndarray:
+                u = _uniform_in_place(bitgen.random_raw(2 * sites))
+                return _stable_from_uniforms(alpha, u)
+
+            out[r] = _rwrr_walk(alpha, moves, draw_rewards, grid_points)
         return out
 
     return np.concatenate(_run_chunks(worker, starts, threads), axis=0)
@@ -324,6 +358,7 @@ def lepage_marginal_samples(
     """
     if not 0.0 < alpha < 2.0:
         raise ValueError("alpha must lie in (0, 2)")
+    _check_counts(terms=terms, n_samples=n_samples)
     threads = resolve_threads(threads)
     chunk_rows = max(1, min(n_samples, max(1, 2_000_000 // (2 * terms))))
     starts = list(range(0, n_samples, chunk_rows))
@@ -399,6 +434,10 @@ def tail_moment_sweep(
         raise ValueError("alpha must lie in (0, 2)")
     if replicates < 2:
         raise ValueError("replicates must be >= 2")
+    _check_counts(factor=factor)
+    n_values = list(n_values)
+    if any(n_low < 1 for n_low in n_values):
+        raise ValueError("n_values must all be >= 1")
     out: dict[int, tuple[float, float]] = {}
     for i, n_low in enumerate(n_values):
         total = int(factor * n_low)

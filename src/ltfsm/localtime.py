@@ -61,6 +61,18 @@ def kernel_phi_k(k: int, x):
     return out if out.ndim else float(out)
 
 
+def _phi_k_in_place(k: int, x: np.ndarray) -> np.ndarray:
+    """:func:`kernel_phi_k` computed in the memory of the float array ``x``
+    (overwritten and returned), bitwise equal: ``|k x| = k |x|`` and
+    ``1 + (-a) = 1 - a`` hold exactly in floating point."""
+    np.abs(x, out=x)
+    x *= -k
+    x += 1.0
+    np.maximum(x, 0.0, out=x)
+    x *= k
+    return x
+
+
 def grid_index(points: int, horizon: float, times) -> np.ndarray:
     """Indices ``floor(points * t / horizon)`` with a roundoff guard."""
     t = np.asarray(times, dtype=float)

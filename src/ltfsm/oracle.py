@@ -31,9 +31,15 @@ def sample_stable_oracle(alpha: float, stream, size: int | None = None):
     if not 0.0 < alpha <= 2.0:
         raise ValueError("alpha must lie in (0, 2]")
     n = 1 if size is None else int(size)
-    u = stream.uniform(2 * n)
+    x = _stable_from_uniforms(alpha, stream.uniform(2 * n))
+    return float(x[0]) if size is None else x
+
+
+def _stable_from_uniforms(alpha: float, u: np.ndarray) -> np.ndarray:
+    """The transform above on ``2n`` uniforms: ``n`` variates, the first half
+    of ``u`` giving the angles and the second half the exponentials."""
+    n = len(u) // 2
     angle = np.pi * (u[:n] - 0.5)
     w = -np.log(u[n:])
     x = np.sin(alpha * angle) / np.cos(angle) ** (1.0 / alpha)
-    x = x * (np.cos((1.0 - alpha) * angle) / w) ** ((1.0 - alpha) / alpha)
-    return float(x[0]) if size is None else x
+    return x * (np.cos((1.0 - alpha) * angle) / w) ** ((1.0 - alpha) / alpha)

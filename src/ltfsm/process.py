@@ -43,7 +43,14 @@ beta/delta'`` and ``max_points``; :func:`flat_params` is the rule with
 ``N = 0``, ``k_power = points`` and no cap.  One kernel, ``_occupation_curves``
 (fGn, cumulative path, kernel prefix sums), serves the simulators here with
 one row per term and :func:`ltfsm.experiments.series_path_ensemble` with one
-row per term and replicate; each caller sums its terms in arrival order.
+row per term and replicate; each caller sums its terms in arrival order.  The
+kernel works in one path-sized buffer and evaluates the tent kernel in place,
+bitwise :func:`~ltfsm.localtime.kernel_phi_k`.
+
+:func:`simulate_rwrr_baseline` and
+:func:`ltfsm.experiments.rwrr_path_ensemble` share one walk kernel
+(``_rwrr_walk``): positions, rewards of the visited range, one gather, one
+``cumsum`` and one fancy index for the grid columns.
 """
 
 from __future__ import annotations
@@ -54,8 +61,9 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
+from . import oracle
 from .fbm import fgn_from_noise
-from .localtime import grid_index, kernel_phi_k
+from .localtime import _check_bandwidth, _phi_k_in_place, grid_index
 from .streams import poisson_arrivals
 
 __all__ = [
@@ -286,23 +294,28 @@ def _occupation_curves(hurst, m, horizon, bandwidth, noise, centers, idx):
     """Row ``r``: the occupation functional at level ``centers[r]`` of the fBm
     path with ``m`` increments driven by row ``r`` of ``noise`` (``2 * m``
     normals; at H = 1/2 the first ``m`` suffice), at path indices ``idx`` --
-    bitwise :func:`~ltfsm.localtime.discretized_occupation`.  Each
-    intermediate is released before the next one is formed."""
+    bitwise :func:`~ltfsm.localtime.discretized_occupation`.  One path-sized
+    buffer holds the path, then the tent kernel, then its prefix sums; only
+    the columns ``idx`` are scaled by ``horizon / m``.  ``noise`` is read,
+    never written."""
+    _check_bandwidth(bandwidth)
     spacing = horizon / m
-    if hurst == 0.5:  # the Hurst-1/2 branch of fgn_from_noise
-        fgn = noise[:, :m] * spacing**0.5
-    else:
+    if hurst == 0.5:  # the Hurst-1/2 branch of fgn_from_noise, in the path
+        paths = np.empty((len(noise), m + 1))
+        fgn = np.multiply(noise[:, :m], spacing**0.5, out=paths[:, 1:])
+    else:  # the path is allocated after the synthesis's memory peak
         fgn = fgn_from_noise(hurst, m, spacing, noise)
+        paths = np.empty((len(fgn), m + 1))
     del noise
-    paths = np.empty((len(fgn), m + 1))
     paths[:, 0] = 0.0
     np.cumsum(fgn, axis=1, out=paths[:, 1:])
     del fgn
     paths -= centers
-    prefix = np.cumsum(kernel_phi_k(bandwidth, paths), axis=1)
-    del paths
-    prefix *= horizon / m
-    return prefix[:, idx]
+    _phi_k_in_place(bandwidth, paths)
+    np.cumsum(paths, axis=1, out=paths)  # the kernel prefix sums
+    sampled = paths[:, idx]
+    sampled *= horizon / m
+    return sampled
 
 
 def _simulate_series_path(
@@ -367,8 +380,6 @@ def simulate_rwrr_baseline(
     sign draws, then one reward per site of the visited range in ascending
     site order.  The value at t = 0 is exactly 0 (empty sum).
     """
-    from .oracle import sample_stable_oracle
-
     if not 0.0 < alpha <= 2.0:
         raise ValueError("alpha must lie in (0, 2]")
     if steps < 1:
@@ -377,17 +388,34 @@ def simulate_rwrr_baseline(
         raise ValueError("grid_points must be >= 1")
     if horizon <= 0.0:
         raise ValueError("horizon must be > 0")
-    signs = stream.rademacher(steps)
-    positions = np.cumsum(signs.astype(np.int64))
-    lo = int(positions.min())
-    hi = int(positions.max())
-    rewards = np.asarray(sample_stable_oracle(alpha, stream, hi - lo + 1))
-    partial = np.cumsum(rewards[positions - lo])
-    norm = float(steps) ** (0.5 + 0.5 / alpha)
+    moves = stream.rademacher(steps).astype(np.int64)
+    values = _rwrr_walk(
+        alpha,
+        moves,
+        lambda sites: np.asarray(oracle.sample_stable_oracle(alpha, stream, sites)),
+        grid_points,
+    )
     times = np.arange(grid_points + 1) * (horizon / grid_points)
-    values = np.zeros(grid_points + 1)
-    for i in range(1, grid_points + 1):
-        j = (steps * i) // grid_points
-        if j >= 1:
-            values[i] = partial[j - 1] / norm
     return SamplePath(times=times, values=values)
+
+
+def _rwrr_walk(alpha, moves, draw_rewards, grid_points) -> np.ndarray:
+    """The ``grid_points + 1`` values of one :func:`simulate_rwrr_baseline`
+    path.
+
+    ``moves`` holds the ``+-1`` steps as ``int64`` and is overwritten with
+    the walk's positions; ``draw_rewards(n)`` returns the rewards of the
+    ``n`` visited sites in ascending site order.  Grid point ``i`` reads the
+    partial sum after ``floor(steps * i / grid_points)`` steps, and the
+    empty sum before the first step is exactly 0.
+    """
+    steps = len(moves)
+    positions = np.cumsum(moves, out=moves)
+    lo = int(positions.min())
+    rewards = draw_rewards(int(positions.max()) - lo + 1)
+    positions -= lo
+    partial = np.empty(steps + 1)
+    partial[0] = 0.0
+    np.cumsum(rewards[positions], out=partial[1:])
+    columns = (steps * np.arange(grid_points + 1, dtype=np.int64)) // grid_points
+    return partial[columns] / float(steps) ** (0.5 + 0.5 / alpha)

@@ -32,6 +32,12 @@ same words as building ``stream.substream(j)``, without the OS-entropy pull
 that every ``Philox`` construction makes (``_philox_key`` defines the key
 layout for both).
 
+In-place uniforms: ``((w >> 11) + 0.5) * 2**-53`` is exact apart from one
+rounding of the sum, so it can run in the memory of the words themselves
+(``_uniform_in_place``), bitwise equal to :func:`raw_to_uniform`.
+:meth:`RandomStream.uniform` and the batched drivers convert their freshly
+drawn words this way; :func:`raw_to_uniform` stays the reference.
+
 Sign-bit identity: the Rademacher sign of a raw word ``w`` is ``+1`` exactly
 when the top bit of ``w`` is set (``u >= 1/2`` iff ``w >> 11 >= 2**52``), and
 multiplying a float by ``+-1.0`` only flips its sign bit.  A kernel that holds
@@ -92,14 +98,34 @@ def raw_to_uniform(raw: np.ndarray) -> np.ndarray:
     return ((raw >> np.uint64(11)) + 0.5) * 2.0**-53
 
 
+def _uniform_in_place(words: np.ndarray) -> np.ndarray:
+    """:func:`raw_to_uniform` of a C-contiguous ``uint64`` array, computed in
+    its own memory; returns the ``float64`` view of that memory.
+
+    The same three operations run in the same order, so the result is
+    bitwise equal: ``w >> 11`` is below ``2**53`` and converts to a float
+    exactly, through ``int64``, which is the fast cast.  The cast runs on a
+    1-d view, which numpy converts element by element in place; a
+    multi-dimensional one would be staged through a temporary copy.
+    """
+    flat = words.reshape(-1)
+    flat >>= np.uint64(11)
+    u = flat.view(np.float64)
+    u[...] = flat.view(np.int64)
+    u += 0.5
+    u *= 2.0**-53
+    return u.reshape(words.shape)
+
+
 def uniform_to_exponential(u: np.ndarray) -> np.ndarray:
     """Unit-rate exponential via ``-log(u)``."""
     return -np.log(u)
 
 
-def uniform_to_gaussian(u: np.ndarray) -> np.ndarray:
-    """Standard normal via the inverse CDF."""
-    return ndtri(u)
+def uniform_to_gaussian(u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Standard normal via the inverse CDF (into ``out`` when given, which
+    may be ``u`` itself)."""
+    return ndtri(u, out=out)
 
 
 def uniform_to_laplace_half(u: np.ndarray) -> np.ndarray:
@@ -149,7 +175,7 @@ class RandomStream:
 
     def uniform(self, size: int | None = None):
         """Uniforms strictly inside (0, 1), one raw word each."""
-        u = raw_to_uniform(self.raw(1 if size is None else int(size)))
+        u = _uniform_in_place(self.raw(1 if size is None else int(size)))
         return float(u[0]) if size is None else u
 
     # -- documented variates ------------------------------------------------
@@ -200,10 +226,13 @@ def substream_words(stream: RandomStream, start: int, rows: int, width: int):
     """
     if start < 0:
         raise ValueError("substream index must be >= 0")
-    return _substream_rows(stream, start, rows, width)
+    return (bitgen.random_raw(width) for bitgen in _substream_heads(stream, start, rows))
 
 
-def _substream_rows(stream: RandomStream, start: int, rows: int, width: int):
+def _substream_heads(stream: RandomStream, start: int, rows: int):
+    """Iterator that yields one ``Philox`` ``rows`` times, each time at the
+    head of ``stream.substream(start + r)``: its raw words are those of that
+    substream, and a row may draw any number of them in any number of calls."""
     bitgen = Philox(key=0)
     # a fresh generator's state: counter 0, empty output buffer; assigning it
     # with a new key restarts the generator at the head of that substream
@@ -212,4 +241,4 @@ def _substream_rows(stream: RandomStream, start: int, rows: int, width: int):
     for r in range(rows):
         key[:] = _philox_key(stream.seed, _mix64(stream.substream_id, start + r))
         bitgen.state = state
-        yield bitgen.random_raw(width)
+        yield bitgen

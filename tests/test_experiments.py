@@ -114,6 +114,27 @@ def test_rwrr_ensemble_rows_match_the_scalar_baseline():
         assert np.array_equal(ens[r], scalar.values)
 
 
+@pytest.mark.parametrize("alpha", [0.3, 1.0, 1.2, 2.0])
+@pytest.mark.parametrize(
+    # 515 rows span a full 512-row chunk and a partial one; 1 and 3 steps are
+    # fewer than the 20 grid points
+    "steps, n_paths", [(1, 515), (3, 515), (37, 515), (10_003, 4)]
+)
+def test_rwrr_ensemble_rows_are_bitwise_the_scalar_baseline(alpha, steps, n_paths):
+    stream = RandomStream(45).substream(2)
+    expect = np.stack(
+        [
+            simulate_rwrr_baseline(alpha, steps, 20, stream.substream(j), 1.5).values
+            for j in range(n_paths)
+        ]
+    )
+    for threads in (1, 2, 3):
+        ens = rwrr_path_ensemble(
+            alpha, n_paths, steps, stream, horizon=1.5, grid_points=20, threads=threads
+        )
+        assert ens.tobytes() == expect.tobytes()
+
+
 def test_cf_linearity_experiment_structure_and_determinism():
     res = cf_linearity_experiment(
         "series", 1.0, 0.5, 200, RandomStream(7), n_times=6,
@@ -247,3 +268,25 @@ def test_representation_cf_table_shapes_and_determinism():
     )
     assert np.array_equal(table[0][1].re, again[0][1].re)
     assert np.array_equal(table[1][2].im, again[1][2].im)
+
+
+# -- counts are checked before anything is drawn: a stream of None would fail
+# -- with an AttributeError if a driver started drawing first
+
+
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        (lambda: rwrr_path_ensemble(1.0, 0, 10, None), "n_paths"),
+        (lambda: lepage_marginal_samples(1.2, 10, 0, None), "n_samples"),
+        (lambda: lepage_marginal_samples(1.2, 0, 10, None), "terms"),
+        (lambda: tail_moment_sweep(1.2, [0], 10, None), "n_values"),
+        (lambda: tail_moment_sweep(1.2, [4], 10, None, factor=0), "factor"),
+        (lambda: series_path_ensemble(1.0, 0.5, 2, 2, 0, 8, None), "bandwidth"),
+    ],
+    ids=["rwrr-n_paths", "lepage-n_samples", "lepage-terms", "sweep-n_values",
+         "sweep-factor", "series-bandwidth"],
+)
+def test_drivers_reject_bad_counts_by_name_before_drawing(call, name):
+    with pytest.raises(ValueError, match=name):
+        call()

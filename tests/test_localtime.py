@@ -12,6 +12,7 @@ from ltfsm import (
     kernel_phi_k,
     occupation_oracle,
 )
+from ltfsm.localtime import _phi_k_in_place
 from ltfsm.streams import RandomStream
 
 
@@ -38,6 +39,20 @@ def test_bandwidth_must_be_a_positive_integer():
     for bad in (0, -2, 1.5, True):
         with pytest.raises(ValueError):
             kernel_phi_k(bad, 0.0)
+
+
+@pytest.mark.parametrize("k", [1, 3, 4, 16, 3246])
+def test_in_place_tent_kernel_is_bitwise_kernel_phi_k(k):
+    edges = [0.0, -0.0, 1.0 / k, -1.0 / k, 0.5 / k, np.nextafter(1.0 / k, 1.0),
+             np.nextafter(-1.0 / k, -1.0), 1e300, -1e300, 1.7e308, -1.7e308]
+    x = np.concatenate([edges, RandomStream(k).gaussian(9999) * (2.0 / k)])
+    with np.errstate(over="ignore"):  # k * x overflows at the huge edges
+        # |k x| = 1 exactly: 1/k is exact for a power of two, and k * (1/k)
+        # rounds to 1 for the other bandwidths
+        assert np.any(np.abs(k * x) == 1.0)
+        expected = kernel_phi_k(k, x)
+        fused = _phi_k_in_place(k, x.copy().reshape(2, -1)).reshape(-1)
+    assert fused.tobytes() == expected.tobytes()
 
 
 def test_grid_index_floors_with_a_roundoff_guard():

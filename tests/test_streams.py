@@ -8,6 +8,7 @@ import pytest
 from ltfsm.oracle import sample_stable_oracle
 from ltfsm.streams import (
     RandomStream,
+    _uniform_in_place,
     poisson_arrivals,
     raw_to_uniform,
     substream_words,
@@ -174,6 +175,19 @@ def test_rademacher_sign_is_the_top_bit_of_the_raw_word():
     words = np.concatenate([edges, RandomStream(21).raw(100000)])
     expected = np.where(words >> np.uint64(63), 1.0, -1.0)
     assert np.array_equal(uniform_to_rademacher(raw_to_uniform(words)), expected)
+
+
+def test_in_place_uniform_conversion_is_bitwise_raw_to_uniform():
+    edges = np.array([0, 2**11 - 1, 2**63, 2**64 - 1], dtype=np.uint64)
+    words = np.concatenate([edges, RandomStream(22).raw(100000)])
+    expected = raw_to_uniform(words)
+    for shape in ((len(words),), (2, len(words) // 2)):
+        block = words.reshape(shape).copy()
+        u = _uniform_in_place(block)
+        assert u.dtype == np.float64 and u.shape == shape
+        assert np.shares_memory(u, block)
+        assert u.tobytes() == expected.tobytes()
+    assert list(_uniform_in_place(edges[:3].copy())) == [2.0**-54, 2.0**-54, 0.5 + 2.0**-54]
 
 
 # -- arrivals ----------------------------------------------------------------------
