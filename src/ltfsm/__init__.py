@@ -54,7 +54,6 @@ from .process import (
     gaussian_density_weight,
     laplace_weight,
     simulate_ltfsm,
-    simulate_ltfsm_gaussian_density,
     simulate_rwrr_baseline,
     tune,
 )
@@ -111,7 +110,6 @@ __all__ = [
     "gaussian_density_weight",
     "laplace_weight",
     "simulate_ltfsm",
-    "simulate_ltfsm_gaussian_density",
     "simulate_rwrr_baseline",
     "tune",
     "CfEstimate",

@@ -29,13 +29,7 @@ from . import __version__
 from .fbm import EmbeddingError
 from .experiments import cf_linearity_experiment, stable_marginal_check
 from .io import RunManifest, config_value_problem, manifest_path, read_config, write_csv
-from .process import (
-    ConfigError,
-    SeriesConfig,
-    simulate_ltfsm,
-    simulate_ltfsm_gaussian_density,
-    tune,
-)
+from .process import ConfigError, SeriesConfig, simulate_ltfsm, tune
 from .shotnoise import (
     approximation_bound_lp,
     bound_H_nq,
@@ -193,8 +187,6 @@ def _print_report(lines: list[tuple[str, object]], out: str | None) -> None:
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     vals = _resolve(args, _SIMULATE_SCHEMA, "simulate")
-    if vals["density"] not in ("laplace", "gaussian"):
-        raise ConfigError("density must be 'laplace' or 'gaussian'")
     config = SeriesConfig(
         alpha=vals["alpha"],
         hurst=vals["hurst"],
@@ -213,10 +205,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     )
     params = tune(config)
     stream = RandomStream(vals["seed"])
-    simulator = (
-        simulate_ltfsm if vals["density"] == "laplace" else simulate_ltfsm_gaussian_density
-    )
-    path = simulator(config, params, stream)
+    path = simulate_ltfsm(config, params, stream, density=vals["density"])
     if not all(map(math.isfinite, path.values)):
         raise ValueError(
             "the simulated path is not finite: its series coefficients overflow "
@@ -230,11 +219,14 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         holder = "unavailable"
     write_csv(vals["out"], ["t", "value"], [path.times, path.values])
     _write_manifest("simulate", vals, [vals["out"]])
-    print(f"terms = {params.P}")
-    print(f"head_terms = {params.N}")
-    print(f"bandwidth = {params.k}")
-    print(f"holder_exponent_estimate = {holder}")
-    print(f"output = {vals['out']}")
+    lines: list[tuple[str, object]] = [
+        ("terms", str(params.P)),
+        ("head_terms", str(params.N)),
+        ("bandwidth", str(params.k)),
+        ("holder_exponent_estimate", holder),
+        ("output", vals["out"]),
+    ]
+    _print_report(lines, None)
     return 0
 
 
@@ -333,7 +325,7 @@ def _cmd_validate_cf(args: argparse.Namespace) -> int:
     resolved["threshold"] = threshold
     _write_manifest("validate-cf", resolved, [vals["out"]])
     passed = result.r_squared >= threshold
-    for key, value in (
+    lines: list[tuple[str, object]] = [
         ("method", result.method),
         ("paths", float(result.n_paths)),
         ("u", result.u),
@@ -342,8 +334,8 @@ def _cmd_validate_cf(args: argparse.Namespace) -> int:
         ("r_squared", result.r_squared),
         ("threshold", threshold),
         ("status", "pass" if passed else "fail"),
-    ):
-        print(f"{key} = {value if isinstance(value, str) else format(value, '.12g')}")
+    ]
+    _print_report(lines, None)
     return 0 if passed else 3
 
 

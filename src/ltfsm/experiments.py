@@ -27,9 +27,9 @@ fBm increments per term.  The epsilon-tuned rules produce per-term grids far
 beyond desk budgets, while the distributional checks here only need sizes
 large enough that the remaining bias is below Monte Carlo resolution.
 
-Set the environment variable ``LTFSM_THREADS`` (or pass ``threads=``) to
-process replicate chunks in a thread pool; outputs are bitwise identical for
-any thread count.
+Every driver hands its chunk worker to ``_run_chunks``.  Set the environment
+variable ``LTFSM_THREADS`` (or pass ``threads=``) to process replicate chunks
+in a thread pool; outputs are bitwise identical for any thread count.
 """
 
 from __future__ import annotations
@@ -44,10 +44,11 @@ import numpy as np
 from .localtime import _check_bandwidth, grid_index
 from .oracle import _stable_from_uniforms
 from .process import (
+    _check_density,
     _occupation_curves,
-    _rwrr_walk,
-    gaussian_density_weight,
-    laplace_weight,
+    _rwrr_values,
+    _series_head,
+    _walk_sites,
 )
 from .streams import (
     RandomStream,
@@ -55,9 +56,7 @@ from .streams import (
     _uniform_in_place,
     raw_to_uniform,
     substream_words,
-    uniform_to_exponential,
     uniform_to_gaussian,
-    uniform_to_laplace_half,
 )
 from .validation import CfEstimate, empirical_cf, linreg_r2
 
@@ -91,11 +90,16 @@ def _check_counts(**counts: int) -> None:
             raise ValueError(f"{name} must be >= 1")
 
 
-def _run_chunks(worker, chunks, threads: int):
-    if threads == 1 or len(chunks) == 1:
-        return [worker(c) for c in chunks]
+def _run_chunks(worker, total: int, chunk_rows: int, threads: int) -> list:
+    """``worker(start, rows)`` on consecutive blocks of at most ``chunk_rows``
+    (at least 1) of ``total`` replicates; the results in block order."""
+    chunk_rows = max(1, chunk_rows)
+    starts = range(0, total, chunk_rows)
+    rows = [min(chunk_rows, total - start) for start in starts]
+    if threads == 1 or len(rows) == 1:
+        return list(map(worker, starts, rows))
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(worker, chunks))
+        return list(pool.map(worker, starts, rows))
 
 
 # -- flat-parameter series ensemble -------------------------------------------
@@ -124,8 +128,7 @@ def series_path_ensemble(
     """
     if not 0.0 < alpha < 2.0:
         raise ValueError("alpha must lie in (0, 2)")
-    if density not in ("laplace", "gaussian"):
-        raise ValueError("density must be 'laplace' or 'gaussian'")
+    _check_density(density)
     _check_counts(n_paths=n_paths, terms=terms, points=points, grid_points=grid_points)
     _check_bandwidth(bandwidth)
     threads = resolve_threads(threads)
@@ -133,30 +136,18 @@ def series_path_ensemble(
     p = terms
     idx = grid_index(m, horizon, np.arange(grid_points + 1) * (horizon / grid_points))
     block = 3 * p + p * 2 * m
-    # ~32 MB of raw words per chunk
-    chunk_rows = max(1, min(n_paths, 4_000_000 // block or 1))
-    starts = list(range(0, n_paths, chunk_rows))
 
     # at H = 1/2 only the first m words of each 2m-word noise block are used:
     # every word is still drawn, but the rest are never kept
     used = m if hurst == 0.5 else 2 * m
 
-    def worker(start: int) -> np.ndarray:
-        rows = min(chunk_rows, n_paths - start)
+    def worker(start: int, rows: int) -> np.ndarray:
         head = np.empty((rows, 3 * p), dtype=np.uint64)
         noise = np.empty((rows, p, used), dtype=np.uint64)
         for r, raw in enumerate(substream_words(stream, start, rows, block)):
             head[r] = raw[: 3 * p]
             noise[r] = raw[3 * p :].reshape(p, 2 * m)[:, :used]
-        u = _uniform_in_place(head)
-        gammas = np.cumsum(uniform_to_exponential(u[:, :p]), axis=1)
-        gweights = uniform_to_gaussian(u[:, p : 2 * p])
-        if density == "laplace":
-            locations = uniform_to_laplace_half(u[:, 2 * p : 3 * p])
-            weights = gweights * laplace_weight(locations, alpha)
-        else:
-            locations = uniform_to_gaussian(u[:, 2 * p : 3 * p])
-            weights = gweights * gaussian_density_weight(locations, alpha)
+        gammas, locations, weights = _series_head(_uniform_in_place(head), alpha, density)
         normals = _uniform_in_place(noise)
         uniform_to_gaussian(normals, out=normals)
         curves = _occupation_curves(
@@ -170,7 +161,8 @@ def series_path_ensemble(
         out[:, 0] = 0.0
         return out
 
-    return np.concatenate(_run_chunks(worker, starts, threads), axis=0)
+    # ~32 MB of raw words per chunk
+    return np.concatenate(_run_chunks(worker, n_paths, 4_000_000 // block, threads))
 
 
 def rwrr_path_ensemble(
@@ -195,11 +187,8 @@ def rwrr_path_ensemble(
     if not horizon > 0.0:
         raise ValueError("horizon must be > 0")
     threads = resolve_threads(threads)
-    chunk_rows = max(1, min(n_paths, 512))
-    starts = list(range(0, n_paths, chunk_rows))
 
-    def worker(start: int) -> np.ndarray:
-        rows = min(chunk_rows, n_paths - start)
+    def worker(start: int, rows: int) -> np.ndarray:
         out = np.empty((rows, grid_points + 1))
         for r, bitgen in enumerate(_substream_heads(stream, start, rows)):
             words = bitgen.random_raw(steps)
@@ -207,15 +196,13 @@ def rwrr_path_ensemble(
             moves = words.view(np.int64)
             moves *= 2
             moves -= 1
-
-            def draw_rewards(sites: int) -> np.ndarray:
-                u = _uniform_in_place(bitgen.random_raw(2 * sites))
-                return _stable_from_uniforms(alpha, u)
-
-            out[r] = _rwrr_walk(alpha, moves, draw_rewards, grid_points)
+            sites = _walk_sites(moves)
+            u = _uniform_in_place(bitgen.random_raw(2 * sites))
+            rewards = _stable_from_uniforms(alpha, u)
+            out[r] = _rwrr_values(alpha, moves, rewards, grid_points)
         return out
 
-    return np.concatenate(_run_chunks(worker, starts, threads), axis=0)
+    return np.concatenate(_run_chunks(worker, n_paths, 512, threads))
 
 
 # -- characteristic-function linearity ------------------------------------------
@@ -360,15 +347,13 @@ def lepage_marginal_samples(
         raise ValueError("alpha must lie in (0, 2)")
     _check_counts(terms=terms, n_samples=n_samples)
     threads = resolve_threads(threads)
-    chunk_rows = max(1, min(n_samples, max(1, 2_000_000 // (2 * terms))))
-    starts = list(range(0, n_samples, chunk_rows))
 
-    def worker(start: int) -> np.ndarray:
-        rows = min(chunk_rows, n_samples - start)
+    def worker(start: int, rows: int) -> np.ndarray:
         raw = _raw_block(stream, start, rows, 2 * terms)
         return _signed_arrival_sums(raw, terms, 0, alpha)
 
-    return np.concatenate(_run_chunks(worker, starts, threads))
+    chunk_rows = 2_000_000 // (2 * terms)
+    return np.concatenate(_run_chunks(worker, n_samples, chunk_rows, threads))
 
 
 @dataclass(frozen=True)
@@ -442,17 +427,17 @@ def tail_moment_sweep(
     for i, n_low in enumerate(n_values):
         total = int(factor * n_low)
         sub = stream.substream(i)
-        chunk_rows = max(1, 2_000_000 // (2 * total))
-        acc = 0.0
-        acc_sq = 0.0
-        done = 0
-        while done < replicates:
-            rows = min(chunk_rows, replicates - done)
-            raw = _raw_block(sub, done, rows, total + (total - n_low))
+
+        def worker(start: int, rows: int) -> tuple[float, float]:
+            raw = _raw_block(sub, start, rows, total + (total - n_low))
             sq = _signed_arrival_sums(raw, total, n_low, alpha) ** 2
-            acc += float(np.sum(sq))
-            acc_sq += float(np.sum(sq**2))
-            done += rows
+            return float(np.sum(sq)), float(np.sum(sq**2))
+
+        acc = acc_sq = 0.0
+        # one thread, and the chunk sums added in block order
+        for s, s_sq in _run_chunks(worker, replicates, 2_000_000 // (2 * total), 1):
+            acc += s
+            acc_sq += s_sq
         mean = acc / replicates
         var = max(acc_sq / replicates - mean**2, 0.0) * replicates / (replicates - 1)
         out[int(n_low)] = (mean, math.sqrt(var / replicates))

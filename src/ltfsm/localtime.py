@@ -31,6 +31,7 @@ __all__ = [
     "OccupationCurve",
     "discretized_occupation",
     "occupation_oracle",
+    "grid_index",
 ]
 
 # Absolute guard added before flooring fractional grid indices: float error of

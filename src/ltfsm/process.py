@@ -36,21 +36,23 @@ RuntimeWarning fires whenever it binds, and ``max_points = 0`` disables it).
 Draw order for one path (one stream, strictly sequential): P exponentials
 (arrivals), P normals (weights), P location variates, then per term
 ``n = 1 .. P`` one block of ``2 * m_{n,k}`` normals for the fBm increments.
+``_series_head`` maps the first ``3 P`` uniforms (one path or a block of
+rows) through ``_DENSITIES``, the one table of the two importance pairs.
 
 :class:`TuningParams` is plain data: ``P``, ``N``, ``k``, ``k_power =
 k**((2 + delta)/delta')``, ``head_exp = 1/(delta' alpha)``, ``tail_exp =
 beta/delta'`` and ``max_points``; :func:`flat_params` is the rule with
 ``N = 0``, ``k_power = points`` and no cap.  One kernel, ``_occupation_curves``
-(fGn, cumulative path, kernel prefix sums), serves the simulators here with
-one row per term and :func:`ltfsm.experiments.series_path_ensemble` with one
-row per term and replicate; each caller sums its terms in arrival order.  The
-kernel works in one path-sized buffer and evaluates the tent kernel in place,
-bitwise :func:`~ltfsm.localtime.kernel_phi_k`.
+(fGn, cumulative path, kernel prefix sums), serves :func:`simulate_ltfsm`
+with one row per term and :func:`ltfsm.experiments.series_path_ensemble`
+with one row per term and replicate; each caller sums its terms in arrival
+order.  The kernel works in one path-sized buffer and evaluates the tent
+kernel in place, bitwise :func:`~ltfsm.localtime.kernel_phi_k`.
 
 :func:`simulate_rwrr_baseline` and
-:func:`ltfsm.experiments.rwrr_path_ensemble` share one walk kernel
-(``_rwrr_walk``): positions, rewards of the visited range, one gather, one
-``cumsum`` and one fancy index for the grid columns.
+:func:`ltfsm.experiments.rwrr_path_ensemble` share the walk kernel:
+``_walk_sites`` (positions in place), the caller's reward draw, then
+``_rwrr_values`` (one gather, one ``cumsum``, one fancy index).
 """
 
 from __future__ import annotations
@@ -64,7 +66,7 @@ import numpy as np
 from . import oracle
 from .fbm import fgn_from_noise
 from .localtime import _check_bandwidth, _phi_k_in_place, grid_index
-from .streams import poisson_arrivals
+from .streams import uniform_to_exponential, uniform_to_gaussian, uniform_to_laplace_half
 
 __all__ = [
     "ConfigError",
@@ -74,7 +76,6 @@ __all__ = [
     "flat_params",
     "SamplePath",
     "simulate_ltfsm",
-    "simulate_ltfsm_gaussian_density",
     "simulate_rwrr_baseline",
     "gaussian_density_weight",
     "laplace_weight",
@@ -205,26 +206,18 @@ class TuningParams:
 
 
 def _clamp_points(value: float, max_points: int) -> int:
-    # stacklevel 3: a cap warning names the line that called points_for
-    if math.isinf(value) or value >= 2**62:
-        if max_points <= 0:
-            raise ValueError(
-                "tuned grid size overflows; set max_points to cap per-term grids"
-            )
-        warnings.warn(
-            f"tuned per-term grid size {value:g} capped at max_points={max_points}",
-            RuntimeWarning,
-            stacklevel=3,
-        )
-        return max(1, int(max_points))
-    m = max(1, int(value))
+    # a size past 2**62, or one that overflowed to inf, can only be capped
+    m = max(1, int(value)) if value < 2**62 else math.inf
     if max_points > 0 and m > max_points:
+        # stacklevel 3: a cap warning names the line that called points_for
         warnings.warn(
             f"tuned per-term grid size {m} capped at max_points={max_points}",
             RuntimeWarning,
             stacklevel=3,
         )
-        m = max_points
+        return int(max_points)
+    if m == math.inf:
+        raise ValueError("tuned grid size overflows; set max_points to cap per-term grids")
     return m
 
 
@@ -318,18 +311,44 @@ def _occupation_curves(hurst, m, horizon, bandwidth, noise, centers, idx):
     return sampled
 
 
-def _simulate_series_path(
-    config: SeriesConfig, params: TuningParams, stream, location_kind: str
+# density name -> (uniform -> location transform, importance weight): the only
+# place that knows the two importance pairs
+_DENSITIES = {
+    "laplace": (uniform_to_laplace_half, laplace_weight),
+    "gaussian": (uniform_to_gaussian, gaussian_density_weight),
+}
+
+
+def _check_density(density: str) -> None:
+    if density not in _DENSITIES:
+        raise ValueError(f"density must be {' or '.join(map(repr, _DENSITIES))}")
+
+
+def _series_head(u: np.ndarray, alpha: float, density: str):
+    """``gammas, locations, weights`` from the ``3 P`` head uniforms on the
+    last axis of ``u`` (one path, or one row per path): ``P`` arrival
+    exponentials, ``P`` normal weights, ``P`` location variates."""
+    to_location, weight = _DENSITIES[density]
+    p = u.shape[-1] // 3
+    gammas = np.cumsum(uniform_to_exponential(u[..., :p]), axis=-1)
+    locations = to_location(u[..., 2 * p :])
+    weights = uniform_to_gaussian(u[..., p : 2 * p]) * weight(locations, alpha)
+    return gammas, locations, weights
+
+
+def simulate_ltfsm(
+    config: SeriesConfig, params: TuningParams, stream, density: str = "laplace"
 ) -> SamplePath:
+    """Simulate one path of the series on the output grid, with Laplace
+    (``density="laplace"``) or Gaussian (``"gaussian"``) locations; the two
+    forms agree in law.
+
+    The value at t = 0 is exactly 0 (the grid's first point overrides the
+    i = 0 rectangle of the occupation sums).
+    """
+    _check_density(density)
     alpha = config.alpha
-    gammas = poisson_arrivals(params.P, stream)
-    gauss_weights = stream.gaussian(params.P)
-    if location_kind == "laplace":
-        locations = stream.laplace_half(params.P)
-        weights = gauss_weights * laplace_weight(locations, alpha)
-    else:
-        locations = stream.gaussian(params.P)
-        weights = gauss_weights * gaussian_density_weight(locations, alpha)
+    gammas, locations, weights = _series_head(stream.uniform(3 * params.P), alpha, density)
     times = config.grid_times
     hurst, k, horizon = config.hurst, params.k, config.horizon
     total = np.zeros(len(times))
@@ -343,23 +362,6 @@ def _simulate_series_path(
         total += gamma ** (-1.0 / alpha) * (float(weights[n]) * curve)
     total[0] = 0.0
     return SamplePath(times=times, values=total)
-
-
-def simulate_ltfsm(config: SeriesConfig, params: TuningParams, stream) -> SamplePath:
-    """Simulate one path of the Laplace-form series on the output grid.
-
-    The value at t = 0 is exactly 0 (the grid's first point overrides the
-    i = 0 rectangle of the occupation sums).
-    """
-    return _simulate_series_path(config, params, stream, "laplace")
-
-
-def simulate_ltfsm_gaussian_density(
-    config: SeriesConfig, params: TuningParams, stream
-) -> SamplePath:
-    """Simulate one path of the Gaussian-form series (equal in law to
-    :func:`simulate_ltfsm`)."""
-    return _simulate_series_path(config, params, stream, "gaussian")
 
 
 def simulate_rwrr_baseline(
@@ -388,32 +390,33 @@ def simulate_rwrr_baseline(
         raise ValueError("grid_points must be >= 1")
     if horizon <= 0.0:
         raise ValueError("horizon must be > 0")
-    moves = stream.rademacher(steps).astype(np.int64)
-    values = _rwrr_walk(
-        alpha,
-        moves,
-        lambda sites: np.asarray(oracle.sample_stable_oracle(alpha, stream, sites)),
-        grid_points,
-    )
+    positions = stream.rademacher(steps).astype(np.int64)
+    sites = _walk_sites(positions)
+    rewards = np.asarray(oracle.sample_stable_oracle(alpha, stream, sites))
+    values = _rwrr_values(alpha, positions, rewards, grid_points)
     times = np.arange(grid_points + 1) * (horizon / grid_points)
     return SamplePath(times=times, values=values)
 
 
-def _rwrr_walk(alpha, moves, draw_rewards, grid_points) -> np.ndarray:
-    """The ``grid_points + 1`` values of one :func:`simulate_rwrr_baseline`
-    path.
+def _walk_sites(moves: np.ndarray) -> int:
+    """Overwrite the ``+-1`` steps ``moves`` (``int64``) with the walk's
+    positions, shifted so that the lowest visited site is 0, and return the
+    number of visited sites."""
+    np.cumsum(moves, out=moves)
+    moves -= int(moves.min())
+    return int(moves.max()) + 1
 
-    ``moves`` holds the ``+-1`` steps as ``int64`` and is overwritten with
-    the walk's positions; ``draw_rewards(n)`` returns the rewards of the
-    ``n`` visited sites in ascending site order.  Grid point ``i`` reads the
-    partial sum after ``floor(steps * i / grid_points)`` steps, and the
-    empty sum before the first step is exactly 0.
+
+def _rwrr_values(alpha, positions, rewards, grid_points) -> np.ndarray:
+    """The ``grid_points + 1`` values of one :func:`simulate_rwrr_baseline`
+    path from the shifted ``positions`` of :func:`_walk_sites` and the
+    ``rewards`` of the visited sites in ascending site order.
+
+    Grid point ``i`` reads the partial sum after ``floor(steps * i /
+    grid_points)`` steps, and the empty sum before the first step is
+    exactly 0.
     """
-    steps = len(moves)
-    positions = np.cumsum(moves, out=moves)
-    lo = int(positions.min())
-    rewards = draw_rewards(int(positions.max()) - lo + 1)
-    positions -= lo
+    steps = len(positions)
     partial = np.empty(steps + 1)
     partial[0] = 0.0
     np.cumsum(rewards[positions], out=partial[1:])

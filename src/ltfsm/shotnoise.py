@@ -78,6 +78,15 @@ def _check_bound_args(q: float, alpha: float) -> None:
         raise ValueError("q must be >= 2")
 
 
+def _check_lp_args(q: float, p: float, vol_k: float) -> None:
+    if p < 1.0:
+        raise ValueError("p must be >= 1")
+    if q <= max(p, 2.0):
+        raise ValueError("q must exceed max(p, 2)")
+    if vol_k <= 0.0:
+        raise ValueError("vol_k must be > 0")
+
+
 # -- truncation budget ----------------------------------------------------------
 
 
@@ -107,12 +116,7 @@ def truncation_bound_lp(
     Uses the H factor at index N itself, so N must strictly exceed
     ``q / alpha`` (one step past the uniform version's requirement).
     """
-    if p < 1.0:
-        raise ValueError("p must be >= 1")
-    if q <= max(p, 2.0):
-        raise ValueError("q must exceed max(p, 2)")
-    if vol_k <= 0.0:
-        raise ValueError("vol_k must be > 0")
+    _check_lp_args(q, p, vol_k)
     _check_bound_args(q, alpha)
     if N * alpha <= q:
         raise ValueError("N * alpha must exceed q")
@@ -173,12 +177,7 @@ def approximation_bound_lp(
     vol_k: float,
 ) -> float:
     """L^p-over-a-compact version of :func:`approximation_bound`."""
-    if p < 1.0:
-        raise ValueError("p must be >= 1")
-    if q <= max(p, 2.0):
-        raise ValueError("q must exceed max(p, 2)")
-    if vol_k <= 0.0:
-        raise ValueError("vol_k must be > 0")
+    _check_lp_args(q, p, vol_k)
     return vol_k ** (q / p) * approximation_bound(N, P, q, alpha, beta, moment_qk)
 
 

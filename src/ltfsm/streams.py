@@ -8,8 +8,10 @@ bit generator:
   64-bit.  Child streams derive a fresh ``substream_id`` with a SplitMix64
   finalizer (see :func:`_mix64`), so ``(seed, substream_id)`` pairs never need
   central coordination.
-* uniforms: ``u = ((raw >> 11) + 0.5) * 2**-53`` which lies strictly inside
-  ``(0, 1)`` (one raw word per uniform).
+* uniforms: ``u = ((raw >> 11) + 0.5) * 2**-53`` (one raw word per uniform),
+  which lies in ``(0, 1]``: the sum rounds half to even, so the top ``2**11``
+  words, ``raw >= 2**64 - 2**11`` (probability ``2**-53``), map to exactly
+  1.0, and every other word lies strictly inside ``(0, 1)``.
 * exponential(1): ``-log(u)``.
 * standard normal: the inverse-CDF transform ``ndtri(u)`` (one uniform per
   variate; rejection-free so counter positions stay aligned).
@@ -94,7 +96,8 @@ def _philox_key(seed: int, substream_id: int) -> tuple[int, int]:
 
 
 def raw_to_uniform(raw: np.ndarray) -> np.ndarray:
-    """Map raw 64-bit words to uniforms strictly inside (0, 1)."""
+    """Map raw 64-bit words to uniforms in (0, 1]; only the top ``2**11``
+    words give exactly 1.0 (see the module docstring)."""
     return ((raw >> np.uint64(11)) + 0.5) * 2.0**-53
 
 
@@ -174,7 +177,8 @@ class RandomStream:
         return self._bitgen.random_raw(size)
 
     def uniform(self, size: int | None = None):
-        """Uniforms strictly inside (0, 1), one raw word each."""
+        """Uniforms in (0, 1], one raw word each (exactly 1.0 with
+        probability ``2**-53``, see the module docstring)."""
         u = _uniform_in_place(self.raw(1 if size is None else int(size)))
         return float(u[0]) if size is None else u
 

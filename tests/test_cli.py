@@ -151,6 +151,13 @@ def test_simulate_rejects_bad_configurations(tmp_path, capsys):
     assert "missing required option --alpha" in capsys.readouterr().err
 
 
+def test_simulate_rejects_an_unknown_density_before_writing(tmp_path, capsys):
+    code, out = _simulate(tmp_path, "p.csv", ["--density", "poisson"])
+    assert code == 2
+    assert "density must be" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []  # no CSV and no manifest
+
+
 def test_unknown_config_keys_are_rejected(tmp_path, capsys):
     cfg = tmp_path / "typo.cfg"
     cfg.write_text("alpha = 1.2\nhurst = 0.5\nepsilon = 0.5\nseed = 1\nalpa = 2\n")

@@ -12,7 +12,6 @@ from ltfsm import (
     rwrr_path_ensemble,
     series_path_ensemble,
     simulate_ltfsm,
-    simulate_ltfsm_gaussian_density,
     simulate_rwrr_baseline,
     stable_marginal_check,
     tail_moment_sweep,
@@ -70,8 +69,22 @@ def test_series_ensemble_gaussian_density_matches_the_scalar_simulator():
     cfg = SeriesConfig(alpha=1.2, hurst=0.5, grid_points=6)
     params = flat_params(4, 2, 16)
     for r in range(3):
-        scalar = simulate_ltfsm_gaussian_density(cfg, params, RandomStream(88).substream(r))
+        scalar = simulate_ltfsm(
+            cfg, params, RandomStream(88).substream(r), density="gaussian"
+        )
         np.testing.assert_allclose(ens[r], scalar.values, rtol=1e-12, atol=1e-14)
+
+
+def test_series_ensemble_rejects_an_unknown_density_before_any_draw():
+    class NoDraws:
+        def __getattr__(self, name):
+            raise AssertionError(f"the stream was used ({name})")
+
+    with pytest.raises(ValueError, match="density must be"):
+        series_path_ensemble(
+            1.2, 0.5, 3, terms=4, bandwidth=2, points=16,
+            stream=NoDraws(), grid_points=6, density="poisson",
+        )
 
 
 def test_series_ensemble_spans_chunk_boundaries_consistently():

@@ -20,11 +20,10 @@ from ltfsm import (
     laplace_weight,
     poisson_arrivals,
     simulate_ltfsm,
-    simulate_ltfsm_gaussian_density,
     simulate_rwrr_baseline,
     tune,
 )
-from ltfsm.process import _occupation_curves
+from ltfsm.process import _occupation_curves, _walk_sites
 from ltfsm.streams import RandomStream
 
 
@@ -254,9 +253,47 @@ def test_the_two_density_forms_share_draws_but_differ_pathwise():
     cfg = SeriesConfig(alpha=1.2, hurst=0.5, grid_points=12)
     params = flat_params(5, 2, 32)
     lap = simulate_ltfsm(cfg, params, RandomStream(41))
-    gau = simulate_ltfsm_gaussian_density(cfg, params, RandomStream(41))
+    gau = simulate_ltfsm(cfg, params, RandomStream(41), density="gaussian")
     assert not np.array_equal(lap.values, gau.values)
     assert gau.values[0] == 0.0
+
+
+@pytest.mark.parametrize("density", ["laplace", "gaussian"])
+def test_simulate_ltfsm_follows_the_documented_draw_order(density):
+    cfg = SeriesConfig(alpha=1.3, hurst=0.7, grid_points=9, delta=0.1, delta_prime=0.2)
+    m = 24
+    params = flat_params(5, 2, m)
+    s = RandomStream(61)
+    gammas = poisson_arrivals(params.P, s)
+    normals = s.gaussian(params.P)
+    if density == "laplace":
+        locations = s.laplace_half(params.P)
+        weights = normals * laplace_weight(locations, cfg.alpha)
+    else:
+        locations = s.gaussian(params.P)
+        weights = normals * gaussian_density_weight(locations, cfg.alpha)
+    idx = grid_index(m, cfg.horizon, cfg.grid_times)
+    expect = np.zeros(len(idx))
+    for n in range(params.P):
+        noise = s.gaussian(2 * m)[None]
+        curve = _occupation_curves(cfg.hurst, m, cfg.horizon, params.k, noise, locations[n], idx)
+        expect += float(gammas[n]) ** (-1.0 / cfg.alpha) * (float(weights[n]) * curve[0])
+    expect[0] = 0.0
+    path = simulate_ltfsm(cfg, params, RandomStream(61), density=density)
+    assert np.array_equal(path.values, expect)
+
+
+class _NoDraws:
+    """A stream that fails on any use."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"the stream was used ({name})")
+
+
+def test_an_unknown_density_is_rejected_before_any_draw():
+    cfg = SeriesConfig(alpha=1.2, hurst=0.5, grid_points=4)
+    with pytest.raises(ValueError, match="density must be"):
+        simulate_ltfsm(cfg, flat_params(3, 2, 8), _NoDraws(), density="poisson")
 
 
 def test_tuned_simulation_runs_end_to_end_when_capped():
@@ -324,6 +361,21 @@ def test_rwrr_grid_mapping_counts_whole_steps(monkeypatch):
     path = simulate_rwrr_baseline(1.0, 10, 4, Signs())
     norm = 10.0 ** (0.5 + 0.5)
     np.testing.assert_allclose(path.values, np.array([0.0, 2.0, 5.0, 7.0, 10.0]) / norm)
+
+
+@pytest.mark.parametrize(
+    "steps, sites, expect",
+    [
+        ([1, 1, 1, 1], 4, [0, 1, 2, 3]),
+        ([-1, -1, -1, -1], 4, [3, 2, 1, 0]),
+        ([1], 1, [0]),
+        ([-1], 1, [0]),
+    ],
+)
+def test_walk_sites_shifts_the_lowest_site_to_zero(steps, sites, expect):
+    moves = np.array(steps, dtype=np.int64)
+    assert _walk_sites(moves) == sites
+    assert moves.tolist() == expect  # overwritten in place
 
 
 def test_rwrr_is_deterministic_and_validated():
