@@ -2,8 +2,17 @@
 
 Replicate ``j`` of every driver works exclusively from ``stream.substream(j)``
 and consumes raw words in exactly the order documented for the corresponding
-single-path operation, so results are independent of chunk sizes and of the
-worker count: parallelism only distributes whole replicates.
+single-path operation, so results are independent of the worker count
+(parallelism only distributes whole replicates) and of chunk sizes.  The one
+exception is :func:`tail_moment_sweep`: it adds its per-chunk sums in block
+order, so its result depends on the rows per chunk, and tests pin them.
+
+Chunk sizes follow from one byte budget, ``_CHUNK_BYTES`` (32 MB): each
+driver has a pure model of the peak working bytes of one replicate
+(``_series_row_bytes``; ``_ARRIVAL_BYTES`` per arrival for the arrival-series
+drivers) and a chunk holds as many replicates as fit.  The budget applies to
+each chunk in flight, so with ``threads`` workers the peak is about
+``threads * 32 MB``.
 
 A chunk of replicates draws its rows from one reused Philox (see
 :func:`ltfsm.streams.substream_words`) instead of building one
@@ -41,10 +50,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .fbm import _check_hurst
 from .localtime import _check_bandwidth, grid_index
 from .oracle import _stable_from_uniforms
 from .process import (
     _check_density,
+    _check_horizon,
     _occupation_curves,
     _rwrr_values,
     _series_head,
@@ -90,10 +101,23 @@ def _check_counts(**counts: int) -> None:
             raise ValueError(f"{name} must be >= 1")
 
 
+# Peak working bytes of one chunk in flight (see the module docstring).
+_CHUNK_BYTES = 32_000_000
+
+# Arrival-series drivers, per arrival: 16 B of raw words (the exponential and
+# at most one sign word) and the two 8 B temporaries of ``raw_to_uniform``.
+_ARRIVAL_BYTES = 32
+
+
+def _chunk_rows(bytes_per_row: int) -> int:
+    """Rows per chunk for replicates of ``bytes_per_row`` peak working bytes:
+    as many as ``_CHUNK_BYTES`` holds, and at least 1."""
+    return max(1, _CHUNK_BYTES // bytes_per_row)
+
+
 def _run_chunks(worker, total: int, chunk_rows: int, threads: int) -> list:
     """``worker(start, rows)`` on consecutive blocks of at most ``chunk_rows``
-    (at least 1) of ``total`` replicates; the results in block order."""
-    chunk_rows = max(1, chunk_rows)
+    of ``total`` replicates; the results in block order."""
     starts = range(0, total, chunk_rows)
     rows = [min(chunk_rows, total - start) for start in starts]
     if threads == 1 or len(rows) == 1:
@@ -103,6 +127,21 @@ def _run_chunks(worker, total: int, chunk_rows: int, threads: int) -> list:
 
 
 # -- flat-parameter series ensemble -------------------------------------------
+
+
+def _series_row_bytes(hurst: float, terms: int, points: int) -> int:
+    """Peak working bytes of one :func:`series_path_ensemble` replicate.
+
+    The ``uint64`` head and noise buffers are converted in place and live
+    throughout (at H = 1/2 only ``points`` noise words per term are kept).  At
+    H = 1/2 the path buffer is added; otherwise the circulant synthesis holds
+    the complex half spectrum and the length-``2 * points`` inverse-FFT output
+    at once, and the path is allocated after that peak.
+    """
+    p, m = terms, points
+    if hurst == 0.5:
+        return 8 * (3 * p + p * m) + 8 * p * (m + 1)
+    return 8 * (3 * p + p * 2 * m) + 16 * p * (m + 1) + 16 * p * m
 
 
 def series_path_ensemble(
@@ -128,6 +167,8 @@ def series_path_ensemble(
     """
     if not 0.0 < alpha < 2.0:
         raise ValueError("alpha must lie in (0, 2)")
+    _check_hurst(hurst)
+    _check_horizon(horizon)
     _check_density(density)
     _check_counts(n_paths=n_paths, terms=terms, points=points, grid_points=grid_points)
     _check_bandwidth(bandwidth)
@@ -161,8 +202,8 @@ def series_path_ensemble(
         out[:, 0] = 0.0
         return out
 
-    # ~32 MB of raw words per chunk
-    return np.concatenate(_run_chunks(worker, n_paths, 4_000_000 // block, threads))
+    chunk_rows = _chunk_rows(_series_row_bytes(hurst, terms, points))
+    return np.concatenate(_run_chunks(worker, n_paths, chunk_rows, threads))
 
 
 def rwrr_path_ensemble(
@@ -184,8 +225,7 @@ def rwrr_path_ensemble(
     if not 0.0 < alpha <= 2.0:
         raise ValueError("alpha must lie in (0, 2]")
     _check_counts(n_paths=n_paths, steps=steps, grid_points=grid_points)
-    if not horizon > 0.0:
-        raise ValueError("horizon must be > 0")
+    _check_horizon(horizon)
     threads = resolve_threads(threads)
 
     def worker(start: int, rows: int) -> np.ndarray:
@@ -202,6 +242,8 @@ def rwrr_path_ensemble(
             out[r] = _rwrr_values(alpha, moves, rewards, grid_points)
         return out
 
+    # rows run one at a time, so memory does not grow with the chunk: 512 rows
+    # is a unit of work per thread, not a memory budget
     return np.concatenate(_run_chunks(worker, n_paths, 512, threads))
 
 
@@ -352,7 +394,7 @@ def lepage_marginal_samples(
         raw = _raw_block(stream, start, rows, 2 * terms)
         return _signed_arrival_sums(raw, terms, 0, alpha)
 
-    chunk_rows = 2_000_000 // (2 * terms)
+    chunk_rows = _chunk_rows(_ARRIVAL_BYTES * terms)
     return np.concatenate(_run_chunks(worker, n_samples, chunk_rows, threads))
 
 
@@ -434,8 +476,10 @@ def tail_moment_sweep(
             return float(np.sum(sq)), float(np.sum(sq**2))
 
         acc = acc_sq = 0.0
-        # one thread, and the chunk sums added in block order
-        for s, s_sq in _run_chunks(worker, replicates, 2_000_000 // (2 * total), 1):
+        # one thread, and the chunk sums added in block order: the result
+        # depends on the rows per chunk, which tests pin
+        chunk_rows = _chunk_rows(_ARRIVAL_BYTES * total)
+        for s, s_sq in _run_chunks(worker, replicates, chunk_rows, 1):
             acc += s
             acc_sq += s_sq
         mean = acc / replicates

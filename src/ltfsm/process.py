@@ -324,6 +324,11 @@ def _check_density(density: str) -> None:
         raise ValueError(f"density must be {' or '.join(map(repr, _DENSITIES))}")
 
 
+def _check_horizon(horizon: float) -> None:
+    if not 0.0 < horizon < math.inf:  # NaN fails the comparison too
+        raise ValueError("horizon must be finite and > 0")
+
+
 def _series_head(u: np.ndarray, alpha: float, density: str):
     """``gammas, locations, weights`` from the ``3 P`` head uniforms on the
     last axis of ``u`` (one path, or one row per path): ``P`` arrival
@@ -388,8 +393,7 @@ def simulate_rwrr_baseline(
         raise ValueError("steps must be >= 1")
     if grid_points < 1:
         raise ValueError("grid_points must be >= 1")
-    if horizon <= 0.0:
-        raise ValueError("horizon must be > 0")
+    _check_horizon(horizon)
     positions = stream.rademacher(steps).astype(np.int64)
     sites = _walk_sites(positions)
     rewards = np.asarray(oracle.sample_stable_oracle(alpha, stream, sites))

@@ -1,5 +1,7 @@
 """Unit tests for the batched Monte Carlo drivers."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -16,7 +18,13 @@ from ltfsm import (
     stable_marginal_check,
     tail_moment_sweep,
 )
-from ltfsm.experiments import resolve_threads
+from ltfsm import experiments
+from ltfsm.experiments import (
+    _ARRIVAL_BYTES,
+    _chunk_rows,
+    _series_row_bytes,
+    resolve_threads,
+)
 from ltfsm.streams import (
     RandomStream,
     raw_to_uniform,
@@ -303,3 +311,85 @@ def test_representation_cf_table_shapes_and_determinism():
 def test_drivers_reject_bad_counts_by_name_before_drawing(call, name):
     with pytest.raises(ValueError, match=name):
         call()
+
+
+# -- the series domain is checked before anything is drawn
+
+
+class NoDraws:
+    def __getattr__(self, name):
+        raise AssertionError(f"the stream was used ({name})")
+
+
+@pytest.mark.parametrize("hurst", [0.5, 0.7])
+@pytest.mark.parametrize("horizon", [0.0, -1.0, np.nan, np.inf])
+def test_series_ensemble_rejects_a_bad_horizon_before_any_draw(hurst, horizon):
+    with pytest.raises(ValueError, match="horizon"):
+        series_path_ensemble(1.2, hurst, 3, 4, 2, 16, NoDraws(), horizon=horizon)
+
+
+@pytest.mark.parametrize("hurst", [0.0, 1.0, 1.5, -0.2, np.nan])
+def test_series_ensemble_rejects_a_bad_hurst_before_any_draw(hurst):
+    with pytest.raises(ValueError, match="hurst"):
+        series_path_ensemble(1.2, hurst, 3, 4, 2, 16, NoDraws())
+
+
+@pytest.mark.parametrize("horizon", [0.0, np.nan, np.inf])
+def test_random_walk_drivers_reject_a_non_finite_horizon_before_any_draw(horizon):
+    with pytest.raises(ValueError, match="horizon"):
+        rwrr_path_ensemble(1.2, 3, 10, NoDraws(), horizon=horizon)
+    with pytest.raises(ValueError, match="horizon"):
+        simulate_rwrr_baseline(1.2, 10, 5, NoDraws(), horizon=horizon)
+
+
+# -- chunk sizes follow from one byte budget
+
+
+def test_chunk_rows_are_pinned_for_the_arrival_drivers_and_the_h_half_series():
+    # tail_moment_sweep's bits depend on its rows: these equal the former
+    # 2 000 000-word chunks for every arrival count
+    for n in (1, 7, 1000, 2000, 2560, 999_999, 1_000_000):
+        assert _chunk_rows(_ARRIVAL_BYTES * n) == 1_000_000 // n
+    assert _chunk_rows(_ARRIVAL_BYTES * 2_000_000) == 1
+    assert _chunk_rows(_series_row_bytes(0.5, 64, 256)) == 121
+    assert _chunk_rows(_series_row_bytes(0.5, 64, 512)) == 60
+    assert _chunk_rows(_series_row_bytes(0.7, 128, 128)) == 40
+
+
+@pytest.mark.parametrize(
+    "hurst, terms, points", [(0.7, 128, 128), (0.5, 64, 256), (0.3, 16, 1024)]
+)
+def test_series_row_bytes_model_the_measured_chunk_peak(hurst, terms, points):
+    row_bytes = _series_row_bytes(hurst, terms, points)
+    rows = _chunk_rows(row_bytes)
+    tracemalloc.start()
+    try:
+        series_path_ensemble(1.2, hurst, rows, terms, 8, points, RandomStream(3), threads=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert 0.95 <= peak / (rows * row_bytes) <= 1.10
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("density", ["laplace", "gaussian"])
+@pytest.mark.parametrize("hurst", [0.3, 0.7])
+def test_series_ensemble_is_bitwise_invariant_to_the_chunk_budget(
+    monkeypatch, hurst, density, threads
+):
+    args = (1.2, hurst, 8, 4, 2, 16, RandomStream(61))
+    kwargs = dict(grid_points=6, density=density, threads=threads)
+    whole = series_path_ensemble(*args, **kwargs)
+    monkeypatch.setattr(experiments, "_CHUNK_BYTES", 3 * _series_row_bytes(hurst, 4, 16))
+    assert _chunk_rows(_series_row_bytes(hurst, 4, 16)) == 3
+    chunked = series_path_ensemble(*args, **kwargs)
+    assert chunked.tobytes() == whole.tobytes()
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_lepage_samples_are_bitwise_invariant_to_the_chunk_budget(monkeypatch, threads):
+    whole = lepage_marginal_samples(1.2, 50, 8, RandomStream(62), threads=threads)
+    monkeypatch.setattr(experiments, "_CHUNK_BYTES", 3 * _ARRIVAL_BYTES * 50)
+    assert _chunk_rows(_ARRIVAL_BYTES * 50) == 3
+    chunked = lepage_marginal_samples(1.2, 50, 8, RandomStream(62), threads=threads)
+    assert chunked.tobytes() == whole.tobytes()
