@@ -16,6 +16,20 @@ a manifest is itself a valid ``--config`` file, so
 
 reproduces a run byte-for-byte.
 
+Each command's option schema is the one place its inputs are checked.  A row
+``flag: (type, default, least)`` gives the value's type, its default
+(``REQUIRED`` when a flag or the config file must supply it, ``None`` when it
+may stay unset) and, for a count, the smallest value accepted (``None`` for no
+bound).  A float must be finite unless it equals an infinite default: only
+``bounds --P`` has one, ``inf`` for the supremum over block lengths.  A string
+must read back unchanged from a manifest.  Checks that state a policy or a
+reason (``validate-cf`` needs alpha = 1, ``bounds`` pairs ``--p`` with
+``--volK``) stay in the handlers.
+
+A handler returns ``(exit code, report lines, CSV or None)`` and writes
+nothing; :func:`_run` then writes the CSV, or otherwise the report, to
+``--out`` when it is set, prints the report, and writes the manifest.
+
 Exit codes: 0 success, 2 configuration error, 3 a validation threshold failed.
 """
 
@@ -44,80 +58,72 @@ __all__ = ["main"]
 # Bookkeeping keys a manifest carries beyond the resolved options.
 _MANIFEST_KEYS = ("command", "version", "output")
 
-# Option schemas: flag -> (type, default, required).  ``None`` default with
-# required=True means the value must come from a flag or a config file.
+# Default of an option a flag or the config file must supply.
+REQUIRED = object()
+
 _SIMULATE_SCHEMA = {
-    "alpha": (float, None, True),
-    "hurst": (float, None, True),
-    "epsilon": (float, None, True),
-    "seed": (int, None, True),
-    "eta": (float, 1.5, False),
-    "T": (float, 1.0, False),
-    "grid": (int, 200, False),
-    "q": (float, 2.5, False),
-    "p": (float, 2.0, False),
-    "delta": (float, 0.4, False),
-    "delta-prime": (float, 0.25, False),
-    "beta": (float, 0.0, False),
-    "cp": (float, 1.0, False),
-    "ck": (float, 1.0, False),
-    "max-points": (int, 262144, False),
-    "density": (str, "laplace", False),
-    "out": (str, "ltfsm_path.csv", False),
+    "alpha": (float, REQUIRED, None),
+    "hurst": (float, REQUIRED, None),
+    "epsilon": (float, REQUIRED, None),
+    "seed": (int, REQUIRED, None),
+    "eta": (float, 1.5, None),
+    "T": (float, 1.0, None),
+    "grid": (int, 200, None),
+    "q": (float, 2.5, None),
+    "p": (float, 2.0, None),
+    "delta": (float, 0.4, None),
+    "delta-prime": (float, 0.25, None),
+    "beta": (float, 0.0, None),
+    "cp": (float, 1.0, None),
+    "ck": (float, 1.0, None),
+    "max-points": (int, 262144, None),
+    "density": (str, "laplace", None),
+    "out": (str, "ltfsm_path.csv", None),
 }
 
 _BOUNDS_SCHEMA = {
-    "alpha": (float, None, True),
-    "q": (float, None, True),
-    "N": (int, None, True),
-    "P": (float, math.inf, False),
-    "beta": (float, 0.0, False),
-    "Mq": (float, 1.0, False),
-    "Mqk": (float, 1.0, False),
-    "p": (float, None, False),
-    "volK": (float, None, False),
-    "out": (str, None, False),
+    "alpha": (float, REQUIRED, None),
+    "q": (float, REQUIRED, None),
+    "N": (int, REQUIRED, None),
+    "P": (float, math.inf, None),
+    "beta": (float, 0.0, None),
+    "Mq": (float, 1.0, None),
+    "Mqk": (float, 1.0, None),
+    "p": (float, None, None),
+    "volK": (float, None, None),
+    "out": (str, None, None),
 }
 
 _VALIDATE_CF_SCHEMA = {
-    "alpha": (float, None, True),
-    "hurst": (float, None, True),
-    "paths": (int, 10000, False),
-    "seed": (int, None, True),
-    "method": (str, "series", False),
-    "u": (float, 1.0, False),
-    "times": (int, 20, False),
-    "T": (float, 1.0, False),
-    "terms": (int, 64, False),
-    "bandwidth": (int, 16, False),
-    "points": (int, 256, False),
-    "steps": (int, 10000, False),
-    "threshold": (float, None, False),
-    "out": (str, "cf_linearity.csv", False),
+    "alpha": (float, REQUIRED, None),
+    "hurst": (float, REQUIRED, None),
+    "paths": (int, 10000, 2),
+    "seed": (int, REQUIRED, None),
+    "method": (str, "series", None),
+    "u": (float, 1.0, None),
+    "times": (int, 20, 2),
+    "T": (float, 1.0, None),
+    "terms": (int, 64, 1),
+    "bandwidth": (int, 16, 1),
+    "points": (int, 256, 1),
+    "steps": (int, 10000, 1),
+    "threshold": (float, None, None),
+    "out": (str, "cf_linearity.csv", None),
 }
 
 _STABLE_CHECK_SCHEMA = {
-    "alpha": (float, None, True),
-    "terms": (int, 10000, False),
-    "samples": (int, 10000, False),
-    "seed": (int, None, True),
-    "threshold": (float, 0.02, False),
-    "out": (str, None, False),
+    "alpha": (float, REQUIRED, None),
+    "terms": (int, 10000, 1),
+    "samples": (int, 10000, 2),
+    "seed": (int, REQUIRED, None),
+    "threshold": (float, 0.02, None),
+    "out": (str, None, None),
 }
 
 
-def _dest(flag: str) -> str:
-    return flag.replace("-", "_")
-
-
-def _add_options(parser: argparse.ArgumentParser, schema: dict) -> None:
-    parser.add_argument("--config", default=None, help="flat key = value file")
-    for flag, (typ, _default, _required) in schema.items():
-        parser.add_argument(f"--{flag}", dest=_dest(flag), type=typ, default=None)
-
-
 def _resolve(args: argparse.Namespace, schema: dict, command: str) -> dict:
-    """Merge flags over config-file values over schema defaults."""
+    """Merge flags over config-file values over schema defaults, and check
+    every value against its schema row."""
     file_values: dict[str, str] = {}
     if args.config is not None:
         file_values = read_config(args.config)
@@ -130,14 +136,19 @@ def _resolve(args: argparse.Namespace, schema: dict, command: str) -> dict:
         if unknown:
             raise ConfigError(f"unknown config keys: {', '.join(sorted(unknown))}")
     resolved = {}
-    for flag, (typ, default, required) in schema.items():
-        value = getattr(args, _dest(flag))
+    for flag, (typ, default, least) in schema.items():
+        value = getattr(args, flag.replace("-", "_"))
         if value is None and flag in file_values:
             value = typ(file_values[flag])
         if value is None:
             value = default
-        if value is None and required:
+        if value is REQUIRED:
             raise ConfigError(f"missing required option --{flag}")
+        finite = typ is not float or value is None or math.isfinite(value)
+        if not (finite or value == default):
+            raise ConfigError(f"--{flag} must be finite, got {value}")
+        if least is not None and value < least:
+            raise ConfigError(f"--{flag} must be >= {least}, got {value}")
         problem = config_value_problem(value) if typ is str and value else None
         if problem:
             raise ConfigError(f"--{flag} {value!r} {problem}; a manifest cannot carry it")
@@ -145,48 +156,10 @@ def _resolve(args: argparse.Namespace, schema: dict, command: str) -> dict:
     return resolved
 
 
-def _write_manifest(command: str, resolved: dict, outputs: list[str]) -> None:
-    if not outputs:
-        return
-    manifest = RunManifest(
-        command=command,
-        version=__version__,
-        config={key: value for key, value in resolved.items() if value is not None},
-        outputs=tuple(outputs),
-    )
-    manifest.write(manifest_path(outputs[0]))
-
-
-def _check_counts(vals: dict, least: dict) -> None:
-    """Reject any count option below its smallest meaningful value."""
-    for flag, low in least.items():
-        if vals[flag] < low:
-            raise ConfigError(f"--{flag} must be >= {low}, got {vals[flag]}")
-
-
-def _check_finite(vals: dict, flags: tuple[str, ...]) -> None:
-    """Reject a non-finite value of any of ``flags`` that is set."""
-    for flag in flags:
-        if vals[flag] is not None and not math.isfinite(vals[flag]):
-            raise ConfigError(f"--{flag} must be finite, got {vals[flag]}")
-
-
-def _print_report(lines: list[tuple[str, object]], out: str | None) -> None:
-    text = "\n".join(
-        f"{key} = {value if isinstance(value, str) else format(value, '.12g')}"
-        for key, value in lines
-    )
-    print(text)
-    if out:
-        with open(out, "w", newline="") as fh:
-            fh.write(text + "\n")
-
-
 # -- subcommand handlers -------------------------------------------------------
 
 
-def _cmd_simulate(args: argparse.Namespace) -> int:
-    vals = _resolve(args, _SIMULATE_SCHEMA, "simulate")
+def _cmd_simulate(vals: dict):
     config = SeriesConfig(
         alpha=vals["alpha"],
         hurst=vals["hurst"],
@@ -217,21 +190,17 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         # descriptive only: undefined below 8 intervals or with fewer than
         # two lags of nonzero increment, which is no reason to fail the run
         holder = "unavailable"
-    write_csv(vals["out"], ["t", "value"], [path.times, path.values])
-    _write_manifest("simulate", vals, [vals["out"]])
-    lines: list[tuple[str, object]] = [
+    lines = [
         ("terms", str(params.P)),
         ("head_terms", str(params.N)),
         ("bandwidth", str(params.k)),
         ("holder_exponent_estimate", holder),
         ("output", vals["out"]),
     ]
-    _print_report(lines, None)
-    return 0
+    return 0, lines, (["t", "value"], [path.times, path.values])
 
 
-def _cmd_bounds(args: argparse.Namespace) -> int:
-    vals = _resolve(args, _BOUNDS_SCHEMA, "bounds")
+def _cmd_bounds(vals: dict):
     report = build_bound_report(
         N=vals["N"],
         q=vals["q"],
@@ -241,7 +210,7 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
         P=vals["P"],
         beta=vals["beta"],
     )
-    lines: list[tuple[str, object]] = [
+    lines = [
         ("N", float(vals["N"])),
         ("P", float(vals["P"])),
         ("beta", vals["beta"]),
@@ -276,32 +245,21 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
                 ),
             )
         )
-    _print_report(lines, vals["out"])
-    if vals["out"]:
-        _write_manifest("bounds", vals, [vals["out"]])
-    return 0
+    return 0, lines, None
 
 
-def _cmd_validate_cf(args: argparse.Namespace) -> int:
-    vals = _resolve(args, _VALIDATE_CF_SCHEMA, "validate-cf")
+def _cmd_validate_cf(vals: dict):
     if vals["alpha"] != 1.0:
         raise ConfigError(
             "alpha must be exactly 1: the marginal scale grows linearly in t "
             "only at alpha = 1, which is what makes log |CF| linear and the "
             "R^2 check meaningful"
         )
-    if vals["method"] not in ("series", "rwrr"):
-        raise ConfigError("method must be 'series' or 'rwrr'")
-    _check_counts(
-        vals,
-        {"paths": 2, "times": 2, "terms": 1, "bandwidth": 1, "points": 1, "steps": 1},
-    )
-    if not (math.isfinite(vals["T"]) and vals["T"] > 0.0):
+    if not vals["T"] > 0.0:
         raise ConfigError(f"--T must be finite and > 0, got {vals['T']}")
-    _check_finite(vals, ("u", "threshold"))
-    threshold = vals["threshold"]
-    if threshold is None:
-        threshold = 0.99 if vals["method"] == "series" else 0.95
+    if vals["threshold"] is None:
+        # the manifest records the method's default threshold
+        vals["threshold"] = 0.99 if vals["method"] == "series" else 0.95
     result = cf_linearity_experiment(
         method=vals["method"],
         alpha=vals["alpha"],
@@ -316,38 +274,30 @@ def _cmd_validate_cf(args: argparse.Namespace) -> int:
         points=vals["points"],
         steps=vals["steps"],
     )
-    write_csv(
-        vals["out"],
-        ["t", "log_abs_cf", "stderr"],
-        [result.times, result.log_modulus, result.stderr],
-    )
-    resolved = dict(vals)
-    resolved["threshold"] = threshold
-    _write_manifest("validate-cf", resolved, [vals["out"]])
-    passed = result.r_squared >= threshold
-    lines: list[tuple[str, object]] = [
+    passed = result.r_squared >= vals["threshold"]
+    lines = [
         ("method", result.method),
         ("paths", float(result.n_paths)),
         ("u", result.u),
         ("slope", result.slope),
         ("intercept", result.intercept),
         ("r_squared", result.r_squared),
-        ("threshold", threshold),
+        ("threshold", vals["threshold"]),
         ("status", "pass" if passed else "fail"),
     ]
-    _print_report(lines, None)
-    return 0 if passed else 3
+    table = (
+        ["t", "log_abs_cf", "stderr"],
+        [result.times, result.log_modulus, result.stderr],
+    )
+    return (0 if passed else 3), lines, table
 
 
-def _cmd_stable_check(args: argparse.Namespace) -> int:
-    vals = _resolve(args, _STABLE_CHECK_SCHEMA, "stable-check")
+def _cmd_stable_check(vals: dict):
     if not 0.0 < vals["alpha"] < 2.0:
         raise ConfigError(
             "alpha must lie in (0, 2): the arrival series represents strictly "
             "stable laws below the Gaussian index"
         )
-    _check_counts(vals, {"terms": 1, "samples": 2})
-    _check_finite(vals, ("threshold",))
     result = stable_marginal_check(
         alpha=vals["alpha"],
         terms=vals["terms"],
@@ -355,7 +305,7 @@ def _cmd_stable_check(args: argparse.Namespace) -> int:
         stream=RandomStream(vals["seed"]),
     )
     passed = result.ks <= vals["threshold"]
-    lines: list[tuple[str, object]] = [
+    lines = [
         ("alpha", result.alpha),
         ("terms", float(result.terms)),
         ("samples", float(result.n_samples)),
@@ -364,54 +314,70 @@ def _cmd_stable_check(args: argparse.Namespace) -> int:
         ("threshold", vals["threshold"]),
         ("status", "pass" if passed else "fail"),
     ]
-    _print_report(lines, vals["out"])
-    if vals["out"]:
-        _write_manifest("stable-check", vals, [vals["out"]])
-    return 0 if passed else 3
+    return (0 if passed else 3), lines, None
 
 
-# -- parser ---------------------------------------------------------------------
+# name -> (help, option schema, handler)
+_COMMANDS = {
+    "simulate": ("simulate one tuned path -> CSV", _SIMULATE_SCHEMA, _cmd_simulate),
+    "bounds": ("evaluate the error budget", _BOUNDS_SCHEMA, _cmd_bounds),
+    "validate-cf": (
+        "characteristic-function linearity check (alpha = 1)",
+        _VALIDATE_CF_SCHEMA,
+        _cmd_validate_cf,
+    ),
+    "stable-check": (
+        "truncated series marginal vs stable oracle",
+        _STABLE_CHECK_SCHEMA,
+        _cmd_stable_check,
+    ),
+}
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _run(args: argparse.Namespace) -> int:
+    """Resolve the options, run the handler, then write its outputs."""
+    _help, schema, handler = _COMMANDS[args.command]
+    vals = _resolve(args, schema, args.command)
+    code, lines, table = handler(vals)
+    text = "\n".join(
+        f"{key} = {value if isinstance(value, str) else format(value, '.12g')}"
+        for key, value in lines
+    )
+    out = vals["out"]
+    if table is not None:
+        write_csv(out, *table)
+    elif out:
+        with open(out, "w", newline="") as fh:
+            fh.write(text + "\n")
+    print(text)
+    if out:
+        RunManifest(
+            command=args.command,
+            version=__version__,
+            config={key: value for key, value in vals.items() if value is not None},
+            outputs=(out,),
+        ).write(manifest_path(out))
+    return code
+
+
+def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="ltfsm",
         description="Shot-noise series simulation of symmetric alpha-stable "
         "processes (local-time fractional stable motion and friends).",
     )
     sub = parser.add_subparsers(dest="command")
-
-    p_sim = sub.add_parser("simulate", help="simulate one tuned path -> CSV")
-    _add_options(p_sim, _SIMULATE_SCHEMA)
-    p_sim.set_defaults(handler=_cmd_simulate)
-
-    p_bounds = sub.add_parser("bounds", help="evaluate the error budget")
-    _add_options(p_bounds, _BOUNDS_SCHEMA)
-    p_bounds.set_defaults(handler=_cmd_bounds)
-
-    p_cf = sub.add_parser(
-        "validate-cf", help="characteristic-function linearity check (alpha = 1)"
-    )
-    _add_options(p_cf, _VALIDATE_CF_SCHEMA)
-    p_cf.set_defaults(handler=_cmd_validate_cf)
-
-    p_stable = sub.add_parser(
-        "stable-check", help="truncated series marginal vs stable oracle"
-    )
-    _add_options(p_stable, _STABLE_CHECK_SCHEMA)
-    p_stable.set_defaults(handler=_cmd_stable_check)
-
-    return parser
-
-
-def main(argv=None) -> int:
-    parser = _build_parser()
+    for name, (help_text, schema, _handler) in _COMMANDS.items():
+        command = sub.add_parser(name, help=help_text)
+        command.add_argument("--config", default=None, help="flat key = value file")
+        for flag, (typ, _default, _least) in schema.items():
+            command.add_argument(f"--{flag}", type=typ, default=None)
     args = parser.parse_args(argv)
-    if not hasattr(args, "handler"):
+    if args.command is None:
         parser.print_help()
         return 2
     try:
-        return args.handler(args)
+        return _run(args)
     except (ConfigError, ValueError, EmbeddingError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

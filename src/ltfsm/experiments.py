@@ -50,12 +50,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fbm import _check_hurst
+from .fbm import _check_horizon, _check_hurst
 from .localtime import _check_bandwidth, grid_index
-from .oracle import _stable_from_uniforms
+from .oracle import _stable_from_uniforms, sample_stable_oracle
 from .process import (
     _check_density,
-    _check_horizon,
     _occupation_curves,
     _rwrr_values,
     _series_head,
@@ -69,7 +68,7 @@ from .streams import (
     substream_words,
     uniform_to_gaussian,
 )
-from .validation import CfEstimate, empirical_cf, linreg_r2
+from .validation import CfEstimate, empirical_cf, fit_scale_by_cf, ks_distance, linreg_r2
 
 __all__ = [
     "resolve_threads",
@@ -421,9 +420,6 @@ def stable_marginal_check(
     Series replicates run on ``stream.substream(0).substream(j)``; the oracle
     draws ``n_samples`` variates from ``stream.substream(1)``.
     """
-    from .oracle import sample_stable_oracle
-    from .validation import fit_scale_by_cf, ks_distance
-
     series = lepage_marginal_samples(
         alpha, terms, n_samples, stream.substream(0), threads=threads
     )

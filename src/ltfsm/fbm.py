@@ -25,6 +25,7 @@ counter-based streams aligned across Hurst indices.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -52,6 +53,16 @@ def _check_hurst(hurst: float) -> None:
         raise ValueError("hurst must lie in (0, 1)")
 
 
+def _check_horizon(horizon: float) -> None:
+    if not 0.0 < horizon < math.inf:  # NaN fails the comparison too
+        raise ValueError("horizon must be finite and > 0")
+
+
+def _check_spacing(spacing: float) -> None:
+    if not 0.0 < spacing < math.inf:
+        raise ValueError("spacing must be finite and > 0")
+
+
 def fbm_covariance(s, t, hurst: float):
     """Closed-form covariance of fractional Brownian motion at times s, t."""
     _check_hurst(hurst)
@@ -67,8 +78,7 @@ def fbm_covariance(s, t, hurst: float):
 def increment_autocovariance(hurst: float, lags, spacing: float = 1.0):
     """Autocovariance of the increment process at integer lags."""
     _check_hurst(hurst)
-    if spacing <= 0.0:
-        raise ValueError("spacing must be > 0")
+    _check_spacing(spacing)
     j = np.abs(np.asarray(lags, dtype=float))
     h2 = 2.0 * hurst
     c = 0.5 * ((j + 1.0) ** h2 - 2.0 * j**h2 + np.abs(j - 1.0) ** h2)
@@ -124,8 +134,7 @@ def fgn_from_noise(
     _check_hurst(hurst)
     if points < 1:
         raise ValueError("points must be >= 1")
-    if spacing <= 0.0:
-        raise ValueError("spacing must be > 0")
+    _check_spacing(spacing)
     noise = np.asarray(noise, dtype=float)
     if noise.shape[-1] != 2 * points:
         raise ValueError("noise block must have length 2 * points")
@@ -179,8 +188,7 @@ def fbm_path(hurst: float, horizon: float, points: int, stream) -> FbmPath:
     is exactly 0.
     """
     _check_hurst(hurst)
-    if horizon <= 0.0:
-        raise ValueError("horizon must be > 0")
+    _check_horizon(horizon)
     if points < 1:
         raise ValueError("points must be >= 1")
     noise = stream.gaussian(2 * points)

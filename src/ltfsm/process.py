@@ -64,7 +64,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import oracle
-from .fbm import fgn_from_noise
+from .fbm import _check_horizon, fgn_from_noise
 from .localtime import _check_bandwidth, _phi_k_in_place, grid_index
 from .streams import uniform_to_exponential, uniform_to_gaussian, uniform_to_laplace_half
 
@@ -322,11 +322,6 @@ _DENSITIES = {
 def _check_density(density: str) -> None:
     if density not in _DENSITIES:
         raise ValueError(f"density must be {' or '.join(map(repr, _DENSITIES))}")
-
-
-def _check_horizon(horizon: float) -> None:
-    if not 0.0 < horizon < math.inf:  # NaN fails the comparison too
-        raise ValueError("horizon must be finite and > 0")
 
 
 def _series_head(u: np.ndarray, alpha: float, density: str):

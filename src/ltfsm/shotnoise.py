@@ -19,7 +19,7 @@ at large arguments.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from scipy.special import gammaln
 
@@ -40,7 +40,7 @@ __all__ = [
 
 def bound_B_q(q: float) -> float:
     """Gaussian q-th-moment constant; 1 at q = 2, increasing in q."""
-    if q < 2.0:
+    if not q >= 2.0:
         raise ValueError("q must be >= 2")
     if q == 2.0:
         return 1.0
@@ -54,10 +54,10 @@ def bound_H_nq(n: int, q: float, alpha: float) -> float:
     """Gamma-ratio factor ``Gamma(n - q/alpha) * n**(q/alpha) / Gamma(n)``."""
     if not 0.0 < alpha < 2.0:
         raise ValueError("alpha must lie in (0, 2)")
-    if q <= 0.0:
+    if not q > 0.0:
         raise ValueError("q must be > 0")
     r = q / alpha
-    if n <= r:
+    if not n > r:
         raise ValueError("n must exceed q / alpha")
     return float(math.exp(gammaln(n - r) + r * math.log(n) - gammaln(n)))
 
@@ -74,16 +74,16 @@ def _a_prime_q(q: float, alpha: float, beta: float) -> float:
 def _check_bound_args(q: float, alpha: float) -> None:
     if not 0.0 < alpha < 2.0:
         raise ValueError("alpha must lie in (0, 2)")
-    if q < 2.0:
+    if not q >= 2.0:
         raise ValueError("q must be >= 2")
 
 
 def _check_lp_args(q: float, p: float, vol_k: float) -> None:
-    if p < 1.0:
+    if not p >= 1.0:
         raise ValueError("p must be >= 1")
-    if q <= max(p, 2.0):
+    if not q > max(p, 2.0):
         raise ValueError("q must exceed max(p, 2)")
-    if vol_k <= 0.0:
+    if not vol_k > 0.0:
         raise ValueError("vol_k must be > 0")
 
 
@@ -98,11 +98,11 @@ def truncation_bound(N: int, q: float, alpha: float, moment_q: float) -> float:
     moment.
     """
     _check_bound_args(q, alpha)
-    if N < 1:
+    if not N >= 1:
         raise ValueError("N must be >= 1")
-    if moment_q < 0.0:
+    if not moment_q >= 0.0:
         raise ValueError("moment_q must be >= 0")
-    if (N + 1) * alpha <= q:
+    if not (N + 1) * alpha > q:
         raise ValueError("(N + 1) * alpha must exceed q")
     h = bound_H_nq(N + 1, q, alpha)
     return _a_q(q, alpha, moment_q) * h / N ** (q * (2.0 - alpha) / (2.0 * alpha))
@@ -118,9 +118,9 @@ def truncation_bound_lp(
     """
     _check_lp_args(q, p, vol_k)
     _check_bound_args(q, alpha)
-    if N * alpha <= q:
+    if not N * alpha > q:
         raise ValueError("N * alpha must exceed q")
-    if moment_q < 0.0:
+    if not moment_q >= 0.0:
         raise ValueError("moment_q must be >= 0")
     h = bound_H_nq(N, q, alpha)
     return (
@@ -138,13 +138,13 @@ def _check_approx_args(
     N: int, P: float, q: float, alpha: float, beta: float, moment_qk: float
 ) -> None:
     _check_bound_args(q, alpha)
-    if N < 1:
+    if not N >= 1:
         raise ValueError("N must be >= 1")
-    if (N + 1) * alpha <= q:
+    if not (N + 1) * alpha > q:
         raise ValueError("(N + 1) * alpha must exceed q")
-    if beta >= 1.0 / alpha - 0.5:
+    if not beta < 1.0 / alpha - 0.5:
         raise ValueError("beta must be < 1/alpha - 1/2")
-    if moment_qk < 0.0:
+    if not moment_qk >= 0.0:
         raise ValueError("moment_qk must be >= 0")
     if not (P == math.inf or (float(P).is_integer() and P >= N)):
         raise ValueError("P must be an integer >= N, or infinity")
@@ -200,18 +200,7 @@ class BoundReport:
     approximation_bound: float
 
     def as_dict(self) -> dict[str, float]:
-        return {
-            "q": self.q,
-            "alpha": self.alpha,
-            "B_q": self.B_q,
-            "H_Nplus1_q": self.H_Nplus1_q,
-            "A_q": self.A_q,
-            "A_prime_q": self.A_prime_q,
-            "M_q": self.M_q,
-            "M_qk": self.M_qk,
-            "truncation_bound": self.truncation_bound,
-            "approximation_bound": self.approximation_bound,
-        }
+        return asdict(self)
 
 
 def build_bound_report(

@@ -30,7 +30,6 @@ class CfEstimate:
     """
 
     u: float
-    times: np.ndarray
     re: np.ndarray
     im: np.ndarray
     stderr: np.ndarray
@@ -64,8 +63,7 @@ def empirical_cf(samples: np.ndarray, u: float) -> CfEstimate:
     stderr = np.sqrt(
         np.maximum(re**2 * var_c + im**2 * var_s + 2.0 * re * im * cov, 0.0)
     ) / safe
-    times = np.arange(x.shape[1], dtype=float)
-    return CfEstimate(u=float(u), times=times, re=re, im=im, stderr=stderr)
+    return CfEstimate(u=float(u), re=re, im=im, stderr=stderr)
 
 
 def linreg_r2(x, y) -> tuple[float, float, float]:

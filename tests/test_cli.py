@@ -1,10 +1,12 @@
 """Unit tests for the command line interface."""
 
+import re
+
 import numpy as np
 import pytest
 
 from ltfsm import SeriesConfig, flat_params, simulate_ltfsm, tune
-from ltfsm.cli import main
+from ltfsm.cli import _COMMANDS, main
 from ltfsm.streams import RandomStream
 
 SIM_ARGS = [
@@ -351,6 +353,62 @@ def test_non_finite_and_overflowing_options_are_rejected_before_writing(
     assert "Traceback" not in err
     assert not out.exists()
     assert not (tmp_path / "run.out.manifest").exists()
+
+
+# base arguments per command; bounds sets every option, so the L^p variants run
+BASE_ARGS = {
+    "simulate": SIM_ARGS,
+    "bounds": ["bounds", "--alpha", "1", "--q", "3", "--N", "5", "--P", "10",
+               "--p", "2", "--volK", "2"],
+    "validate-cf": CF_ARGS,
+    "stable-check": ["stable-check", "--alpha", "1.5", "--terms", "30",
+                     "--samples", "30", "--seed", "3"],
+}
+
+NON_FINITE_CASES = [
+    (name, flag, value)
+    for name, (_help, schema, _handler) in _COMMANDS.items()
+    for flag, (typ, _default, _least) in schema.items()
+    if typ is float
+    for value in ("nan", "inf")
+]
+
+
+@pytest.mark.parametrize(
+    "command, flag, value", NON_FINITE_CASES, ids=lambda x: x
+)
+def test_every_float_option_rejects_nan_and_inf_before_writing(
+    tmp_path, capsys, command, flag, value
+):
+    out = tmp_path / "run.out"
+    code = main(BASE_ARGS[command] + [f"--{flag}", value, "--out", str(out)])
+    if (command, flag, value) == ("bounds", "P", "inf"):
+        assert code == 0  # the supremum over block lengths
+        return
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: --{flag} ")
+    assert "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
+HELP_FLAGS = {
+    "simulate": ["alpha", "hurst", "epsilon", "seed", "eta", "T", "grid", "q", "p",
+                 "delta", "delta-prime", "beta", "cp", "ck", "max-points", "density",
+                 "out"],
+    "bounds": ["alpha", "q", "N", "P", "beta", "Mq", "Mqk", "p", "volK", "out"],
+    "validate-cf": ["alpha", "hurst", "paths", "seed", "method", "u", "times", "T",
+                    "terms", "bandwidth", "points", "steps", "threshold", "out"],
+    "stable-check": ["alpha", "terms", "samples", "seed", "threshold", "out"],
+}
+
+
+@pytest.mark.parametrize("command", list(HELP_FLAGS))
+def test_help_lists_each_commands_flags(capsys, command):
+    with pytest.raises(SystemExit):
+        main([command, "--help"])
+    listed = re.findall(r"^ +--([\w-]+)", capsys.readouterr().out, re.M)
+    assert listed == ["config"] + HELP_FLAGS[command]
 
 
 def test_simulate_refuses_to_write_a_non_finite_path(tmp_path, capsys):

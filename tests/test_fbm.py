@@ -1,5 +1,7 @@
 """Unit tests for the fractional Brownian motion generator."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -147,6 +149,21 @@ def test_path_arguments_are_validated():
         fbm_path(0.5, 1.0, 0, RandomStream(1))
     with pytest.raises(ValueError):
         fbm_path(1.5, 1.0, 8, RandomStream(1))
+
+
+@pytest.mark.parametrize("horizon", [math.nan, math.inf, -1.0])
+def test_fbm_path_rejects_a_non_finite_or_negative_horizon(horizon):
+    with pytest.raises(ValueError, match="horizon must be finite and > 0"):
+        fbm_path(0.7, horizon, 8, RandomStream(1))
+
+
+@pytest.mark.parametrize("spacing", [math.nan, math.inf, 0.0])
+@pytest.mark.parametrize("hurst", [0.5, 0.7])
+def test_spacing_must_be_finite_and_positive(hurst, spacing):
+    with pytest.raises(ValueError, match="spacing must be finite and > 0"):
+        fgn_from_noise(hurst, 8, spacing, np.zeros(16))
+    with pytest.raises(ValueError, match="spacing must be finite and > 0"):
+        increment_autocovariance(hurst, np.arange(4), spacing)
 
 
 def test_non_definite_embeddings_fail_loudly(monkeypatch):

@@ -1,5 +1,7 @@
 """Unit tests for the mollified occupation functionals."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -125,6 +127,12 @@ def test_occupation_oracle_domain():
         occupation_oracle(path, 0.1, 0.0, 1.5)
     with pytest.raises(ValueError):
         occupation_oracle(path, 0.1, 0.0, -0.1)
+
+
+def test_occupation_oracle_rejects_a_nan_bin_width():
+    path = FbmPath(hurst=0.5, horizon=1.0, values=np.zeros(11))
+    with pytest.raises(ValueError, match="bin_width"):
+        occupation_oracle(path, math.nan, 0.0, 1.0)
 
 
 def test_kernel_and_histogram_routes_agree_at_matched_bandwidth():

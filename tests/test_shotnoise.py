@@ -170,6 +170,34 @@ def test_bound_report_matches_the_standalone_functions():
     ]
 
 
+NAN = math.nan
+
+
+@pytest.mark.parametrize(
+    "bound, args",
+    [
+        (bound_B_q, (NAN,)),
+        (bound_H_nq, (6, NAN, 1.0)),
+        (truncation_bound, (NAN, 2.0, 1.0, 1.0)),
+        (truncation_bound, (5, NAN, 1.0, 1.0)),
+        (truncation_bound, (5, 2.0, 1.0, NAN)),
+        (truncation_bound_lp, (5, 3.0, 1.0, NAN, 2.0, 2.0)),
+        (truncation_bound_lp, (5, 3.0, 1.0, 1.0, NAN, 2.0)),
+        (truncation_bound_lp, (5, 3.0, 1.0, 1.0, 2.0, NAN)),
+        (approximation_bound, (5, NAN, 2.0, 1.0, 0.0, 1.0)),
+        (approximation_bound, (5, math.inf, NAN, 1.0, 0.0, 1.0)),
+        (approximation_bound, (5, math.inf, 2.0, 1.0, NAN, 1.0)),
+        (approximation_bound, (5, math.inf, 2.0, 1.0, 0.0, NAN)),
+        (approximation_bound_lp, (5, math.inf, 3.0, 1.0, 0.0, 1.0, NAN, 2.0)),
+        (approximation_bound_lp, (5, math.inf, 3.0, 1.0, 0.0, 1.0, 2.0, NAN)),
+    ],
+    ids=lambda x: x.__name__ if callable(x) else str(x.index(NAN) if NAN in x else ""),
+)
+def test_a_nan_argument_fails_the_domain_check(bound, args):
+    with pytest.raises(ValueError):
+        bound(*args)
+
+
 def test_bound_report_with_finite_block():
     report = build_bound_report(N=5, q=2.0, alpha=1.0, P=10.0)
     assert report.approximation_bound == pytest.approx(0.18, rel=1e-9)
