@@ -9,10 +9,11 @@ order, so its result depends on the rows per chunk, and tests pin them.
 
 Chunk sizes follow from one byte budget, ``_CHUNK_BYTES`` (32 MB): each
 driver has a pure model of the peak working bytes of one replicate
-(``_series_row_bytes``; ``_ARRIVAL_BYTES`` per arrival for the arrival-series
-drivers) and a chunk holds as many replicates as fit.  The budget applies to
-each chunk in flight, so with ``threads`` workers the peak is about
-``threads * 32 MB``.
+(``_series_row_bytes``) and a chunk holds as many replicates as fit.  The
+arrival-series drivers budget ``_ARRIVAL_BYTES`` per arrival, twice what
+their chunks now hold, so that their pinned rows do not move.  The budget
+applies to each chunk in flight, so with ``threads`` workers the peak is at
+most about ``threads * 32 MB``.
 
 A chunk of replicates draws its rows from one reused Philox (see
 :func:`ltfsm.streams.substream_words`) instead of building one
@@ -25,10 +26,13 @@ the walk kernel of :func:`ltfsm.process.simulate_rwrr_baseline` row by row,
 so its rows equal that function's paths bitwise; a row is a dozen short NumPy
 calls that hold the interpreter lock, so more threads do not speed it up.
 The arrival-series drivers (:func:`lepage_marginal_samples`,
-:func:`tail_moment_sweep`) keep the chunk as raw words, convert only the
-exponential words to floats, and apply the Rademacher signs as sign-bit flips
-(see the :mod:`ltfsm.streams` docstring); the results are bitwise those of
-converting every word to a uniform.
+:func:`tail_moment_sweep`) draw each chunk into two C-contiguous ``uint64``
+blocks, the exponential words and the sign words.  The exponential block
+becomes uniforms, arrival times and powers in its own memory, and the
+Rademacher signs are applied as sign-bit flips from the sign block (see the
+:mod:`ltfsm.streams` docstring), so a chunk holds 16 B per arrival and no
+float temporaries; the results are bitwise those of converting every word to
+a uniform.
 
 The series drivers use fixed per-term sizes (:func:`ltfsm.process.flat_params`
 style): ``terms`` series terms, kernel bandwidth ``bandwidth`` and ``points``
@@ -64,7 +68,6 @@ from .streams import (
     RandomStream,
     _substream_heads,
     _uniform_in_place,
-    raw_to_uniform,
     substream_words,
     uniform_to_gaussian,
 )
@@ -87,7 +90,10 @@ __all__ = [
 def resolve_threads(threads: int | None = None) -> int:
     """Worker count: explicit argument, else ``LTFSM_THREADS``, else 1."""
     if threads is None:
-        threads = int(os.environ.get("LTFSM_THREADS", "1"))
+        env = os.environ.get("LTFSM_THREADS", "1")
+        if not (env.strip().isdecimal() and int(env) >= 1):
+            raise ValueError(f"LTFSM_THREADS must be an integer >= 1, got {env!r}")
+        return int(env)
     if threads < 1:
         raise ValueError("thread count must be >= 1")
     return threads
@@ -103,8 +109,10 @@ def _check_counts(**counts: int) -> None:
 # Peak working bytes of one chunk in flight (see the module docstring).
 _CHUNK_BYTES = 32_000_000
 
-# Arrival-series drivers, per arrival: 16 B of raw words (the exponential and
-# at most one sign word) and the two 8 B temporaries of ``raw_to_uniform``.
+# Arrival-series drivers, per arrival: the chunk holds 16 B of words (the
+# exponential and at most one sign word), converted in place.  The budget is
+# held at 32 B so that the rows per chunk, on which ``tail_moment_sweep``'s
+# bits depend, do not move: a chunk in flight peaks near half the budget.
 _ARRIVAL_BYTES = 32
 
 
@@ -336,35 +344,39 @@ def cf_linearity_experiment(
 _SIGN_BIT = np.uint64(1 << 63)
 
 
-def _raw_block(stream: RandomStream, start: int, rows: int, width: int) -> np.ndarray:
-    """Rows ``start .. start + rows - 1`` of :func:`substream_words` as one
-    ``(rows, width)`` block."""
-    raw = np.empty((rows, width), dtype=np.uint64)
-    for r, words in enumerate(substream_words(stream, start, rows, width)):
-        raw[r] = words
-    return raw
+def _raw_block(
+    stream: RandomStream, start: int, rows: int, arrivals: int, signs: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Words of substreams ``start .. start + rows - 1`` as two C-contiguous
+    blocks: ``(rows, arrivals)`` exponential words, then ``(rows, signs)``
+    sign words, row ``r`` continuing ``stream.substream(start + r)``."""
+    exp = np.empty((rows, arrivals), dtype=np.uint64)
+    sgn = np.empty((rows, signs), dtype=np.uint64)
+    for r, bitgen in enumerate(_substream_heads(stream, start, rows)):
+        exp[r] = bitgen.random_raw(arrivals)
+        sgn[r] = bitgen.random_raw(signs)
+    return exp, sgn
 
 
 def _signed_arrival_sums(
-    raw: np.ndarray, arrivals: int, skip: int, alpha: float
+    exp: np.ndarray, signs: np.ndarray, skip: int, alpha: float
 ) -> np.ndarray:
     """Row sums of ``Gamma_n**(-1/alpha) * eps_n`` over ``n = skip + 1 ..
-    arrivals``.
+    arrivals``, from the blocks of :func:`_raw_block`; both are overwritten.
 
-    Each row of ``raw`` holds ``arrivals`` exponential words, then one sign
-    word per summed term; the sign words are overwritten.  Bitwise equal to
-    converting every word to a uniform and multiplying by
-    :func:`~ltfsm.streams.uniform_to_rademacher` signs: ``eps_n = +1`` iff the
-    word's top bit is set, and a product with ``+-1.0`` only flips the sign
-    bit, so the signs are XOR-ed into the floats' sign bits.
+    The exponential words become uniforms, arrivals and powers in their own
+    memory.  Bitwise equal to converting every word to a uniform and
+    multiplying by :func:`~ltfsm.streams.uniform_to_rademacher` signs:
+    ``eps_n = +1`` iff the sign word's top bit is set, and a product with
+    ``+-1.0`` only flips the sign bit, so the signs are XOR-ed into the
+    floats' sign bits.
     """
-    x = raw_to_uniform(raw[:, :arrivals])
+    x = _uniform_in_place(exp)
     np.log(x, out=x)
     np.negative(x, out=x)
     np.cumsum(x, axis=1, out=x)
     x = x[:, skip:]
     x **= -1.0 / alpha
-    signs = raw[:, arrivals:]
     np.invert(signs, out=signs)
     signs &= _SIGN_BIT
     bits = x.view(np.uint64)
@@ -390,8 +402,8 @@ def lepage_marginal_samples(
     threads = resolve_threads(threads)
 
     def worker(start: int, rows: int) -> np.ndarray:
-        raw = _raw_block(stream, start, rows, 2 * terms)
-        return _signed_arrival_sums(raw, terms, 0, alpha)
+        exp, signs = _raw_block(stream, start, rows, terms, terms)
+        return _signed_arrival_sums(exp, signs, 0, alpha)
 
     chunk_rows = _chunk_rows(_ARRIVAL_BYTES * terms)
     return np.concatenate(_run_chunks(worker, n_samples, chunk_rows, threads))
@@ -467,8 +479,8 @@ def tail_moment_sweep(
         sub = stream.substream(i)
 
         def worker(start: int, rows: int) -> tuple[float, float]:
-            raw = _raw_block(sub, start, rows, total + (total - n_low))
-            sq = _signed_arrival_sums(raw, total, n_low, alpha) ** 2
+            exp, signs = _raw_block(sub, start, rows, total, total - n_low)
+            sq = _signed_arrival_sums(exp, signs, n_low, alpha) ** 2
             return float(np.sum(sq)), float(np.sum(sq**2))
 
         acc = acc_sq = 0.0

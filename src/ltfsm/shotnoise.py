@@ -40,8 +40,8 @@ __all__ = [
 
 def bound_B_q(q: float) -> float:
     """Gaussian q-th-moment constant; 1 at q = 2, increasing in q."""
-    if not q >= 2.0:
-        raise ValueError("q must be >= 2")
+    if not 2.0 <= q < math.inf:
+        raise ValueError("q must be finite and >= 2")
     if q == 2.0:
         return 1.0
     log_val = 0.5 * math.log(2.0) + (
@@ -54,8 +54,8 @@ def bound_H_nq(n: int, q: float, alpha: float) -> float:
     """Gamma-ratio factor ``Gamma(n - q/alpha) * n**(q/alpha) / Gamma(n)``."""
     if not 0.0 < alpha < 2.0:
         raise ValueError("alpha must lie in (0, 2)")
-    if not q > 0.0:
-        raise ValueError("q must be > 0")
+    if not 0.0 < q < math.inf:
+        raise ValueError("q must be finite and > 0")
     r = q / alpha
     if not n > r:
         raise ValueError("n must exceed q / alpha")
@@ -74,17 +74,17 @@ def _a_prime_q(q: float, alpha: float, beta: float) -> float:
 def _check_bound_args(q: float, alpha: float) -> None:
     if not 0.0 < alpha < 2.0:
         raise ValueError("alpha must lie in (0, 2)")
-    if not q >= 2.0:
-        raise ValueError("q must be >= 2")
+    if not 2.0 <= q < math.inf:
+        raise ValueError("q must be finite and >= 2")
 
 
 def _check_lp_args(q: float, p: float, vol_k: float) -> None:
-    if not p >= 1.0:
-        raise ValueError("p must be >= 1")
+    if not 1.0 <= p < math.inf:
+        raise ValueError("p must be finite and >= 1")
     if not q > max(p, 2.0):
         raise ValueError("q must exceed max(p, 2)")
-    if not vol_k > 0.0:
-        raise ValueError("vol_k must be > 0")
+    if not 0.0 < vol_k < math.inf:
+        raise ValueError("vol_k must be finite and > 0")
 
 
 # -- truncation budget ----------------------------------------------------------
@@ -100,8 +100,8 @@ def truncation_bound(N: int, q: float, alpha: float, moment_q: float) -> float:
     _check_bound_args(q, alpha)
     if not N >= 1:
         raise ValueError("N must be >= 1")
-    if not moment_q >= 0.0:
-        raise ValueError("moment_q must be >= 0")
+    if not 0.0 <= moment_q < math.inf:
+        raise ValueError("moment_q must be finite and >= 0")
     if not (N + 1) * alpha > q:
         raise ValueError("(N + 1) * alpha must exceed q")
     h = bound_H_nq(N + 1, q, alpha)
@@ -120,8 +120,8 @@ def truncation_bound_lp(
     _check_bound_args(q, alpha)
     if not N * alpha > q:
         raise ValueError("N * alpha must exceed q")
-    if not moment_q >= 0.0:
-        raise ValueError("moment_q must be >= 0")
+    if not 0.0 <= moment_q < math.inf:
+        raise ValueError("moment_q must be finite and >= 0")
     h = bound_H_nq(N, q, alpha)
     return (
         vol_k ** (q / p)
@@ -142,10 +142,10 @@ def _check_approx_args(
         raise ValueError("N must be >= 1")
     if not (N + 1) * alpha > q:
         raise ValueError("(N + 1) * alpha must exceed q")
-    if not beta < 1.0 / alpha - 0.5:
-        raise ValueError("beta must be < 1/alpha - 1/2")
-    if not moment_qk >= 0.0:
-        raise ValueError("moment_qk must be >= 0")
+    if not -math.inf < beta < 1.0 / alpha - 0.5:
+        raise ValueError("beta must be finite and < 1/alpha - 1/2")
+    if not 0.0 <= moment_qk < math.inf:
+        raise ValueError("moment_qk must be finite and >= 0")
     if not (P == math.inf or (float(P).is_integer() and P >= N)):
         raise ValueError("P must be an integer >= N, or infinity")
 

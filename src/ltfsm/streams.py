@@ -32,7 +32,10 @@ counter-based, so a child stream is nothing but a key with the counter at 0;
 resetting the key, counter and output buffer of one bit generator gives the
 same words as building ``stream.substream(j)``, without the OS-entropy pull
 that every ``Philox`` construction makes (``_philox_key`` defines the key
-layout for both).
+layout for both).  The child ids of a whole chunk come from one vectorized
+``uint64`` SplitMix64 pass (:func:`_mix64` stays the scalar reference, used by
+:meth:`RandomStream.substream`), and each reset assigns a state of plain
+Python ints, which the bit generator reads faster than numpy arrays.
 
 In-place uniforms: ``((w >> 11) + 0.5) * 2**-53`` is exact apart from one
 rounding of the sum, so it can run in the memory of the words themselves
@@ -233,16 +236,38 @@ def substream_words(stream: RandomStream, start: int, rows: int, width: int):
     return (bitgen.random_raw(width) for bitgen in _substream_heads(stream, start, rows))
 
 
+def _substream_ids(stream: RandomStream, start: int, rows: int) -> list[int]:
+    """``_mix64(stream.substream_id, start + r)`` for ``r < rows``, in one
+    ``uint64`` numpy pass (numpy's array arithmetic wraps mod ``2**64``)."""
+    z = np.arange(rows, dtype=np.uint64)
+    z *= np.uint64(_GOLDEN)
+    z += np.uint64((stream.substream_id + _GOLDEN * (start + 1)) & _MASK64)
+    z ^= z >> np.uint64(30)
+    z *= np.uint64(0xBF58476D1CE4E5B9)
+    z ^= z >> np.uint64(27)
+    z *= np.uint64(0x94D049BB133111EB)
+    z ^= z >> np.uint64(31)
+    return z.tolist()
+
+
 def _substream_heads(stream: RandomStream, start: int, rows: int):
     """Iterator that yields one ``Philox`` ``rows`` times, each time at the
     head of ``stream.substream(start + r)``: its raw words are those of that
     substream, and a row may draw any number of them in any number of calls."""
     bitgen = Philox(key=0)
-    # a fresh generator's state: counter 0, empty output buffer; assigning it
-    # with a new key restarts the generator at the head of that substream
-    state = bitgen.state
-    key = state["state"]["key"]
-    for r in range(rows):
-        key[:] = _philox_key(stream.seed, _mix64(stream.substream_id, start + r))
+    # a fresh generator's state (counter 0, empty output buffer) in plain
+    # ints, which the setter reads faster than numpy arrays; assigning it with
+    # a new key restarts the generator at the head of that substream
+    key = list(_philox_key(stream.seed, 0))
+    state = {
+        "bit_generator": "Philox",
+        "state": {"counter": [0, 0, 0, 0], "key": key},
+        "buffer": [0, 0, 0, 0],
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    for substream_id in _substream_ids(stream, start, rows):
+        key[1] = substream_id
         bitgen.state = state
         yield bitgen

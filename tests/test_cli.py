@@ -289,6 +289,19 @@ def test_stable_check_writes_a_rerunnable_report(tmp_path):
     assert rerun.read_bytes() == out.read_bytes()
 
 
+@pytest.mark.parametrize("value", ["abc", "0"])
+def test_stable_check_names_a_bad_thread_variable_before_writing(
+    tmp_path, capsys, monkeypatch, value
+):
+    monkeypatch.setenv("LTFSM_THREADS", value)
+    out = tmp_path / "sc.txt"
+    args = ["stable-check", "--alpha", "1.5", "--terms", "300", "--samples", "300",
+            "--seed", "3", "--out", str(out)]
+    assert main(args) == 2
+    assert f"LTFSM_THREADS must be an integer >= 1, got '{value}'" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize(
     "flag, value", [("--terms", "0"), ("--terms", "-3"), ("--samples", "1")]
 )

@@ -43,6 +43,14 @@ def test_resolve_threads_precedence(monkeypatch):
         resolve_threads(0)
 
 
+@pytest.mark.parametrize("value", ["abc", "2.5", "", "0", "-3"])
+def test_resolve_threads_names_a_bad_environment_variable(monkeypatch, value):
+    monkeypatch.setenv("LTFSM_THREADS", value)
+    with pytest.raises(ValueError, match=f"LTFSM_THREADS must be an integer >= 1, got '{value}'"):
+        resolve_threads()
+    assert resolve_threads(2) == 2  # an explicit count wins
+
+
 def test_series_ensemble_rows_match_the_scalar_simulator():
     ens = series_path_ensemble(
         1.3, 0.4, 4, terms=6, bandwidth=3, points=32,
@@ -384,6 +392,30 @@ def test_series_ensemble_is_bitwise_invariant_to_the_chunk_budget(
     assert _chunk_rows(_series_row_bytes(hurst, 4, 16)) == 3
     chunked = series_path_ensemble(*args, **kwargs)
     assert chunked.tobytes() == whole.tobytes()
+
+
+@pytest.mark.parametrize(
+    "driver, arrivals, words",
+    [
+        ("lepage", 1000, 2000),
+        ("lepage", 2000, 4000),
+        ("tail", 40 * 64, 2 * 40 * 64 - 40),
+    ],
+)
+def test_arrival_chunk_peaks_at_its_words(driver, arrivals, words):
+    # one chunk of words, converted in place: 16 B per arrival, half the
+    # _ARRIVAL_BYTES budget that pins the rows
+    rows = _chunk_rows(_ARRIVAL_BYTES * arrivals)
+    tracemalloc.start()
+    try:
+        if driver == "lepage":
+            lepage_marginal_samples(1.2, arrivals, rows, RandomStream(3), threads=1)
+        else:
+            tail_moment_sweep(1.2, [40], rows, RandomStream(3), factor=64)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert 0.95 <= peak / (rows * 8 * words) <= 1.10
 
 
 @pytest.mark.parametrize("threads", [1, 2])

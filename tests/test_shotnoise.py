@@ -198,6 +198,42 @@ def test_a_nan_argument_fails_the_domain_check(bound, args):
         bound(*args)
 
 
+INF = math.inf
+
+
+@pytest.mark.parametrize(
+    "bound, args, name",
+    [
+        (bound_B_q, (INF,), "q"),
+        (bound_H_nq, (6, INF, 1.0), "q"),
+        (bound_H_nq, (6, 2.0, INF), "alpha"),
+        (truncation_bound, (5, INF, 1.0, 1.0), "q"),
+        (truncation_bound, (5, 2.0, -INF, 1.0), "alpha"),
+        (truncation_bound, (5, 2.0, 1.0, INF), "moment_q"),
+        (truncation_bound_lp, (5, INF, 1.0, 1.0, 2.0, 2.0), "q"),
+        (truncation_bound_lp, (5, 3.0, 1.0, INF, 2.0, 2.0), "moment_q"),
+        (truncation_bound_lp, (5, 3.0, 1.0, 1.0, INF, 2.0), "p"),
+        (truncation_bound_lp, (5, 3.0, 1.0, 1.0, 2.0, INF), "vol_k"),
+        (approximation_bound, (5, INF, INF, 1.0, 0.0, 1.0), "q"),
+        (approximation_bound, (5, INF, 2.0, INF, 0.0, 1.0), "alpha"),
+        (approximation_bound, (5, INF, 2.0, 1.0, -INF, 1.0), "beta"),
+        (approximation_bound, (5, INF, 2.0, 1.0, 0.0, INF), "moment_qk"),
+        (approximation_bound_lp, (5, INF, 3.0, 1.0, 0.0, 1.0, INF, 2.0), "p"),
+        (approximation_bound_lp, (5, INF, 3.0, 1.0, 0.0, 1.0, 2.0, INF), "vol_k"),
+        (build_bound_report, (5, 2.0, 1.0, INF), "moment_q"),
+        (build_bound_report, (5, 2.0, 1.0, 1.0, INF), "moment_qk"),
+    ],
+)
+def test_an_infinite_argument_is_rejected_by_name(bound, args, name):
+    with pytest.raises(ValueError, match=rf"^{name} must"):
+        bound(*args)
+
+
+def test_an_infinite_block_end_stays_legal():
+    assert math.isfinite(approximation_bound(5, INF, 2.0, 1.0, -1.0, 1.0))
+    assert math.isfinite(build_bound_report(5, 2.0, 1.0, P=INF).approximation_bound)
+
+
 def test_bound_report_with_finite_block():
     report = build_bound_report(N=5, q=2.0, alpha=1.0, P=10.0)
     assert report.approximation_bound == pytest.approx(0.18, rel=1e-9)

@@ -70,12 +70,18 @@ def test_substreams_differ_and_are_reproducible():
         base.substream(-1)
 
 
-@pytest.mark.parametrize("width", [1, 2, 3, 5, 4096])
+@pytest.mark.parametrize("width", [1, 2, 3, 5, 2000, 4096])
 def test_substream_words_rows_equal_the_per_substream_draws(width):
     # widths off a multiple of 4 would expose Philox buffer words leaking
-    # from one row into the next
-    for stream in (RandomStream(11), RandomStream(2**64 + 3, 5).substream(2).substream(7)):
-        for start in (0, 9):
+    # from one row into the next; the all-ones seed and id with a start past
+    # 2**32 check that the vectorized child ids wrap mod 2**64 as _mix64 does
+    streams = (
+        RandomStream(11),
+        RandomStream(2**64 + 3, 5).substream(2).substream(7),
+        RandomStream(2**64 - 1, 2**64 - 1),
+    )
+    for stream in streams:
+        for start in (0, 9, 2**32 + 5):
             rows = list(substream_words(stream, start, 6, width))
             assert len(rows) == 6
             for r, words in enumerate(rows):
