@@ -3,20 +3,18 @@
 Replicate ``j`` of every driver works exclusively from ``stream.substream(j)``
 and consumes raw words in exactly the order documented for the corresponding
 single-path operation, so results are independent of the worker count
-(parallelism only distributes whole replicates) and of chunk sizes.  The one
-exception is :func:`tail_moment_sweep`: it adds its per-chunk sums in block
-order, so its result depends on the rows per chunk, and tests pin them.
+(parallelism only distributes whole replicates) and of chunk sizes: every
+driver reduces its replicates only after ``_run_chunks`` has put them back
+together.
 
 Chunk sizes follow from one byte budget, ``_CHUNK_BYTES`` (32 MB): each
 driver has a pure model of the peak working bytes of one replicate
-(``_series_row_bytes``) and a chunk holds as many replicates as fit.  The
-arrival-series drivers budget ``_ARRIVAL_BYTES`` per arrival, twice what
-their chunks now hold, so that their pinned rows do not move.  The budget
-applies to each chunk in flight, so with ``threads`` workers the peak is at
-most about ``threads * 32 MB``.
+(``_series_row_bytes``, ``_ARRIVAL_BYTES`` per arrival) and a chunk holds as
+many replicates as fit.  The budget applies to each chunk in flight, so with
+``threads`` workers the peak is at most about ``threads * 32 MB``.
 
 A chunk of replicates draws its rows from one reused Philox (see
-:func:`ltfsm.streams.substream_words`) instead of building one
+:func:`ltfsm.streams._substream_heads`) instead of building one
 :class:`~ltfsm.streams.RandomStream` per replicate.  The series ensemble
 copies each row's words into preallocated ``uint64`` head and noise buffers
 (at H = 1/2 only the used half of each noise block), converts them to
@@ -26,13 +24,13 @@ the walk kernel of :func:`ltfsm.process.simulate_rwrr_baseline` row by row,
 so its rows equal that function's paths bitwise; a row is a dozen short NumPy
 calls that hold the interpreter lock, so more threads do not speed it up.
 The arrival-series drivers (:func:`lepage_marginal_samples`,
-:func:`tail_moment_sweep`) draw each chunk into two C-contiguous ``uint64``
-blocks, the exponential words and the sign words.  The exponential block
-becomes uniforms, arrival times and powers in its own memory, and the
-Rademacher signs are applied as sign-bit flips from the sign block (see the
-:mod:`ltfsm.streams` docstring), so a chunk holds 16 B per arrival and no
-float temporaries; the results are bitwise those of converting every word to
-a uniform.
+:func:`tail_moment_sweep`) share one chunk worker, ``_arrival_sums``, that
+draws each chunk into two C-contiguous ``uint64`` blocks, the exponential
+words and the sign words.  The exponential block becomes uniforms, arrival
+times and powers in its own memory, and the Rademacher signs are applied as
+sign-bit flips from the sign block (see the :mod:`ltfsm.streams` docstring),
+so a chunk holds 16 B per arrival and no float temporaries; the results are
+bitwise those of converting every word to a uniform.
 
 The series drivers use fixed per-term sizes (:func:`ltfsm.process.flat_params`
 style): ``terms`` series terms, kernel bandwidth ``bandwidth`` and ``points``
@@ -68,7 +66,6 @@ from .streams import (
     RandomStream,
     _substream_heads,
     _uniform_in_place,
-    substream_words,
     uniform_to_gaussian,
 )
 from .validation import CfEstimate, empirical_cf, fit_scale_by_cf, ks_distance, linreg_r2
@@ -111,8 +108,9 @@ _CHUNK_BYTES = 32_000_000
 
 # Arrival-series drivers, per arrival: the chunk holds 16 B of words (the
 # exponential and at most one sign word), converted in place.  The budget is
-# held at 32 B so that the rows per chunk, on which ``tail_moment_sweep``'s
-# bits depend, do not move: a chunk in flight peaks near half the budget.
+# held at 32 B, so a chunk in flight peaks near half of ``_CHUNK_BYTES``:
+# budgeting the true 16 B doubles the rows, and it raised the peak RSS of the
+# ``marginal`` bench workload (1 000 arrivals) from 72 to 87 MiB.
 _ARRIVAL_BYTES = 32
 
 
@@ -122,15 +120,15 @@ def _chunk_rows(bytes_per_row: int) -> int:
     return max(1, _CHUNK_BYTES // bytes_per_row)
 
 
-def _run_chunks(worker, total: int, chunk_rows: int, threads: int) -> list:
+def _run_chunks(worker, total: int, chunk_rows: int, threads: int) -> np.ndarray:
     """``worker(start, rows)`` on consecutive blocks of at most ``chunk_rows``
-    of ``total`` replicates; the results in block order."""
+    of ``total`` replicates; the results concatenated in replicate order."""
     starts = range(0, total, chunk_rows)
     rows = [min(chunk_rows, total - start) for start in starts]
     if threads == 1 or len(rows) == 1:
-        return list(map(worker, starts, rows))
+        return np.concatenate(list(map(worker, starts, rows)))
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(worker, starts, rows))
+        return np.concatenate(list(pool.map(worker, starts, rows)))
 
 
 # -- flat-parameter series ensemble -------------------------------------------
@@ -183,7 +181,6 @@ def series_path_ensemble(
     m = points
     p = terms
     idx = grid_index(m, horizon, np.arange(grid_points + 1) * (horizon / grid_points))
-    block = 3 * p + p * 2 * m
 
     # at H = 1/2 only the first m words of each 2m-word noise block are used:
     # every word is still drawn, but the rest are never kept
@@ -192,9 +189,9 @@ def series_path_ensemble(
     def worker(start: int, rows: int) -> np.ndarray:
         head = np.empty((rows, 3 * p), dtype=np.uint64)
         noise = np.empty((rows, p, used), dtype=np.uint64)
-        for r, raw in enumerate(substream_words(stream, start, rows, block)):
-            head[r] = raw[: 3 * p]
-            noise[r] = raw[3 * p :].reshape(p, 2 * m)[:, :used]
+        for r, bitgen in enumerate(_substream_heads(stream, start, rows)):
+            head[r] = bitgen.random_raw(3 * p)
+            noise[r] = bitgen.random_raw(p * 2 * m).reshape(p, 2 * m)[:, :used]
         gammas, locations, weights = _series_head(_uniform_in_place(head), alpha, density)
         normals = _uniform_in_place(noise)
         uniform_to_gaussian(normals, out=normals)
@@ -210,7 +207,7 @@ def series_path_ensemble(
         return out
 
     chunk_rows = _chunk_rows(_series_row_bytes(hurst, terms, points))
-    return np.concatenate(_run_chunks(worker, n_paths, chunk_rows, threads))
+    return _run_chunks(worker, n_paths, chunk_rows, threads)
 
 
 def rwrr_path_ensemble(
@@ -251,7 +248,7 @@ def rwrr_path_ensemble(
 
     # rows run one at a time, so memory does not grow with the chunk: 512 rows
     # is a unit of work per thread, not a memory budget
-    return np.concatenate(_run_chunks(worker, n_paths, 512, threads))
+    return _run_chunks(worker, n_paths, 512, threads)
 
 
 # -- characteristic-function linearity ------------------------------------------
@@ -344,25 +341,12 @@ def cf_linearity_experiment(
 _SIGN_BIT = np.uint64(1 << 63)
 
 
-def _raw_block(
-    stream: RandomStream, start: int, rows: int, arrivals: int, signs: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Words of substreams ``start .. start + rows - 1`` as two C-contiguous
-    blocks: ``(rows, arrivals)`` exponential words, then ``(rows, signs)``
-    sign words, row ``r`` continuing ``stream.substream(start + r)``."""
-    exp = np.empty((rows, arrivals), dtype=np.uint64)
-    sgn = np.empty((rows, signs), dtype=np.uint64)
-    for r, bitgen in enumerate(_substream_heads(stream, start, rows)):
-        exp[r] = bitgen.random_raw(arrivals)
-        sgn[r] = bitgen.random_raw(signs)
-    return exp, sgn
-
-
 def _signed_arrival_sums(
     exp: np.ndarray, signs: np.ndarray, skip: int, alpha: float
 ) -> np.ndarray:
     """Row sums of ``Gamma_n**(-1/alpha) * eps_n`` over ``n = skip + 1 ..
-    arrivals``, from the blocks of :func:`_raw_block`; both are overwritten.
+    arrivals``, from a chunk's exponential and sign word blocks (see
+    :func:`_arrival_sums`); both are overwritten.
 
     The exponential words become uniforms, arrivals and powers in their own
     memory.  Bitwise equal to converting every word to a uniform and
@@ -384,6 +368,25 @@ def _signed_arrival_sums(
     return np.sum(x, axis=1)
 
 
+def _arrival_sums(
+    alpha: float, arrivals: int, skip: int, count: int, stream: RandomStream, threads: int
+) -> np.ndarray:
+    """``count`` replicates of ``sum_{n = skip + 1}^{arrivals} Gamma_n**(-1/alpha)
+    * eps_n``.  Replicate ``j`` consumes from ``stream.substream(j)``:
+    ``arrivals`` exponentials, then ``arrivals - skip`` signs."""
+    signs = arrivals - skip
+
+    def worker(start: int, rows: int) -> np.ndarray:
+        exp = np.empty((rows, arrivals), dtype=np.uint64)
+        sgn = np.empty((rows, signs), dtype=np.uint64)
+        for r, bitgen in enumerate(_substream_heads(stream, start, rows)):
+            exp[r] = bitgen.random_raw(arrivals)
+            sgn[r] = bitgen.random_raw(signs)
+        return _signed_arrival_sums(exp, sgn, skip, alpha)
+
+    return _run_chunks(worker, count, _chunk_rows(_ARRIVAL_BYTES * arrivals), threads)
+
+
 def lepage_marginal_samples(
     alpha: float,
     terms: int,
@@ -399,14 +402,7 @@ def lepage_marginal_samples(
     if not 0.0 < alpha < 2.0:
         raise ValueError("alpha must lie in (0, 2)")
     _check_counts(terms=terms, n_samples=n_samples)
-    threads = resolve_threads(threads)
-
-    def worker(start: int, rows: int) -> np.ndarray:
-        exp, signs = _raw_block(stream, start, rows, terms, terms)
-        return _signed_arrival_sums(exp, signs, 0, alpha)
-
-    chunk_rows = _chunk_rows(_ARRIVAL_BYTES * terms)
-    return np.concatenate(_run_chunks(worker, n_samples, chunk_rows, threads))
+    return _arrival_sums(alpha, terms, 0, n_samples, stream, resolve_threads(threads))
 
 
 @dataclass(frozen=True)
@@ -463,7 +459,8 @@ def tail_moment_sweep(
     The sweep for the i-th entry of ``n_values`` runs on
     ``stream.substream(i)``; replicate ``j`` of a sweep consumes from
     ``substream(j)``: ``factor * N`` exponentials, then ``factor * N - N``
-    signs (tail terms only).
+    signs (tail terms only).  Every N must be an integer >= 1, and no N may
+    repeat.
     """
     if not 0.0 < alpha < 2.0:
         raise ValueError("alpha must lie in (0, 2)")
@@ -471,28 +468,17 @@ def tail_moment_sweep(
         raise ValueError("replicates must be >= 2")
     _check_counts(factor=factor)
     n_values = list(n_values)
-    if any(n_low < 1 for n_low in n_values):
-        raise ValueError("n_values must all be >= 1")
+    if not all(float(n_low).is_integer() and n_low >= 1 for n_low in n_values):
+        raise ValueError("n_values must all be integers >= 1")
+    n_values = [int(n_low) for n_low in n_values]
+    if len(set(n_values)) < len(n_values):
+        raise ValueError("n_values must not repeat")
     out: dict[int, tuple[float, float]] = {}
     for i, n_low in enumerate(n_values):
         total = int(factor * n_low)
-        sub = stream.substream(i)
-
-        def worker(start: int, rows: int) -> tuple[float, float]:
-            exp, signs = _raw_block(sub, start, rows, total, total - n_low)
-            sq = _signed_arrival_sums(exp, signs, n_low, alpha) ** 2
-            return float(np.sum(sq)), float(np.sum(sq**2))
-
-        acc = acc_sq = 0.0
-        # one thread, and the chunk sums added in block order: the result
-        # depends on the rows per chunk, which tests pin
-        chunk_rows = _chunk_rows(_ARRIVAL_BYTES * total)
-        for s, s_sq in _run_chunks(worker, replicates, chunk_rows, 1):
-            acc += s
-            acc_sq += s_sq
-        mean = acc / replicates
-        var = max(acc_sq / replicates - mean**2, 0.0) * replicates / (replicates - 1)
-        out[int(n_low)] = (mean, math.sqrt(var / replicates))
+        sums = _arrival_sums(alpha, total, n_low, replicates, stream.substream(i), 1)
+        sq = sums * sums
+        out[n_low] = (float(sq.mean()), float(sq.std(ddof=1)) / math.sqrt(replicates))
     return out
 
 

@@ -57,8 +57,8 @@ def bound_H_nq(n: int, q: float, alpha: float) -> float:
     if not 0.0 < q < math.inf:
         raise ValueError("q must be finite and > 0")
     r = q / alpha
-    if not n > r:
-        raise ValueError("n must exceed q / alpha")
+    if not (float(n).is_integer() and n > r):
+        raise ValueError("n must be an integer that exceeds q / alpha")
     return float(math.exp(gammaln(n - r) + r * math.log(n) - gammaln(n)))
 
 
@@ -71,7 +71,9 @@ def _a_prime_q(q: float, alpha: float, beta: float) -> float:
     return bound_B_q(q) ** q * (alpha / denom) ** (q / 2.0)
 
 
-def _check_bound_args(q: float, alpha: float) -> None:
+def _check_bound_args(N: int, q: float, alpha: float) -> None:
+    if not (float(N).is_integer() and N >= 1):
+        raise ValueError("N must be an integer >= 1")
     if not 0.0 < alpha < 2.0:
         raise ValueError("alpha must lie in (0, 2)")
     if not 2.0 <= q < math.inf:
@@ -97,9 +99,7 @@ def truncation_bound(N: int, q: float, alpha: float, moment_q: float) -> float:
     ``(N + 1) * alpha > q`` so the first tail arrival has the needed negative
     moment.
     """
-    _check_bound_args(q, alpha)
-    if not N >= 1:
-        raise ValueError("N must be >= 1")
+    _check_bound_args(N, q, alpha)
     if not 0.0 <= moment_q < math.inf:
         raise ValueError("moment_q must be finite and >= 0")
     if not (N + 1) * alpha > q:
@@ -117,7 +117,7 @@ def truncation_bound_lp(
     ``q / alpha`` (one step past the uniform version's requirement).
     """
     _check_lp_args(q, p, vol_k)
-    _check_bound_args(q, alpha)
+    _check_bound_args(N, q, alpha)
     if not N * alpha > q:
         raise ValueError("N * alpha must exceed q")
     if not 0.0 <= moment_q < math.inf:
@@ -137,9 +137,7 @@ def truncation_bound_lp(
 def _check_approx_args(
     N: int, P: float, q: float, alpha: float, beta: float, moment_qk: float
 ) -> None:
-    _check_bound_args(q, alpha)
-    if not N >= 1:
-        raise ValueError("N must be >= 1")
+    _check_bound_args(N, q, alpha)
     if not (N + 1) * alpha > q:
         raise ValueError("(N + 1) * alpha must exceed q")
     if not -math.inf < beta < 1.0 / alpha - 0.5:

@@ -26,8 +26,8 @@ into several yields the identical sequence, so higher layers may document draw
 are the single source of the transforms; batched drivers apply them to raw
 blocks and get bitwise the same variates as the stream methods.
 
-Batched substream rows: :func:`substream_words` yields the first ``width``
-words of many consecutive child substreams from one reused Philox.  Philox is
+Batched substream rows: :func:`_substream_heads` yields one reused Philox at
+the head of each of many consecutive child substreams in turn.  Philox is
 counter-based, so a child stream is nothing but a key with the counter at 0;
 resetting the key, counter and output buffer of one bit generator gives the
 same words as building ``stream.substream(j)``, without the OS-entropy pull
@@ -63,7 +63,6 @@ __all__ = [
     "RandomStream",
     "poisson_arrivals",
     "raw_to_uniform",
-    "substream_words",
     "uniform_to_exponential",
     "uniform_to_gaussian",
     "uniform_to_laplace_half",
@@ -220,20 +219,6 @@ def poisson_arrivals(count: int, stream) -> np.ndarray:
     if count < 1:
         raise ValueError("count must be >= 1")
     return np.cumsum(stream.exponential(count))
-
-
-def substream_words(stream: RandomStream, start: int, rows: int, width: int):
-    """Iterator over ``rows`` arrays: row ``r`` holds the first ``width`` raw
-    words of ``stream.substream(start + r)``, bitwise equal to
-    ``stream.substream(start + r).raw(width)``.
-
-    All rows come from one ``Philox`` whose key, counter and output buffer
-    are reset before each row, which costs a fraction of constructing a new
-    bit generator per row.  Each row is a fresh array owned by the caller.
-    """
-    if start < 0:
-        raise ValueError("substream index must be >= 0")
-    return (bitgen.random_raw(width) for bitgen in _substream_heads(stream, start, rows))
 
 
 def _substream_ids(stream: RandomStream, start: int, rows: int) -> list[int]:

@@ -238,20 +238,13 @@ def test_lepage_samples_are_bitwise_equal_to_the_per_row_reference(alpha, thread
 def test_tail_moment_sweep_is_bitwise_equal_to_the_per_row_reference(alpha):
     # N = 40, factor 64: 2 560 arrivals, 390-row chunks, 1 201 replicates
     n_low, factor, replicates = 40, 64, 1201
-    total = factor * n_low
-    chunk = 2_000_000 // (2 * total)
     stream = RandomStream(72)
     sweep = tail_moment_sweep(alpha, [n_low], replicates, stream, factor=factor)
-    sub = stream.substream(0)
-    acc = acc_sq = 0.0
-    for start in range(0, replicates, chunk):
-        rows = min(chunk, replicates - start)
-        sq = _reference_signed_sums(sub, start, rows, total, n_low, alpha) ** 2
-        acc += float(np.sum(sq))
-        acc_sq += float(np.sum(sq**2))
-    mean = acc / replicates
-    var = max(acc_sq / replicates - mean**2, 0.0) * replicates / (replicates - 1)
-    expected = np.array([mean, np.sqrt(var / replicates)])
+    sums = _reference_signed_sums(
+        stream.substream(0), 0, replicates, factor * n_low, n_low, alpha
+    )
+    sq = sums * sums
+    expected = np.array([sq.mean(), sq.std(ddof=1) / np.sqrt(replicates)])
     assert np.array(sweep[n_low]).tobytes() == expected.tobytes()
 
 
@@ -310,10 +303,15 @@ def test_representation_cf_table_shapes_and_determinism():
         (lambda: lepage_marginal_samples(1.2, 10, 0, None), "n_samples"),
         (lambda: lepage_marginal_samples(1.2, 0, 10, None), "terms"),
         (lambda: tail_moment_sweep(1.2, [0], 10, None), "n_values"),
+        (lambda: tail_moment_sweep(1.2, [4.5], 10, None), "n_values"),
+        (lambda: tail_moment_sweep(1.2, [np.nan], 10, None), "n_values"),
+        (lambda: tail_moment_sweep(1.2, [np.inf], 10, None), "n_values"),
+        (lambda: tail_moment_sweep(1.2, [4, 4], 10, None), "n_values"),
         (lambda: tail_moment_sweep(1.2, [4], 10, None, factor=0), "factor"),
         (lambda: series_path_ensemble(1.0, 0.5, 2, 2, 0, 8, None), "bandwidth"),
     ],
     ids=["rwrr-n_paths", "lepage-n_samples", "lepage-terms", "sweep-n_values",
+         "sweep-fractional-n", "sweep-nan-n", "sweep-inf-n", "sweep-repeated-n",
          "sweep-factor", "series-bandwidth"],
 )
 def test_drivers_reject_bad_counts_by_name_before_drawing(call, name):
@@ -354,8 +352,9 @@ def test_random_walk_drivers_reject_a_non_finite_horizon_before_any_draw(horizon
 
 
 def test_chunk_rows_are_pinned_for_the_arrival_drivers_and_the_h_half_series():
-    # tail_moment_sweep's bits depend on its rows: these equal the former
-    # 2 000 000-word chunks for every arrival count
+    # the rows pin the arrival drivers' memory, not their bits: these equal
+    # 2 000 000-word chunks for every arrival count, and a chunk holds half
+    # the 32 MB budget (see test_arrival_chunk_peaks_at_its_words)
     for n in (1, 7, 1000, 2000, 2560, 999_999, 1_000_000):
         assert _chunk_rows(_ARRIVAL_BYTES * n) == 1_000_000 // n
     assert _chunk_rows(_ARRIVAL_BYTES * 2_000_000) == 1
@@ -420,8 +419,14 @@ def test_arrival_chunk_peaks_at_its_words(driver, arrivals, words):
 
 @pytest.mark.parametrize("threads", [1, 2])
 def test_lepage_samples_are_bitwise_invariant_to_the_chunk_budget(monkeypatch, threads):
-    whole = lepage_marginal_samples(1.2, 50, 8, RandomStream(62), threads=threads)
+    def draw():
+        samples = lepage_marginal_samples(1.2, 50, 8, RandomStream(62), threads=threads)
+        # the tail sweep at N = 5, factor 10 also has 50 arrivals per replicate;
+        # over 20 replicates, a sum of 3-row chunk sums differs in the last bits
+        sweep = tail_moment_sweep(1.2, [5], 20, RandomStream(62), factor=10)
+        return samples.tobytes() + np.array(sweep[5]).tobytes()
+
+    whole = draw()
     monkeypatch.setattr(experiments, "_CHUNK_BYTES", 3 * _ARRIVAL_BYTES * 50)
     assert _chunk_rows(_ARRIVAL_BYTES * 50) == 3
-    chunked = lepage_marginal_samples(1.2, 50, 8, RandomStream(62), threads=threads)
-    assert chunked.tobytes() == whole.tobytes()
+    assert draw() == whole

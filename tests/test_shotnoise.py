@@ -237,3 +237,23 @@ def test_an_infinite_block_end_stays_legal():
 def test_bound_report_with_finite_block():
     report = build_bound_report(N=5, q=2.0, alpha=1.0, P=10.0)
     assert report.approximation_bound == pytest.approx(0.18, rel=1e-9)
+
+
+@pytest.mark.parametrize("value", [INF, NAN, 5.5])
+@pytest.mark.parametrize(
+    "bound, args, name",
+    [
+        (bound_H_nq, (2.0, 1.0), "n"),
+        (truncation_bound, (2.0, 1.0, 1.0), "N"),
+        (truncation_bound_lp, (3.0, 1.0, 1.0, 2.0, 2.0), "N"),
+        (approximation_bound, (INF, 2.0, 1.0, 0.0, 1.0), "N"),
+        (approximation_bound_lp, (INF, 3.0, 1.0, 0.0, 1.0, 2.0, 2.0), "N"),
+        (build_bound_report, (2.0, 1.0), "N"),
+    ],
+    ids=lambda x: x.__name__ if callable(x) else "",
+)
+def test_a_term_count_that_is_not_a_finite_integer_is_rejected_by_name(
+    bound, args, name, value
+):
+    with pytest.raises(ValueError, match=rf"^{name} must be an integer"):
+        bound(value, *args)

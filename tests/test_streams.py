@@ -8,10 +8,10 @@ import pytest
 from ltfsm.oracle import sample_stable_oracle
 from ltfsm.streams import (
     RandomStream,
+    _substream_heads,
     _uniform_in_place,
     poisson_arrivals,
     raw_to_uniform,
-    substream_words,
     uniform_to_exponential,
     uniform_to_gaussian,
     uniform_to_laplace_half,
@@ -82,17 +82,12 @@ def test_substream_words_rows_equal_the_per_substream_draws(width):
     )
     for stream in streams:
         for start in (0, 9, 2**32 + 5):
-            rows = list(substream_words(stream, start, 6, width))
+            rows = [b.random_raw(width) for b in _substream_heads(stream, start, 6)]
             assert len(rows) == 6
             for r, words in enumerate(rows):
                 assert words.dtype == np.uint64
                 assert np.array_equal(words, stream.substream(start + r).raw(width))
-    assert list(substream_words(RandomStream(11), 4, 0, width)) == []
-
-
-def test_substream_words_rejects_a_negative_start():
-    with pytest.raises(ValueError):
-        substream_words(RandomStream(11), -1, 3, 4)
+    assert list(_substream_heads(RandomStream(11), 4, 0)) == []
 
 
 def test_nested_substreams_depart_from_flat_ones():
