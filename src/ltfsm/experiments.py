@@ -19,10 +19,11 @@ A chunk of replicates draws its rows from one reused Philox (see
 copies each row's words into preallocated ``uint64`` head and noise buffers
 (at H = 1/2 only the used half of each noise block), converts them to
 uniforms in place and runs ``ndtri`` into the same memory; the occupation
-kernel then works in one path-sized buffer.  The random-walk ensemble runs
-the walk kernel of :func:`ltfsm.process.simulate_rwrr_baseline` row by row,
-so its rows equal that function's paths bitwise; a row is a dozen short NumPy
-calls that hold the interpreter lock, so more threads do not speed it up.
+kernel then works in those normals and one work array per chunk.  The
+random-walk ensemble runs the walk kernel of
+:func:`ltfsm.process.simulate_rwrr_baseline` row by row, so its rows equal
+that function's paths bitwise; a row is a dozen short NumPy calls that hold
+the interpreter lock, so more threads do not speed it up.
 The arrival-series drivers (:func:`lepage_marginal_samples`,
 :func:`tail_moment_sweep`) share one chunk worker, ``_arrival_sums``, that
 draws each chunk into two C-contiguous ``uint64`` blocks, the exponential
@@ -38,16 +39,16 @@ fBm increments per term.  The epsilon-tuned rules produce per-term grids far
 beyond desk budgets, while the distributional checks here only need sizes
 large enough that the remaining bias is below Monte Carlo resolution.
 
-Every driver hands its chunk worker to ``_run_chunks``.  Set the environment
-variable ``LTFSM_THREADS`` (or pass ``threads=``) to process replicate chunks
-in a thread pool; outputs are bitwise identical for any thread count.
+Every driver hands its chunk worker to ``_run_chunks`` (shared with
+:func:`ltfsm.process.simulate_ltfsm`).  Chunks run on ``threads=`` workers,
+else ``LTFSM_THREADS``, else as many as this process has CPUs
+(:func:`resolve_threads`); outputs are bitwise identical for any thread
+count.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,11 +57,15 @@ from .fbm import _check_horizon, _check_hurst
 from .localtime import _check_bandwidth, grid_index
 from .oracle import _stable_from_uniforms, sample_stable_oracle
 from .process import (
+    _check_counts,
     _check_density,
     _occupation_curves,
+    _run_chunks,
     _rwrr_values,
     _series_head,
     _walk_sites,
+    _work_row,
+    resolve_threads,
 )
 from .streams import (
     RandomStream,
@@ -84,25 +89,6 @@ __all__ = [
 ]
 
 
-def resolve_threads(threads: int | None = None) -> int:
-    """Worker count: explicit argument, else ``LTFSM_THREADS``, else 1."""
-    if threads is None:
-        env = os.environ.get("LTFSM_THREADS", "1")
-        if not (env.strip().isdecimal() and int(env) >= 1):
-            raise ValueError(f"LTFSM_THREADS must be an integer >= 1, got {env!r}")
-        return int(env)
-    if threads < 1:
-        raise ValueError("thread count must be >= 1")
-    return threads
-
-
-def _check_counts(**counts: int) -> None:
-    """Reject, by name, the first count below 1, before anything is drawn."""
-    for name, value in counts.items():
-        if value < 1:
-            raise ValueError(f"{name} must be >= 1")
-
-
 # Peak working bytes of one chunk in flight (see the module docstring).
 _CHUNK_BYTES = 32_000_000
 
@@ -120,17 +106,6 @@ def _chunk_rows(bytes_per_row: int) -> int:
     return max(1, _CHUNK_BYTES // bytes_per_row)
 
 
-def _run_chunks(worker, total: int, chunk_rows: int, threads: int) -> np.ndarray:
-    """``worker(start, rows)`` on consecutive blocks of at most ``chunk_rows``
-    of ``total`` replicates; the results concatenated in replicate order."""
-    starts = range(0, total, chunk_rows)
-    rows = [min(chunk_rows, total - start) for start in starts]
-    if threads == 1 or len(rows) == 1:
-        return np.concatenate(list(map(worker, starts, rows)))
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return np.concatenate(list(pool.map(worker, starts, rows)))
-
-
 # -- flat-parameter series ensemble -------------------------------------------
 
 
@@ -138,15 +113,13 @@ def _series_row_bytes(hurst: float, terms: int, points: int) -> int:
     """Peak working bytes of one :func:`series_path_ensemble` replicate.
 
     The ``uint64`` head and noise buffers are converted in place and live
-    throughout (at H = 1/2 only ``points`` noise words per term are kept).  At
-    H = 1/2 the path buffer is added; otherwise the circulant synthesis holds
-    the complex half spectrum and the length-``2 * points`` inverse-FFT output
-    at once, and the path is allocated after that peak.
+    throughout (at H = 1/2 only ``points`` noise words per term are kept),
+    next to the occupation kernel's work array: the path at H = 1/2, the
+    complex half spectrum otherwise (the inverse FFT runs into the noise).
     """
     p, m = terms, points
-    if hurst == 0.5:
-        return 8 * (3 * p + p * m) + 8 * p * (m + 1)
-    return 8 * (3 * p + p * 2 * m) + 16 * p * (m + 1) + 16 * p * m
+    noise = p * (m if hurst == 0.5 else 2 * m)
+    return 8 * (3 * p + noise) + 8 * p * _work_row(hurst, m)
 
 
 def series_path_ensemble(
@@ -195,9 +168,10 @@ def series_path_ensemble(
         gammas, locations, weights = _series_head(_uniform_in_place(head), alpha, density)
         normals = _uniform_in_place(noise)
         uniform_to_gaussian(normals, out=normals)
+        work = np.empty(rows * p * _work_row(hurst, m))
         curves = _occupation_curves(
             hurst, m, horizon, bandwidth, normals.reshape(rows * p, used),
-            locations.reshape(rows * p, 1), idx,
+            locations.reshape(rows * p, 1), idx, work,
         ).reshape(rows, p, len(idx))
         coef = gammas ** (-1.0 / alpha) * weights
         out = np.zeros((rows, len(idx)))
@@ -464,9 +438,9 @@ def tail_moment_sweep(
     """
     if not 0.0 < alpha < 2.0:
         raise ValueError("alpha must lie in (0, 2)")
+    _check_counts(replicates=replicates, factor=factor)
     if replicates < 2:
         raise ValueError("replicates must be >= 2")
-    _check_counts(factor=factor)
     n_values = list(n_values)
     if not all(float(n_low).is_integer() and n_low >= 1 for n_low in n_values):
         raise ValueError("n_values must all be integers >= 1")

@@ -142,22 +142,32 @@ def fgn_from_noise(
     scale = spacing**hurst
     if hurst == 0.5:
         return noise[..., :m] * scale
+    half = _half_spectrum(hurst, noise, np.empty(noise.shape[:-1] + (m + 1,), dtype=complex))
+    z = np.fft.irfft(half, n=2 * m, axis=-1, norm="forward")
+    del half
+    return z[..., :m] * scale
+
+
+def _half_spectrum(hurst: float, noise: np.ndarray, half: np.ndarray) -> np.ndarray:
+    """Write ``conj(w_0 .. w_m)`` of :func:`fgn_from_noise` for the rows of
+    ``noise`` (length ``2 m``) into the complex rows ``half`` (length
+    ``m + 1``) and return ``half``; ``noise`` is only read."""
+    m = noise.shape[-1] // 2
     coef = _embedding_coefficients(hurst, m)
     if coef is None:
         raise EmbeddingError(
             "circulant embedding is not nonnegative definite for "
-            f"hurst={hurst}, points={points}"
+            f"hurst={hurst}, points={m}"
         )
-    # conj(w_0 .. w_m), the imaginary parts of the DC and Nyquist terms zero
-    half = np.empty(noise.shape[:-1] + (m + 1,), dtype=complex)
+    # the imaginary parts of the DC and Nyquist terms are zero; a product
+    # negated afterwards is bitwise the product with -coef, without its copy
     np.multiply(noise[..., :m], coef[:m], out=half.real[..., :m])
     half.real[..., m] = coef[m] * noise[..., m]
-    np.multiply(noise[..., m + 1 :], -coef[1:m], out=half.imag[..., 1:m])
+    imag = np.multiply(noise[..., m + 1 :], coef[1:m], out=half.imag[..., 1:m])
+    np.negative(imag, out=imag)
     half.imag[..., 0] = 0.0
     half.imag[..., m] = 0.0
-    z = np.fft.irfft(half, n=2 * m, axis=-1, norm="forward")
-    del half
-    return z[..., :m] * scale
+    return half
 
 
 @dataclass(frozen=True)

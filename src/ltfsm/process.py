@@ -39,6 +39,23 @@ Draw order for one path (one stream, strictly sequential): P exponentials
 ``_series_head`` maps the first ``3 P`` uniforms (one path or a block of
 rows) through ``_DENSITIES``, the one table of the two importance pairs.
 
+Given the head, the terms are independent, and the stream is counter-based,
+so :func:`simulate_ltfsm` runs its terms on threads (``threads=``, else
+``LTFSM_THREADS``, else the CPUs this process may use; see
+:func:`resolve_threads`) through ``_run_chunks``, one block of consecutive
+terms per thread.  The calling thread first works out every term's ``m``
+(so the cap warnings fire there, in term order), the word offset of its
+noise block (``3 P + sum_{j<n} 2 m_j`` from the path's first word) and the
+embedding coefficients of every distinct ``m``; it allocates one (noise,
+work) pair per block, sized at the block's largest ``m``.  A worker seats one Philox at
+each term's offset (:func:`ltfsm.streams._seek`), draws the words the term
+uses (at H = 1/2 the first ``m`` of its ``2 m``) and converts them in place.
+The calling thread sums the curves in arrival order, so the path is bitwise
+that of the sequential loop for any thread count, and leaves the stream
+just past the last noise block.  Each thread holds ``32 m`` bytes at
+H != 1/2 (``16 m`` at H = 1/2) for the block's largest ``m``, and the curves
+take ``8 P (grid_points + 1)`` bytes.
+
 :class:`TuningParams` is plain data: ``P``, ``N``, ``k``, ``k_power =
 k**((2 + delta)/delta')``, ``head_exp = 1/(delta' alpha)``, ``tail_exp =
 beta/delta'`` and ``max_points``; :func:`flat_params` is the rule with
@@ -46,8 +63,10 @@ beta/delta'`` and ``max_points``; :func:`flat_params` is the rule with
 (fGn, cumulative path, kernel prefix sums), serves :func:`simulate_ltfsm`
 with one row per term and :func:`ltfsm.experiments.series_path_ensemble`
 with one row per term and replicate; each caller sums its terms in arrival
-order.  The kernel works in one path-sized buffer and evaluates the tent
-kernel in place, bitwise :func:`~ltfsm.localtime.kernel_phi_k`.
+order.  The kernel works in memory its caller owns: the noise rows, which
+the inverse FFT overwrites at H != 1/2, and one work array that holds the
+half spectrum, then the path, the tent kernel (in place, bitwise
+:func:`~ltfsm.localtime.kernel_phi_k`) and its prefix sums.
 
 :func:`simulate_rwrr_baseline` and
 :func:`ltfsm.experiments.rwrr_path_ensemble` share the walk kernel:
@@ -58,15 +77,28 @@ kernel in place, bitwise :func:`~ltfsm.localtime.kernel_phi_k`.
 from __future__ import annotations
 
 import math
+import numbers
+import os
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
+from itertools import accumulate
 
 import numpy as np
+from numpy.random import Philox
 
 from . import oracle
-from .fbm import _check_horizon, fgn_from_noise
+from .fbm import _check_horizon, _embedding_coefficients, _half_spectrum
 from .localtime import _check_bandwidth, _phi_k_in_place, grid_index
-from .streams import uniform_to_exponential, uniform_to_gaussian, uniform_to_laplace_half
+from .streams import (
+    _cursor,
+    _draw_into,
+    _seek,
+    _uniform_in_place,
+    uniform_to_exponential,
+    uniform_to_gaussian,
+    uniform_to_laplace_half,
+)
 
 __all__ = [
     "ConfigError",
@@ -79,6 +111,7 @@ __all__ = [
     "simulate_rwrr_baseline",
     "gaussian_density_weight",
     "laplace_weight",
+    "resolve_threads",
 ]
 
 
@@ -283,26 +316,38 @@ def gaussian_density_weight(x: np.ndarray, alpha: float) -> np.ndarray:
     return (2.0 * np.pi) ** (0.5 / alpha) * np.exp(x * x / (2.0 * alpha))
 
 
-def _occupation_curves(hurst, m, horizon, bandwidth, noise, centers, idx):
+def _work_row(hurst: float, m: int) -> int:
+    """``float64`` entries of ``_occupation_curves``'s work array per row: the
+    complex half spectrum (``m + 1`` values) at H != 1/2, the path at H = 1/2."""
+    return (m + 1) * (1 if hurst == 0.5 else 2)
+
+
+def _occupation_curves(hurst, m, horizon, bandwidth, noise, centers, idx, work):
     """Row ``r``: the occupation functional at level ``centers[r]`` of the fBm
     path with ``m`` increments driven by row ``r`` of ``noise`` (``2 * m``
     normals; at H = 1/2 the first ``m`` suffice), at path indices ``idx`` --
-    bitwise :func:`~ltfsm.localtime.discretized_occupation`.  One path-sized
-    buffer holds the path, then the tent kernel, then its prefix sums; only
-    the columns ``idx`` are scaled by ``horizon / m``.  ``noise`` is read,
-    never written."""
+    bitwise :func:`~ltfsm.localtime.discretized_occupation`.
+
+    The caller owns the memory: ``work`` is a 1-d ``float64`` array of at
+    least ``rows * _work_row(hurst, m)`` entries.  At H != 1/2 it first holds
+    the half spectrum, the inverse FFT overwrites ``noise``, and the scaled
+    fGn goes from there into ``work``; at H = 1/2 ``noise`` is only read.
+    ``work`` then holds the path, the tent kernel and its prefix sums; only
+    the columns ``idx`` are copied out and scaled by ``horizon / m``."""
     _check_bandwidth(bandwidth)
+    rows = len(noise)
     spacing = horizon / m
+    paths = work[: rows * (m + 1)].reshape(rows, m + 1)
     if hurst == 0.5:  # the Hurst-1/2 branch of fgn_from_noise, in the path
-        paths = np.empty((len(noise), m + 1))
-        fgn = np.multiply(noise[:, :m], spacing**0.5, out=paths[:, 1:])
-    else:  # the path is allocated after the synthesis's memory peak
-        fgn = fgn_from_noise(hurst, m, spacing, noise)
-        paths = np.empty((len(fgn), m + 1))
-    del noise
+        np.multiply(noise[:, :m], spacing**0.5, out=paths[:, 1:])
+    else:  # fgn_from_noise, its spectrum and transform in the caller's memory
+        half = work[: 2 * rows * (m + 1)].view(complex).reshape(rows, m + 1)
+        z = np.fft.irfft(
+            _half_spectrum(hurst, noise, half), n=2 * m, axis=-1, norm="forward", out=noise
+        )
+        np.multiply(z[:, :m], spacing**hurst, out=paths[:, 1:])
     paths[:, 0] = 0.0
-    np.cumsum(fgn, axis=1, out=paths[:, 1:])
-    del fgn
+    np.cumsum(paths[:, 1:], axis=1, out=paths[:, 1:])
     paths -= centers
     _phi_k_in_place(bandwidth, paths)
     np.cumsum(paths, axis=1, out=paths)  # the kernel prefix sums
@@ -336,29 +381,101 @@ def _series_head(u: np.ndarray, alpha: float, density: str):
     return gammas, locations, weights
 
 
+def _check_counts(**counts: int) -> None:
+    """Reject, by name, the first count that is not an integer >= 1, before
+    anything is drawn."""
+    for name, value in counts.items():
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+            raise ValueError(f"{name} must be an integer >= 1")
+
+
+def resolve_threads(threads: int | None = None) -> int:
+    """Worker count: explicit ``threads``, else ``LTFSM_THREADS``, else the
+    CPUs this process may run on."""
+    if threads is None:
+        env = os.environ.get("LTFSM_THREADS")
+        if env is None:
+            if hasattr(os, "sched_getaffinity"):
+                return len(os.sched_getaffinity(0))
+            return os.cpu_count() or 1
+        if not (env.strip().isdecimal() and int(env) >= 1):
+            raise ValueError(f"LTFSM_THREADS must be an integer >= 1, got {env!r}")
+        return int(env)
+    _check_counts(threads=threads)
+    return int(threads)
+
+
+def _run_chunks(worker, total: int, chunk_rows: int, threads: int) -> np.ndarray:
+    """``worker(start, rows)`` on consecutive blocks of at most ``chunk_rows``
+    of ``total`` rows; the results concatenated in row order."""
+    starts = range(0, total, chunk_rows)
+    rows = [min(chunk_rows, total - start) for start in starts]
+    if threads == 1 or len(rows) == 1:
+        return np.concatenate(list(map(worker, starts, rows)))
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        return np.concatenate(list(pool.map(worker, starts, rows)))
+
+
 def simulate_ltfsm(
-    config: SeriesConfig, params: TuningParams, stream, density: str = "laplace"
+    config: SeriesConfig,
+    params: TuningParams,
+    stream,
+    density: str = "laplace",
+    threads: int | None = None,
 ) -> SamplePath:
     """Simulate one path of the series on the output grid, with Laplace
     (``density="laplace"``) or Gaussian (``"gaussian"``) locations; the two
     forms agree in law.
 
-    The value at t = 0 is exactly 0 (the grid's first point overrides the
-    i = 0 rectangle of the occupation sums).
+    The terms run on ``threads`` workers (see :func:`resolve_threads`), one
+    block of consecutive terms each; the path is bitwise the same for any
+    count, and ``stream`` is left just past the last noise block.  The value
+    at t = 0 is exactly 0 (the grid's first point overrides the i = 0
+    rectangle of the occupation sums).
     """
     _check_density(density)
-    alpha = config.alpha
+    threads = resolve_threads(threads)
+    alpha, hurst, k, horizon = config.alpha, config.hurst, params.k, config.horizon
     gammas, locations, weights = _series_head(stream.uniform(3 * params.P), alpha, density)
     times = config.grid_times
-    hurst, k, horizon = config.hurst, params.k, config.horizon
+    # before any noise is drawn, in this thread: the grid sizes (so the cap
+    # warnings fire here, in term order, and an overflow before any work),
+    # the word offset of every noise block and the embedding coefficients
+    # (the cache has no lock; ascending, so the largest stay cached)
+    points = [params.points_for(n + 1, float(gamma)) for n, gamma in enumerate(gammas)]
+    key, head_end = _cursor(stream)
+    offsets = list(accumulate((2 * m for m in points), initial=head_end))
+    if hurst != 0.5:
+        for m in sorted(set(points)):
+            _embedding_coefficients(hurst, m)
+    # at H = 1/2 a term reads only the first m words of its 2m-word block
+    used = 1 if hurst == 0.5 else 2
+    chunk_terms = -(-params.P // threads)
+    buffers = {}  # chunk start -> (noise words, work), sized at its largest m
+    for start in range(0, params.P, chunk_terms):
+        m_max = max(points[start : start + chunk_terms])
+        buffers[start] = (np.empty(used * m_max, np.uint64), np.empty(_work_row(hurst, m_max)))
+
+    def worker(start: int, count: int) -> np.ndarray:
+        words, work = buffers[start]
+        bitgen = Philox(key=0)
+        curves = np.empty((count, len(times)))
+        for n in range(start, start + count):
+            m = points[n]
+            _seek(bitgen, key, offsets[n])
+            noise = _uniform_in_place(_draw_into(bitgen, words[: used * m]))
+            uniform_to_gaussian(noise, out=noise)
+            idx = grid_index(m, horizon, times)
+            curves[n - start] = _occupation_curves(
+                hurst, m, horizon, k, noise[None], locations[n], idx, work
+            )[0]
+        return curves
+
+    curves = _run_chunks(worker, params.P, chunk_terms, threads)
+    _seek(stream._bitgen, key, offsets[-1])
     total = np.zeros(len(times))
-    for n in range(params.P):  # increasing-arrival order, one term in memory
+    for n, curve in enumerate(curves):  # increasing-arrival order
         gamma = float(gammas[n])
-        m = params.points_for(n + 1, gamma)
-        idx = grid_index(m, horizon, times)
-        curve = _occupation_curves(
-            hurst, m, horizon, k, stream.gaussian(2 * m)[None], locations[n], idx
-        )[0]
         total += gamma ** (-1.0 / alpha) * (float(weights[n]) * curve)
     total[0] = 0.0
     return SamplePath(times=times, values=total)

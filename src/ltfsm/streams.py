@@ -37,6 +37,13 @@ layout for both).  The child ids of a whole chunk come from one vectorized
 :meth:`RandomStream.substream`), and each reset assigns a state of plain
 Python ints, which the bit generator reads faster than numpy arrays.
 
+Seeking: word ``i`` of a stream comes from counter block ``i // 4 + 1``
+(the generator steps its counter before it fills its 4-word buffer), so
+:func:`_seek` seats a generator at any word offset with one state reset and
+at most three discarded words, and :func:`_cursor` reads the offset of a
+stream's next word.  A worker may thus draw any block of a stream without
+drawing the words before it.
+
 In-place uniforms: ``((w >> 11) + 0.5) * 2**-53`` is exact apart from one
 rounding of the sum, so it can run in the memory of the words themselves
 (``_uniform_in_place``), bitwise equal to :func:`raw_to_uniform`.
@@ -235,23 +242,66 @@ def _substream_ids(stream: RandomStream, start: int, rows: int) -> list[int]:
     return z.tolist()
 
 
-def _substream_heads(stream: RandomStream, start: int, rows: int):
-    """Iterator that yields one ``Philox`` ``rows`` times, each time at the
-    head of ``stream.substream(start + r)``: its raw words are those of that
-    substream, and a row may draw any number of them in any number of calls."""
-    bitgen = Philox(key=0)
-    # a fresh generator's state (counter 0, empty output buffer) in plain
-    # ints, which the setter reads faster than numpy arrays; assigning it with
-    # a new key restarts the generator at the head of that substream
-    key = list(_philox_key(stream.seed, 0))
-    state = {
+def _philox_state(key: list[int], block: int = 0) -> dict:
+    """A ``Philox`` state with key words ``key`` whose next raw word is word
+    ``4 * block`` of that stream: the 256-bit counter at ``block`` and an
+    empty output buffer (the generator steps its counter before it fills the
+    buffer).  Plain ints, which the setter reads faster than numpy arrays."""
+    return {
         "bit_generator": "Philox",
-        "state": {"counter": [0, 0, 0, 0], "key": key},
+        "state": {
+            "counter": [(block >> (64 * i)) & _MASK64 for i in range(4)],
+            "key": key,
+        },
         "buffer": [0, 0, 0, 0],
         "buffer_pos": 4,
         "has_uint32": 0,
         "uinteger": 0,
     }
+
+
+def _cursor(stream: RandomStream) -> tuple[list[int], int]:
+    """The Philox key words of ``stream`` and the index of its next raw word
+    (``4 * counter - 4 + buffer_pos``, see :func:`_philox_state`)."""
+    state = stream._bitgen.state
+    counter = sum(int(v) << (64 * i) for i, v in enumerate(state["state"]["counter"]))
+    key = list(_philox_key(stream.seed, stream.substream_id))
+    return key, 4 * counter - 4 + state["buffer_pos"]
+
+
+def _seek(bitgen: Philox, key: list[int], offset: int) -> Philox:
+    """Seat ``bitgen`` at raw word ``offset`` of the stream with key words
+    ``key``: counter ``offset // 4`` with an empty buffer, then ``offset % 4``
+    words discarded.  Its next words are that stream's words from ``offset``
+    on, whatever ``bitgen`` drew before."""
+    bitgen.state = _philox_state(key, offset // 4)
+    bitgen.random_raw(offset % 4)
+    return bitgen
+
+
+# Words per ``random_raw`` call of :func:`_draw_into`, which bounds its
+# temporary at 64 KiB.
+_DRAW_PIECE = 1 << 13
+
+
+def _draw_into(bitgen: Philox, words: np.ndarray) -> np.ndarray:
+    """Fill the 1-d ``uint64`` array ``words`` with the next raw words of
+    ``bitgen`` and return it; split calls give the same words."""
+    for start in range(0, len(words), _DRAW_PIECE):
+        piece = words[start : start + _DRAW_PIECE]
+        piece[...] = bitgen.random_raw(len(piece))
+    return words
+
+
+def _substream_heads(stream: RandomStream, start: int, rows: int):
+    """Iterator that yields one ``Philox`` ``rows`` times, each time at the
+    head of ``stream.substream(start + r)``: its raw words are those of that
+    substream, and a row may draw any number of them in any number of calls."""
+    bitgen = Philox(key=0)
+    # assigning the head state with a new key restarts the generator at the
+    # head of that substream
+    key = list(_philox_key(stream.seed, 0))
+    state = _philox_state(key)
     for substream_id in _substream_ids(stream, start, rows):
         key[1] = substream_id
         bitgen.state = state

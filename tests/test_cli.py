@@ -302,6 +302,16 @@ def test_stable_check_names_a_bad_thread_variable_before_writing(
     assert list(tmp_path.iterdir()) == []
 
 
+def test_simulate_names_a_bad_thread_variable_before_writing(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("LTFSM_THREADS", "abc")
+    out = tmp_path / "path.csv"
+    args = ["simulate", "--alpha", "1.2", "--hurst", "0.5", "--epsilon", "0.8",
+            "--max-points", "64", "--grid", "10", "--seed", "3", "--out", str(out)]
+    assert main(args) == 2
+    assert "LTFSM_THREADS must be an integer >= 1, got 'abc'" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize(
     "flag, value", [("--terms", "0"), ("--terms", "-3"), ("--samples", "1")]
 )

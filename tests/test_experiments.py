@@ -1,5 +1,6 @@
 """Unit tests for the batched Monte Carlo drivers."""
 
+import os
 import tracemalloc
 
 import numpy as np
@@ -35,7 +36,7 @@ from ltfsm.streams import (
 
 def test_resolve_threads_precedence(monkeypatch):
     monkeypatch.delenv("LTFSM_THREADS", raising=False)
-    assert resolve_threads() == 1
+    assert resolve_threads() == len(os.sched_getaffinity(0))
     monkeypatch.setenv("LTFSM_THREADS", "3")
     assert resolve_threads() == 3
     assert resolve_threads(2) == 2
@@ -309,10 +310,21 @@ def test_representation_cf_table_shapes_and_determinism():
         (lambda: tail_moment_sweep(1.2, [4, 4], 10, None), "n_values"),
         (lambda: tail_moment_sweep(1.2, [4], 10, None, factor=0), "factor"),
         (lambda: series_path_ensemble(1.0, 0.5, 2, 2, 0, 8, None), "bandwidth"),
+        (lambda: lepage_marginal_samples(1.2, 10.5, 5, None), "terms"),
+        (lambda: lepage_marginal_samples(1.2, 10, 5.5, None), "n_samples"),
+        (lambda: lepage_marginal_samples(1.2, np.inf, 5, None), "terms"),
+        (lambda: tail_moment_sweep(1.2, [4], 10.5, None), "replicates"),
+        (lambda: tail_moment_sweep(1.2, [4], 10, None, factor=2.5), "factor"),
+        (lambda: series_path_ensemble(1.0, 0.5, 2, 2, 2, 8.5, None), "points"),
+        (lambda: lepage_marginal_samples(1.2, 10, 5, None, threads=1.5), "threads"),
+        (lambda: rwrr_path_ensemble(1.0, 2, 10, None, threads=True), "threads"),
     ],
     ids=["rwrr-n_paths", "lepage-n_samples", "lepage-terms", "sweep-n_values",
          "sweep-fractional-n", "sweep-nan-n", "sweep-inf-n", "sweep-repeated-n",
-         "sweep-factor", "series-bandwidth"],
+         "sweep-factor", "series-bandwidth", "lepage-fractional-terms",
+         "lepage-fractional-n_samples", "lepage-inf-terms", "sweep-fractional-replicates",
+         "sweep-fractional-factor", "series-fractional-points", "lepage-fractional-threads",
+         "rwrr-bool-threads"],
 )
 def test_drivers_reject_bad_counts_by_name_before_drawing(call, name):
     with pytest.raises(ValueError, match=name):
@@ -360,7 +372,7 @@ def test_chunk_rows_are_pinned_for_the_arrival_drivers_and_the_h_half_series():
     assert _chunk_rows(_ARRIVAL_BYTES * 2_000_000) == 1
     assert _chunk_rows(_series_row_bytes(0.5, 64, 256)) == 121
     assert _chunk_rows(_series_row_bytes(0.5, 64, 512)) == 60
-    assert _chunk_rows(_series_row_bytes(0.7, 128, 128)) == 40
+    assert _chunk_rows(_series_row_bytes(0.7, 128, 128)) == 60
 
 
 @pytest.mark.parametrize(

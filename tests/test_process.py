@@ -2,6 +2,8 @@
 
 import math
 import pickle
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -23,7 +25,7 @@ from ltfsm import (
     simulate_rwrr_baseline,
     tune,
 )
-from ltfsm.process import _occupation_curves, _walk_sites
+from ltfsm.process import _occupation_curves, _walk_sites, _work_row
 from ltfsm.streams import RandomStream
 
 
@@ -276,11 +278,100 @@ def test_simulate_ltfsm_follows_the_documented_draw_order(density):
     expect = np.zeros(len(idx))
     for n in range(params.P):
         noise = s.gaussian(2 * m)[None]
-        curve = _occupation_curves(cfg.hurst, m, cfg.horizon, params.k, noise, locations[n], idx)
+        work = np.empty(_work_row(cfg.hurst, m))
+        curve = _occupation_curves(
+            cfg.hurst, m, cfg.horizon, params.k, noise, locations[n], idx, work
+        )
         expect += float(gammas[n]) ** (-1.0 / cfg.alpha) * (float(weights[n]) * curve[0])
     expect[0] = 0.0
     path = simulate_ltfsm(cfg, params, RandomStream(61), density=density)
     assert np.array_equal(path.values, expect)
+
+
+def _draw_order_reference(cfg, params, stream, density):
+    """The documented draw order, one term at a time on one stream."""
+    gammas = poisson_arrivals(params.P, stream)
+    normals = stream.gaussian(params.P)
+    if density == "laplace":
+        locations = stream.laplace_half(params.P)
+        weights = normals * laplace_weight(locations, cfg.alpha)
+    else:
+        locations = stream.gaussian(params.P)
+        weights = normals * gaussian_density_weight(locations, cfg.alpha)
+    expect = np.zeros(cfg.grid_points + 1)
+    for n in range(params.P):
+        gamma = float(gammas[n])
+        m = params.points_for(n + 1, gamma)
+        idx = grid_index(m, cfg.horizon, cfg.grid_times)
+        noise = stream.gaussian(2 * m)[None]
+        work = np.empty(_work_row(cfg.hurst, m))
+        curve = _occupation_curves(
+            cfg.hurst, m, cfg.horizon, params.k, noise, locations[n], idx, work
+        )
+        expect += gamma ** (-1.0 / cfg.alpha) * (float(weights[n]) * curve[0])
+    expect[0] = 0.0
+    return expect
+
+
+# head terms of unequal size, the first ones capped, then a decreasing tail
+_CAPPED = TuningParams(P=7, N=3, k=3, k_power=40.0, head_exp=1.5, tail_exp=0.3, max_points=96)
+
+
+@pytest.mark.parametrize("threads", [1, 2, 3])
+@pytest.mark.parametrize("density", ["laplace", "gaussian"])
+@pytest.mark.parametrize("hurst", [0.3, 0.5, 0.7])
+@pytest.mark.parametrize("params", [flat_params(5, 2, 24), _CAPPED], ids=["flat", "capped"])
+def test_threaded_terms_are_bitwise_the_draw_order_reference(params, hurst, density, threads):
+    cfg = SeriesConfig(alpha=1.3, hurst=hurst, grid_points=9, delta=0.1, delta_prime=0.2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # the cap warnings
+        reference = RandomStream(61)
+        expect = _draw_order_reference(cfg, params, reference, density)
+        stream = RandomStream(61)
+        path = simulate_ltfsm(cfg, params, stream, density=density, threads=threads)
+    assert path.values.tobytes() == expect.tobytes()
+    # the stream is left where the sequential loop leaves it
+    assert np.array_equal(stream.raw(4), reference.raw(4))
+
+
+def test_the_capped_params_have_unequal_head_terms():
+    gammas = poisson_arrivals(_CAPPED.P, RandomStream(61))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        points = [_CAPPED.points_for(n + 1, float(g)) for n, g in enumerate(gammas)]
+    assert points[0] == _CAPPED.max_points and len(caught) >= 1
+    assert len(set(points[: _CAPPED.N])) > 1 and len(set(points[_CAPPED.N :])) > 1
+
+
+def test_cap_warnings_are_the_same_at_any_thread_count():
+    cfg = SeriesConfig(alpha=1.3, hurst=0.7, grid_points=9, delta=0.1, delta_prime=0.2)
+    messages = []
+    for threads in (1, 2):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            simulate_ltfsm(cfg, _CAPPED, RandomStream(61), threads=threads)
+        messages.append([(w.category, str(w.message)) for w in caught])
+    assert messages[0] == messages[1]
+    assert len(messages[0]) >= 1
+
+
+@pytest.mark.parametrize("hurst", [0.5, 0.7])
+def test_threaded_terms_peak_at_their_chunk_buffers(hurst):
+    # two chunks in flight hold one (noise, work) pair each; a per-term
+    # allocation in the workers would add a third of that or more
+    m = 65536
+    cfg = SeriesConfig(alpha=1.2, hurst=hurst, grid_points=200, delta=0.1, delta_prime=0.2)
+    params = flat_params(6, 4, m)
+    simulate_ltfsm(cfg, params, RandomStream(1), threads=2)  # warm the caches
+    tracemalloc.start()
+    try:
+        simulate_ltfsm(cfg, params, RandomStream(2), threads=2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    words = m if hurst == 0.5 else 2 * m  # noise words kept per term
+    pair = 8 * words + 8 * _work_row(hurst, m)
+    assert peak <= 1.10 * 2 * pair
 
 
 class _NoDraws:
@@ -312,7 +403,9 @@ def test_occupation_curves_rows_are_the_per_path_occupation(hurst, rows):
     idx = grid_index(m, horizon, times)
     noise = RandomStream(rows).gaussian(rows * 2 * m).reshape(rows, 2 * m)
     centers = RandomStream(rows + 100).gaussian(rows).reshape(rows, 1) * 0.3
-    curves = _occupation_curves(hurst, m, horizon, k, noise, centers, idx)
+    work = np.empty(rows * _work_row(hurst, m))
+    # the kernel overwrites its noise at H != 1/2
+    curves = _occupation_curves(hurst, m, horizon, k, noise.copy(), centers, idx, work)
     assert curves.shape == (rows, len(idx))
     for r in range(rows):
         fgn = fgn_from_noise(hurst, m, horizon / m, noise[r])
@@ -321,7 +414,7 @@ def test_occupation_curves_rows_are_the_per_path_occupation(hurst, rows):
         expect = discretized_occupation(path, k, float(centers[r, 0]), times).values
         assert np.array_equal(curves[r], expect)
     if hurst == 0.5:  # only the first m normals of a block are read
-        half = _occupation_curves(hurst, m, horizon, k, noise[:, :m].copy(), centers, idx)
+        half = _occupation_curves(hurst, m, horizon, k, noise[:, :m].copy(), centers, idx, work)
         assert np.array_equal(half, curves)
 
 

@@ -4,10 +4,15 @@ import math
 
 import numpy as np
 import pytest
+from numpy.random import Philox
 
 from ltfsm.oracle import sample_stable_oracle
 from ltfsm.streams import (
+    _DRAW_PIECE,
     RandomStream,
+    _cursor,
+    _draw_into,
+    _seek,
     _substream_heads,
     _uniform_in_place,
     poisson_arrivals,
@@ -57,6 +62,31 @@ def test_raw_call_splitting_is_consistent():
     s = RandomStream(7)
     split = np.concatenate([s.raw(5), s.raw(3)])
     assert np.array_equal(split, RandomStream(7).raw(8))
+
+
+def test_seek_reads_the_stream_from_any_word_offset():
+    stream = RandomStream(23, 5)
+    key, start = _cursor(stream)
+    assert start == 0
+    words = stream.raw(30)
+    assert _cursor(stream) == (key, 30)
+    bitgen = Philox(key=0)
+    for offset in range(10):
+        bitgen.random_raw(3)  # what the generator drew before does not matter
+        seated = _seek(bitgen, key, offset)
+        assert np.array_equal(seated.random_raw(20), words[offset : offset + 20])
+    far = 4 * (2**64 + 12345)  # past the low counter word
+    reference = Philox(key=key)
+    reference.advance(far // 4)
+    assert np.array_equal(_seek(bitgen, key, far + 3).random_raw(5), reference.random_raw(8)[3:])
+
+
+def test_draw_into_fills_across_pieces_like_one_raw_call():
+    words = np.zeros(2 * _DRAW_PIECE + 5, dtype=np.uint64)
+    stream = RandomStream(8)
+    _draw_into(stream._bitgen, words[3:])
+    assert np.array_equal(words[3:], RandomStream(8).raw(len(words) - 3))
+    assert np.all(words[:3] == 0)
 
 
 def test_substreams_differ_and_are_reproducible():
