@@ -11,7 +11,8 @@ Chunk sizes follow from one byte budget, ``_CHUNK_BYTES`` (32 MB): each
 driver has a pure model of the peak working bytes of one replicate
 (``_series_row_bytes``, ``_ARRIVAL_BYTES`` per arrival) and a chunk holds as
 many replicates as fit.  The budget applies to each chunk in flight, so with
-``threads`` workers the peak is at most about ``threads * 32 MB``.
+``threads`` workers the peak is at most about ``threads * 32 MB``; the
+default count is therefore at most 2.
 
 A chunk of replicates draws its rows from one reused Philox (see
 :func:`ltfsm.streams._substream_heads`) instead of building one
@@ -41,9 +42,9 @@ large enough that the remaining bias is below Monte Carlo resolution.
 
 Every driver hands its chunk worker to ``_run_chunks`` (shared with
 :func:`ltfsm.process.simulate_ltfsm`).  Chunks run on ``threads=`` workers,
-else ``LTFSM_THREADS``, else as many as this process has CPUs
-(:func:`resolve_threads`); outputs are bitwise identical for any thread
-count.
+else ``LTFSM_THREADS``, else as many as this process has CPUs, but no more
+than add one chunk budget of memory to the first (:func:`resolve_threads`);
+outputs are bitwise identical for any thread count.
 """
 
 from __future__ import annotations

@@ -41,20 +41,21 @@ rows) through ``_DENSITIES``, the one table of the two importance pairs.
 
 Given the head, the terms are independent, and the stream is counter-based,
 so :func:`simulate_ltfsm` runs its terms on threads (``threads=``, else
-``LTFSM_THREADS``, else the CPUs this process may use; see
-:func:`resolve_threads`) through ``_run_chunks``, one block of consecutive
-terms per thread.  The calling thread first works out every term's ``m``
-(so the cap warnings fire there, in term order), the word offset of its
-noise block (``3 P + sum_{j<n} 2 m_j`` from the path's first word) and the
-embedding coefficients of every distinct ``m``; it allocates one (noise,
-work) pair per block, sized at the block's largest ``m``.  A worker seats one Philox at
-each term's offset (:func:`ltfsm.streams._seek`), draws the words the term
-uses (at H = 1/2 the first ``m`` of its ``2 m``) and converts them in place.
-The calling thread sums the curves in arrival order, so the path is bitwise
-that of the sequential loop for any thread count, and leaves the stream
-just past the last noise block.  Each thread holds ``32 m`` bytes at
-H != 1/2 (``16 m`` at H = 1/2) for the block's largest ``m``, and the curves
-take ``8 P (grid_points + 1)`` bytes.
+``LTFSM_THREADS``, else the CPUs this process may use, at most as many as
+add 32 MB of working memory to the first; see :func:`resolve_threads`)
+through ``_run_chunks``, one block of consecutive terms per thread.  The
+calling thread first works out every term's ``m`` (so the cap warnings fire
+there, in term order), the word offset of its noise block (``3 P +
+sum_{j<n} 2 m_j`` from the path's first word) and the embedding
+coefficients of every distinct ``m``; it allocates one (noise, work) pair
+per block, sized at the block's largest ``m``.  A worker seats one Philox
+at each term's offset (:func:`ltfsm.streams._seek`), draws the words the
+term uses (at H = 1/2 the first ``m`` of its ``2 m``) and converts them in
+place.  The calling thread sums the curves in arrival order, so the path is
+bitwise that of the sequential loop for any thread count, and leaves the
+stream just past the last noise block.  Each thread peaks near ``64 m``
+bytes at H != 1/2 (``24 m`` at H = 1/2; ``_term_bytes``) for the largest
+``m``, and the curves take ``8 P (grid_points + 1)`` bytes.
 
 :class:`TuningParams` is plain data: ``P``, ``N``, ``k``, ``k_power =
 k**((2 + delta)/delta')``, ``head_exp = 1/(delta' alpha)``, ``tail_exp =
@@ -92,7 +93,6 @@ from .fbm import _check_horizon, _embedding_coefficients, _half_spectrum
 from .localtime import _check_bandwidth, _phi_k_in_place, grid_index
 from .streams import (
     _cursor,
-    _draw_into,
     _seek,
     _uniform_in_place,
     uniform_to_exponential,
@@ -322,6 +322,16 @@ def _work_row(hurst: float, m: int) -> int:
     return (m + 1) * (1 if hurst == 0.5 else 2)
 
 
+def _term_bytes(hurst: float, m: int) -> int:
+    """Peak working bytes of one :func:`simulate_ltfsm` thread at grid size
+    ``m``: its noise words and work array, plus the larger transient of a
+    term, the raw words drawn (``8 m`` at H = 1/2) or the inverse FFT's own
+    scratch (about ``32 m`` at H != 1/2; a thread at m = 2**18 measured 16 MiB
+    of peak RSS, ``64 m`` bytes in all)."""
+    used = 1 if hurst == 0.5 else 2
+    return 8 * (used * m + _work_row(hurst, m)) + (8 if hurst == 0.5 else 32) * m
+
+
 def _occupation_curves(hurst, m, horizon, bandwidth, noise, centers, idx, work):
     """Row ``r``: the occupation functional at level ``centers[r]`` of the fBm
     path with ``m`` increments driven by row ``r`` of ``noise`` (``2 * m``
@@ -389,20 +399,36 @@ def _check_counts(**counts: int) -> None:
             raise ValueError(f"{name} must be an integer >= 1")
 
 
-def resolve_threads(threads: int | None = None) -> int:
+# Working bytes that the threads of the default count may add to those of the
+# first thread; the batched drivers' chunks hold at most this much each.
+_THREAD_BYTES = 32_000_000
+
+
+def _requested_threads(threads: int | None) -> int | None:
+    """Explicit ``threads``, else ``LTFSM_THREADS``, checked; ``None`` when
+    neither is set."""
+    if threads is not None:
+        _check_counts(threads=threads)
+        return int(threads)
+    env = os.environ.get("LTFSM_THREADS")
+    if env is not None and not (env.strip().isdecimal() and int(env) >= 1):
+        raise ValueError(f"LTFSM_THREADS must be an integer >= 1, got {env!r}")
+    return None if env is None else int(env)
+
+
+def resolve_threads(threads: int | None = None, thread_bytes: int = _THREAD_BYTES) -> int:
     """Worker count: explicit ``threads``, else ``LTFSM_THREADS``, else the
-    CPUs this process may run on."""
-    if threads is None:
-        env = os.environ.get("LTFSM_THREADS")
-        if env is None:
-            if hasattr(os, "sched_getaffinity"):
-                return len(os.sched_getaffinity(0))
-            return os.cpu_count() or 1
-        if not (env.strip().isdecimal() and int(env) >= 1):
-            raise ValueError(f"LTFSM_THREADS must be an integer >= 1, got {env!r}")
-        return int(env)
-    _check_counts(threads=threads)
-    return int(threads)
+    CPUs this process may run on, but no more threads than add
+    ``_THREAD_BYTES`` (32 MB) of working memory to the first when each holds
+    ``thread_bytes`` (by default a full chunk, so at most 2)."""
+    requested = _requested_threads(threads)
+    if requested is not None:
+        return requested
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    return max(1, min(cpus, 1 + _THREAD_BYTES // thread_bytes))
 
 
 def _run_chunks(worker, total: int, chunk_rows: int, threads: int) -> np.ndarray:
@@ -434,7 +460,7 @@ def simulate_ltfsm(
     rectangle of the occupation sums).
     """
     _check_density(density)
-    threads = resolve_threads(threads)
+    requested = _requested_threads(threads)
     alpha, hurst, k, horizon = config.alpha, config.hurst, params.k, config.horizon
     gammas, locations, weights = _series_head(stream.uniform(3 * params.P), alpha, density)
     times = config.grid_times
@@ -450,6 +476,7 @@ def simulate_ltfsm(
             _embedding_coefficients(hurst, m)
     # at H = 1/2 a term reads only the first m words of its 2m-word block
     used = 1 if hurst == 0.5 else 2
+    threads = resolve_threads(requested, _term_bytes(hurst, max(points)))
     chunk_terms = -(-params.P // threads)
     buffers = {}  # chunk start -> (noise words, work), sized at its largest m
     for start in range(0, params.P, chunk_terms):
@@ -463,7 +490,8 @@ def simulate_ltfsm(
         for n in range(start, start + count):
             m = points[n]
             _seek(bitgen, key, offsets[n])
-            noise = _uniform_in_place(_draw_into(bitgen, words[: used * m]))
+            words[: used * m] = bitgen.random_raw(used * m)
+            noise = _uniform_in_place(words[: used * m])
             uniform_to_gaussian(noise, out=noise)
             idx = grid_index(m, horizon, times)
             curves[n - start] = _occupation_curves(

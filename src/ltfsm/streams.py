@@ -279,20 +279,6 @@ def _seek(bitgen: Philox, key: list[int], offset: int) -> Philox:
     return bitgen
 
 
-# Words per ``random_raw`` call of :func:`_draw_into`, which bounds its
-# temporary at 64 KiB.
-_DRAW_PIECE = 1 << 13
-
-
-def _draw_into(bitgen: Philox, words: np.ndarray) -> np.ndarray:
-    """Fill the 1-d ``uint64`` array ``words`` with the next raw words of
-    ``bitgen`` and return it; split calls give the same words."""
-    for start in range(0, len(words), _DRAW_PIECE):
-        piece = words[start : start + _DRAW_PIECE]
-        piece[...] = bitgen.random_raw(len(piece))
-    return words
-
-
 def _substream_heads(stream: RandomStream, start: int, rows: int):
     """Iterator that yields one ``Philox`` ``rows`` times, each time at the
     head of ``stream.substream(start + r)``: its raw words are those of that

@@ -36,9 +36,23 @@ from ltfsm.streams import (
 
 def test_resolve_threads_precedence(monkeypatch):
     monkeypatch.delenv("LTFSM_THREADS", raising=False)
-    assert resolve_threads() == len(os.sched_getaffinity(0))
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)), raising=False)
+    # the default adds at most 32 MB to the first thread: a full chunk each
+    # allows one more thread, whatever the CPUs
+    assert resolve_threads() == 2
+    assert resolve_threads(thread_bytes=1_000_000) == 33
+    assert resolve_threads(thread_bytes=10**9) == 1
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert resolve_threads(thread_bytes=1) == 1
+    # where the affinity call is missing, the CPU count stands in for it
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert resolve_threads(thread_bytes=1_000_000) == 3
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert resolve_threads(thread_bytes=1_000_000) == 1
     monkeypatch.setenv("LTFSM_THREADS", "3")
     assert resolve_threads() == 3
+    assert resolve_threads(thread_bytes=10**9) == 3  # a requested count is taken as given
     assert resolve_threads(2) == 2
     with pytest.raises(ValueError):
         resolve_threads(0)

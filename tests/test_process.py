@@ -1,6 +1,7 @@
 """Unit tests for the tuned simulation of the flagship process."""
 
 import math
+import os
 import pickle
 import tracemalloc
 import warnings
@@ -21,11 +22,19 @@ from ltfsm import (
     gaussian_density_weight,
     laplace_weight,
     poisson_arrivals,
+    process,
     simulate_ltfsm,
     simulate_rwrr_baseline,
     tune,
 )
-from ltfsm.process import _occupation_curves, _walk_sites, _work_row
+from ltfsm.process import (
+    _occupation_curves,
+    _run_chunks,
+    _term_bytes,
+    _walk_sites,
+    _work_row,
+    resolve_threads,
+)
 from ltfsm.streams import RandomStream
 
 
@@ -357,8 +366,8 @@ def test_cap_warnings_are_the_same_at_any_thread_count():
 
 @pytest.mark.parametrize("hurst", [0.5, 0.7])
 def test_threaded_terms_peak_at_their_chunk_buffers(hurst):
-    # two chunks in flight hold one (noise, work) pair each; a per-term
-    # allocation in the workers would add a third of that or more
+    # two chunks in flight hold one (noise, work) pair and one term's raw-word
+    # temporary each; a per-term allocation in the workers adds a pair or more
     m = 65536
     cfg = SeriesConfig(alpha=1.2, hurst=hurst, grid_points=200, delta=0.1, delta_prime=0.2)
     params = flat_params(6, 4, m)
@@ -371,7 +380,27 @@ def test_threaded_terms_peak_at_their_chunk_buffers(hurst):
         tracemalloc.stop()
     words = m if hurst == 0.5 else 2 * m  # noise words kept per term
     pair = 8 * words + 8 * _work_row(hurst, m)
-    assert peak <= 1.10 * 2 * pair
+    assert peak <= 1.10 * 2 * (pair + 8 * words)
+
+
+def test_the_default_thread_count_bounds_the_tuned_path_memory(monkeypatch):
+    monkeypatch.delenv("LTFSM_THREADS", raising=False)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)), raising=False)
+    # at the CLI's cap m = 2**18 one more thread fits in the 32 MB
+    assert resolve_threads(None, _term_bytes(0.7, 2**18)) == 2
+    counts = []
+
+    def spy(worker, total, chunk_rows, threads):
+        counts.append(threads)
+        return _run_chunks(worker, total, chunk_rows, threads)
+
+    monkeypatch.setattr(process, "_run_chunks", spy)
+    monkeypatch.setattr(process, "_THREAD_BYTES", 2 * _term_bytes(0.7, 24))
+    cfg = SeriesConfig(alpha=1.3, hurst=0.7, grid_points=9, delta=0.1, delta_prime=0.2)
+    params = flat_params(5, 2, 24)
+    path = simulate_ltfsm(cfg, params, RandomStream(61))
+    assert counts == [3]
+    assert np.array_equal(path.values, simulate_ltfsm(cfg, params, RandomStream(61), threads=1).values)
 
 
 class _NoDraws:

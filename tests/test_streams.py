@@ -8,10 +8,8 @@ from numpy.random import Philox
 
 from ltfsm.oracle import sample_stable_oracle
 from ltfsm.streams import (
-    _DRAW_PIECE,
     RandomStream,
     _cursor,
-    _draw_into,
     _seek,
     _substream_heads,
     _uniform_in_place,
@@ -79,14 +77,6 @@ def test_seek_reads_the_stream_from_any_word_offset():
     reference = Philox(key=key)
     reference.advance(far // 4)
     assert np.array_equal(_seek(bitgen, key, far + 3).random_raw(5), reference.random_raw(8)[3:])
-
-
-def test_draw_into_fills_across_pieces_like_one_raw_call():
-    words = np.zeros(2 * _DRAW_PIECE + 5, dtype=np.uint64)
-    stream = RandomStream(8)
-    _draw_into(stream._bitgen, words[3:])
-    assert np.array_equal(words[3:], RandomStream(8).raw(len(words) - 3))
-    assert np.all(words[:3] == 0)
 
 
 def test_substreams_differ_and_are_reproducible():
