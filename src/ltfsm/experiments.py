@@ -7,27 +7,31 @@ single-path operation, so results are independent of the worker count
 driver reduces its replicates only after ``_run_chunks`` has put them back
 together.
 
-Chunk sizes follow from one byte budget, ``_CHUNK_BYTES`` (32 MB): each
+Chunk sizes follow from one byte budget, ``_CHUNK_BYTES`` (8 MB): each
 driver has a pure model of the peak working bytes of one replicate
 (``_series_row_bytes``, ``_ARRIVAL_BYTES`` per arrival) and a chunk holds as
-many replicates as fit.  The budget applies to each chunk in flight, so with
-``threads`` workers the peak is at most about ``threads * 32 MB``; the
-default count is therefore at most 2.
+many replicates as fit.  Each thread of a chunked driver allocates one
+buffer set, sized for one chunk (or for the whole call, if that is smaller),
+on the first chunk it runs and reuses it for every later one
+(``_thread_buffers``), so no chunk faults fresh pages in.  With ``threads``
+workers the peak is at most about ``threads * 8 MB``; the default count of
+the series and LePage drivers is therefore at most 5.
 
 A chunk of replicates draws its rows from one reused Philox (see
 :func:`ltfsm.streams._substream_heads`) instead of building one
 :class:`~ltfsm.streams.RandomStream` per replicate.  The series ensemble
-copies each row's words into preallocated ``uint64`` head and noise buffers
+copies each row's words into its thread's ``uint64`` head and noise buffers
 (at H = 1/2 only the used half of each noise block), converts them to
 uniforms in place and runs ``ndtri`` into the same memory; the occupation
-kernel then works in those normals and one work array per chunk.  The
+kernel then works in those normals and the thread's work array, and the
+terms are summed in arrival order in the curves' own memory.  The
 random-walk ensemble runs the walk kernel of
 :func:`ltfsm.process.simulate_rwrr_baseline` row by row, so its rows equal
 that function's paths bitwise; a row is a dozen short NumPy calls that hold
 the interpreter lock, so more threads do not speed it up.
 The arrival-series drivers (:func:`lepage_marginal_samples`,
 :func:`tail_moment_sweep`) share one chunk worker, ``_arrival_sums``, that
-draws each chunk into two C-contiguous ``uint64`` blocks, the exponential
+draws each chunk into its thread's two ``uint64`` buffers, the exponential
 words and the sign words.  The exponential block becomes uniforms, arrival
 times and powers in its own memory, and the Rademacher signs are applied as
 sign-bit flips from the sign block (see the :mod:`ltfsm.streams` docstring),
@@ -43,13 +47,14 @@ large enough that the remaining bias is below Monte Carlo resolution.
 Every driver hands its chunk worker to ``_run_chunks`` (shared with
 :func:`ltfsm.process.simulate_ltfsm`).  Chunks run on ``threads=`` workers,
 else ``LTFSM_THREADS``, else as many as this process has CPUs, but no more
-than add one chunk budget of memory to the first (:func:`resolve_threads`);
-outputs are bitwise identical for any thread count.
+than add 32 MB of buffers to the first (:func:`resolve_threads`); outputs
+are bitwise identical for any thread count.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -91,13 +96,14 @@ __all__ = [
 
 
 # Peak working bytes of one chunk in flight (see the module docstring).
-_CHUNK_BYTES = 32_000_000
+_CHUNK_BYTES = 8_000_000
 
 # Arrival-series drivers, per arrival: the chunk holds 16 B of words (the
 # exponential and at most one sign word), converted in place.  The budget is
-# held at 32 B, so a chunk in flight peaks near half of ``_CHUNK_BYTES``:
-# budgeting the true 16 B doubles the rows, and it raised the peak RSS of the
-# ``marginal`` bench workload (1 000 arrivals) from 72 to 87 MiB.
+# held at 32 B, so a chunk in flight peaks near half of ``_CHUNK_BYTES``
+# (250 rows at 1 000 arrivals): budgeting the true 16 B doubles the rows, and
+# it raised the peak RSS of the ``marginal`` bench workload from 62.4 to
+# 65.1 MiB, with no measurable time gain.
 _ARRIVAL_BYTES = 32
 
 
@@ -105,6 +111,22 @@ def _chunk_rows(bytes_per_row: int) -> int:
     """Rows per chunk for replicates of ``bytes_per_row`` peak working bytes:
     as many as ``_CHUNK_BYTES`` holds, and at least 1."""
     return max(1, _CHUNK_BYTES // bytes_per_row)
+
+
+def _thread_buffers(rows: int, *layouts):
+    """``take(count)``: the leading ``count`` rows of each of the calling
+    thread's chunk buffers, one ``(rows, *row_shape)`` array per
+    ``(row_shape, dtype)`` in ``layouts``.  A thread allocates its set on its
+    first call and reuses it for every later chunk of the driver call, so no
+    chunk faults fresh pages in; the set goes with the driver call."""
+    local = threading.local()
+
+    def take(count: int) -> list[np.ndarray]:
+        if not hasattr(local, "buffers"):
+            local.buffers = [np.empty((rows, *shape), dtype) for shape, dtype in layouts]
+        return [buf[:count] for buf in local.buffers]
+
+    return take
 
 
 # -- flat-parameter series ensemble -------------------------------------------
@@ -121,6 +143,19 @@ def _series_row_bytes(hurst: float, terms: int, points: int) -> int:
     p, m = terms, points
     noise = p * (m if hurst == 0.5 else 2 * m)
     return 8 * (3 * p + noise) + 8 * p * _work_row(hurst, m)
+
+
+def _arrival_order_sum(coef: np.ndarray, curves: np.ndarray) -> np.ndarray:
+    """``sum_n coef[:, n] * curves[:, n, :]`` in increasing-arrival order,
+    bitwise the loop ``out = zeros; out += coef[:, n:n+1] * curves[:, n, :]``,
+    as a fresh C-ordered array; ``curves`` is overwritten.
+
+    ``cumsum`` adds the terms one by one, as the loop does; ``+ 0.0`` turns
+    a column whose every term is -0.0 into +0.0, as the sum from zeros does.
+    """
+    curves *= coef[:, :, None]
+    np.cumsum(curves, axis=1, out=curves)
+    return np.add(curves[:, -1, :], 0.0, out=np.empty((len(curves), curves.shape[2])))
 
 
 def series_path_ensemble(
@@ -151,7 +186,7 @@ def series_path_ensemble(
     _check_density(density)
     _check_counts(n_paths=n_paths, terms=terms, points=points, grid_points=grid_points)
     _check_bandwidth(bandwidth)
-    threads = resolve_threads(threads)
+    threads = resolve_threads(threads, _CHUNK_BYTES)
     m = points
     p = terms
     idx = grid_index(m, horizon, np.arange(grid_points + 1) * (horizon / grid_points))
@@ -160,28 +195,30 @@ def series_path_ensemble(
     # every word is still drawn, but the rest are never kept
     used = m if hurst == 0.5 else 2 * m
 
+    chunk_rows = _chunk_rows(_series_row_bytes(hurst, terms, points))
+    buffers = _thread_buffers(
+        min(chunk_rows, n_paths),
+        ((3 * p,), np.uint64),
+        ((p, used), np.uint64),
+        ((p * _work_row(hurst, m),), np.float64),
+    )
+
     def worker(start: int, rows: int) -> np.ndarray:
-        head = np.empty((rows, 3 * p), dtype=np.uint64)
-        noise = np.empty((rows, p, used), dtype=np.uint64)
+        head, noise, work = buffers(rows)
         for r, bitgen in enumerate(_substream_heads(stream, start, rows)):
             head[r] = bitgen.random_raw(3 * p)
             noise[r] = bitgen.random_raw(p * 2 * m).reshape(p, 2 * m)[:, :used]
         gammas, locations, weights = _series_head(_uniform_in_place(head), alpha, density)
         normals = _uniform_in_place(noise)
         uniform_to_gaussian(normals, out=normals)
-        work = np.empty(rows * p * _work_row(hurst, m))
         curves = _occupation_curves(
             hurst, m, horizon, bandwidth, normals.reshape(rows * p, used),
-            locations.reshape(rows * p, 1), idx, work,
+            locations.reshape(rows * p, 1), idx, work.reshape(-1),
         ).reshape(rows, p, len(idx))
-        coef = gammas ** (-1.0 / alpha) * weights
-        out = np.zeros((rows, len(idx)))
-        for n in range(p):  # increasing-arrival order
-            out += coef[:, n : n + 1] * curves[:, n, :]
+        out = _arrival_order_sum(gammas ** (-1.0 / alpha) * weights, curves)
         out[:, 0] = 0.0
         return out
 
-    chunk_rows = _chunk_rows(_series_row_bytes(hurst, terms, points))
     return _run_chunks(worker, n_paths, chunk_rows, threads)
 
 
@@ -350,16 +387,19 @@ def _arrival_sums(
     * eps_n``.  Replicate ``j`` consumes from ``stream.substream(j)``:
     ``arrivals`` exponentials, then ``arrivals - skip`` signs."""
     signs = arrivals - skip
+    chunk_rows = _chunk_rows(_ARRIVAL_BYTES * arrivals)
+    buffers = _thread_buffers(
+        min(chunk_rows, count), ((arrivals,), np.uint64), ((signs,), np.uint64)
+    )
 
     def worker(start: int, rows: int) -> np.ndarray:
-        exp = np.empty((rows, arrivals), dtype=np.uint64)
-        sgn = np.empty((rows, signs), dtype=np.uint64)
+        exp, sgn = buffers(rows)
         for r, bitgen in enumerate(_substream_heads(stream, start, rows)):
             exp[r] = bitgen.random_raw(arrivals)
             sgn[r] = bitgen.random_raw(signs)
         return _signed_arrival_sums(exp, sgn, skip, alpha)
 
-    return _run_chunks(worker, count, _chunk_rows(_ARRIVAL_BYTES * arrivals), threads)
+    return _run_chunks(worker, count, chunk_rows, threads)
 
 
 def lepage_marginal_samples(
@@ -377,7 +417,8 @@ def lepage_marginal_samples(
     if not 0.0 < alpha < 2.0:
         raise ValueError("alpha must lie in (0, 2)")
     _check_counts(terms=terms, n_samples=n_samples)
-    return _arrival_sums(alpha, terms, 0, n_samples, stream, resolve_threads(threads))
+    threads = resolve_threads(threads, _CHUNK_BYTES)
+    return _arrival_sums(alpha, terms, 0, n_samples, stream, threads)
 
 
 @dataclass(frozen=True)

@@ -400,7 +400,7 @@ def _check_counts(**counts: int) -> None:
 
 
 # Working bytes that the threads of the default count may add to those of the
-# first thread; the batched drivers' chunks hold at most this much each.
+# first thread.
 _THREAD_BYTES = 32_000_000
 
 
@@ -420,7 +420,8 @@ def resolve_threads(threads: int | None = None, thread_bytes: int = _THREAD_BYTE
     """Worker count: explicit ``threads``, else ``LTFSM_THREADS``, else the
     CPUs this process may run on, but no more threads than add
     ``_THREAD_BYTES`` (32 MB) of working memory to the first when each holds
-    ``thread_bytes`` (by default a full chunk, so at most 2)."""
+    ``thread_bytes`` (by default all 32 MB, so at most 2; the series and
+    LePage ensembles pass their 8 MB chunk budget, so at most 5)."""
     requested = _requested_threads(threads)
     if requested is not None:
         return requested

@@ -1,7 +1,9 @@
 """Unit tests for the batched Monte Carlo drivers."""
 
 import os
+import sys
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -22,8 +24,11 @@ from ltfsm import (
 from ltfsm import experiments
 from ltfsm.experiments import (
     _ARRIVAL_BYTES,
+    _CHUNK_BYTES,
+    _arrival_order_sum,
     _chunk_rows,
     _series_row_bytes,
+    _thread_buffers,
     resolve_threads,
 )
 from ltfsm.streams import (
@@ -379,14 +384,14 @@ def test_random_walk_drivers_reject_a_non_finite_horizon_before_any_draw(horizon
 
 def test_chunk_rows_are_pinned_for_the_arrival_drivers_and_the_h_half_series():
     # the rows pin the arrival drivers' memory, not their bits: these equal
-    # 2 000 000-word chunks for every arrival count, and a chunk holds half
-    # the 32 MB budget (see test_arrival_chunk_peaks_at_its_words)
-    for n in (1, 7, 1000, 2000, 2560, 999_999, 1_000_000):
-        assert _chunk_rows(_ARRIVAL_BYTES * n) == 1_000_000 // n
-    assert _chunk_rows(_ARRIVAL_BYTES * 2_000_000) == 1
-    assert _chunk_rows(_series_row_bytes(0.5, 64, 256)) == 121
-    assert _chunk_rows(_series_row_bytes(0.5, 64, 512)) == 60
-    assert _chunk_rows(_series_row_bytes(0.7, 128, 128)) == 60
+    # 500 000-word chunks for every arrival count, and a chunk holds half
+    # the 8 MB budget (see test_arrival_chunk_peaks_at_its_words)
+    for n in (1, 7, 1000, 2000, 2560, 249_999, 250_000):
+        assert _chunk_rows(_ARRIVAL_BYTES * n) == 250_000 // n
+    assert _chunk_rows(_ARRIVAL_BYTES * 500_000) == 1
+    assert _chunk_rows(_series_row_bytes(0.5, 64, 256)) == 30
+    assert _chunk_rows(_series_row_bytes(0.5, 64, 512)) == 15
+    assert _chunk_rows(_series_row_bytes(0.7, 128, 128)) == 15
 
 
 @pytest.mark.parametrize(
@@ -456,3 +461,138 @@ def test_lepage_samples_are_bitwise_invariant_to_the_chunk_budget(monkeypatch, t
     monkeypatch.setattr(experiments, "_CHUNK_BYTES", 3 * _ARRIVAL_BYTES * 50)
     assert _chunk_rows(_ARRIVAL_BYTES * 50) == 3
     assert draw() == whole
+
+
+# -- one reused buffer set per thread
+
+
+def test_thread_buffers_are_reused_within_a_thread_and_apart_across_threads():
+    take = _thread_buffers(5, ((3,), np.uint64), ((2, 4), np.float64))
+    head, work = take(5)
+    assert head.shape == (5, 3) and head.dtype == np.uint64
+    assert work.shape == (5, 2, 4) and work.dtype == np.float64
+    # a later chunk in the same thread gets leading rows of the same memory,
+    # C-contiguous, so words still convert to uniforms in place
+    again_head, again_work = take(2)
+    assert again_head.shape == (2, 3) and again_head.flags.c_contiguous
+    assert again_work.flags.c_contiguous
+    assert again_head.__array_interface__["data"] == head.__array_interface__["data"]
+    assert again_work.__array_interface__["data"] == work.__array_interface__["data"]
+    # another thread gets its own set
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        other_head, _ = pool.submit(take, 5).result()
+    assert not np.shares_memory(other_head, head)
+    # another driver call gets its own set
+    assert not np.shares_memory(_thread_buffers(5, ((3,), np.uint64))(5)[0], head)
+
+
+def test_thread_buffers_stay_apart_under_many_threads_and_frequent_switches(monkeypatch):
+    # more threads than cores, many chunks each and a short switch interval:
+    # a buffer set shared between threads would mix rows of two chunks
+    def draw(threads):
+        return (
+            series_path_ensemble(1.2, 0.7, 40, 4, 2, 16, RandomStream(8), grid_points=4,
+                                 threads=threads).tobytes()
+            + lepage_marginal_samples(1.2, 50, 40, RandomStream(8), threads=threads).tobytes()
+        )
+
+    whole = draw(1)
+    monkeypatch.setattr(experiments, "_CHUNK_BYTES", 3 * _ARRIVAL_BYTES * 50)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        assert draw(6) == whole
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def _loop_arrival_order_sum(coef, curves):
+    out = np.zeros((curves.shape[0], curves.shape[2]))
+    for n in range(curves.shape[1]):
+        out += coef[:, n : n + 1] * curves[:, n, :]
+    return out
+
+
+def test_arrival_order_sum_is_bitwise_the_loop_and_turns_negative_zero_columns_positive():
+    rng = np.random.default_rng(4)
+    rows, terms, columns = 3, 5, 4
+    # F-ordered, as the kernel's fancy-indexed curves are
+    curves = np.asfortranarray(rng.standard_normal((rows * terms, columns))).reshape(
+        rows, terms, columns
+    )
+    coef = rng.standard_normal((rows, terms))
+    coef[0] = -np.abs(coef[0])  # every coefficient of row 0 negative
+    curves[0, :, 1] = 0.0  # so every term of this column is -0.0
+    curves[1, :, 2] = -0.0
+    coef[1, 0] = -1.0  # a negative first coefficient over +-0.0 terms
+    curves[2, :, 3] = 0.0
+    curves[2, 1:, 3] = -0.0
+    expected = _loop_arrival_order_sum(coef, curves.copy())
+    out = _arrival_order_sum(coef, curves)
+    assert out.flags.c_contiguous and not np.shares_memory(out, curves)
+    assert out.tobytes() == expected.tobytes()
+    assert not np.signbit(out[0, 1]) and not np.signbit(out[1, 2])
+
+
+def test_ensembles_with_many_chunks_peak_at_one_chunk():
+    # a buffer set kept per chunk, not per thread, would grow with the chunks
+    hurst, terms, points = 0.7, 128, 128
+    row_bytes = _series_row_bytes(hurst, terms, points)
+    rows = _chunk_rows(row_bytes)
+    peak = _traced_peak(
+        series_path_ensemble, 1.2, hurst, 4 * rows + 1, terms, 8, points, RandomStream(3),
+        threads=1,
+    )
+    assert peak <= 1.10 * rows * row_bytes
+    arrivals = 1000
+    rows = _chunk_rows(_ARRIVAL_BYTES * arrivals)
+    peak = _traced_peak(
+        lepage_marginal_samples, 1.2, arrivals, 4 * rows + 1, RandomStream(3), threads=1
+    )
+    assert peak <= 1.10 * rows * 16 * arrivals
+
+
+def test_ensembles_smaller_than_a_chunk_size_their_buffers_to_the_call():
+    hurst, terms, points = 0.7, 128, 128
+    row_bytes = _series_row_bytes(hurst, terms, points)
+    n_paths = _chunk_rows(row_bytes) // 2
+    peak = _traced_peak(
+        series_path_ensemble, 1.2, hurst, n_paths, terms, 8, points, RandomStream(3),
+        threads=1,
+    )
+    assert peak <= 1.10 * n_paths * row_bytes
+    arrivals, n_samples = 1000, 20
+    peak = _traced_peak(
+        lepage_marginal_samples, 1.2, arrivals, n_samples, RandomStream(3), threads=1
+    )
+    assert peak <= 1.10 * n_samples * 16 * arrivals
+
+
+def _traced_peak(driver, *args, **kwargs) -> int:
+    tracemalloc.start()
+    try:
+        driver(*args, **kwargs)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_chunk_drivers_default_to_as_many_threads_as_their_chunk_budget_allows(monkeypatch):
+    # each thread holds one 8 MB buffer set, so the default adds at most
+    # 32 MB: 5 threads, however many CPUs
+    monkeypatch.delenv("LTFSM_THREADS", raising=False)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)), raising=False)
+    assert resolve_threads(thread_bytes=_CHUNK_BYTES) == 5
+    counts = []
+    run_chunks = experiments._run_chunks
+
+    def recording(worker, total, chunk_rows, threads):
+        counts.append(threads)
+        return run_chunks(worker, total, chunk_rows, threads)
+
+    monkeypatch.setattr(experiments, "_run_chunks", recording)
+    series_path_ensemble(1.2, 0.7, 3, 4, 2, 16, RandomStream(5), grid_points=4)
+    lepage_marginal_samples(1.2, 30, 5, RandomStream(5))
+    # the random-walk ensemble holds no chunk buffers and keeps the 32 MB rule
+    rwrr_path_ensemble(1.2, 3, 10, RandomStream(5))
+    assert counts == [5, 5, 2]

@@ -105,6 +105,27 @@ def test_half_spectrum_synthesis_matches_the_full_spectrum_reference(hurst, m, r
     assert np.max(np.abs(out - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
+@pytest.mark.parametrize("hurst", [0.3, 0.7])
+def test_half_spectrum_is_bitwise_the_negated_product_form(hurst):
+    m = 8
+    noise = RandomStream(7).gaussian(3 * 2 * m).reshape(3, 2 * m)
+    noise[0] = 0.0
+    noise[1] = -0.0
+    noise[2, ::2] = -np.abs(noise[2, ::2])
+    noise[2, 1::4] = -0.0
+    noise[2, 3::4] = 5e-324  # subnormal
+    half = fbm_module._half_spectrum(hurst, noise, np.empty((3, m + 1), dtype=complex))
+    coef = fbm_module._embedding_coefficients(hurst, m)
+    expected = np.empty((3, m + 1), dtype=complex)
+    expected.real[:, :m] = noise[:, :m] * coef[:m]
+    expected.real[:, m] = coef[m] * noise[:, m]
+    expected.imag[:, 1:m] = np.negative(noise[:, m + 1 :] * coef[1:m])
+    expected.imag[:, 0] = 0.0
+    expected.imag[:, m] = 0.0
+    assert half.tobytes() == expected.tobytes()
+    assert np.signbit(half.imag[0, 1:m]).all() and not np.signbit(half.imag[1, 1:m]).any()
+
+
 def test_noise_block_length_is_validated():
     with pytest.raises(ValueError):
         fgn_from_noise(0.3, 8, 0.1, np.zeros(15))
