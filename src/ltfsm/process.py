@@ -55,7 +55,12 @@ place.  The calling thread sums the curves in arrival order, so the path is
 bitwise that of the sequential loop for any thread count, and leaves the
 stream just past the last noise block.  Each thread peaks near ``64 m``
 bytes at H != 1/2 (``24 m`` at H = 1/2; ``_term_bytes``) for the largest
-``m``, and the curves take ``8 P (grid_points + 1)`` bytes.
+``m``, and the curves take ``8 P (grid_points + 1)`` bytes.  A path whose
+largest term alone needs more than the machine's physical memory
+(``_physical_bytes``; an uncapped tune at small ``epsilon`` asks for
+billions of points) is refused with ``ValueError`` before any embedding
+coefficient, buffer or noise word; where ``os.sysconf`` cannot tell the
+memory size, there is no check.
 
 :class:`TuningParams` is plain data: ``P``, ``N``, ``k``, ``k_power =
 k**((2 + delta)/delta')``, ``head_exp = 1/(delta' alpha)``, ``tail_exp =
@@ -332,6 +337,15 @@ def _term_bytes(hurst: float, m: int) -> int:
     return 8 * (used * m + _work_row(hurst, m)) + (8 if hurst == 0.5 else 32) * m
 
 
+def _physical_bytes() -> int | None:
+    """Physical memory of this machine in bytes; ``None`` where
+    ``os.sysconf`` cannot tell."""
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return None
+
+
 def _occupation_curves(hurst, m, horizon, bandwidth, noise, centers, idx, work):
     """Row ``r``: the occupation functional at level ``centers[r]`` of the fBm
     path with ``m`` increments driven by row ``r`` of ``noise`` (``2 * m``
@@ -467,9 +481,18 @@ def simulate_ltfsm(
     times = config.grid_times
     # before any noise is drawn, in this thread: the grid sizes (so the cap
     # warnings fire here, in term order, and an overflow before any work),
-    # the word offset of every noise block and the embedding coefficients
-    # (the cache has no lock; ascending, so the largest stay cached)
+    # the memory check, the word offset of every noise block and the embedding
+    # coefficients (the cache has no lock; ascending, so the largest stay cached)
     points = [params.points_for(n + 1, float(gamma)) for n, gamma in enumerate(gammas)]
+    largest = max(points)
+    term_bytes = _term_bytes(hurst, largest)
+    memory = _physical_bytes()
+    if memory is not None and term_bytes > memory:
+        raise ValueError(
+            f"the largest term (m = {largest}) needs about {term_bytes / 2**30:.1f} GiB "
+            f"of working memory, more than the {memory / 2**30:.1f} GiB of this machine; "
+            "cap the grid size with max_points"
+        )
     key, head_end = _cursor(stream)
     offsets = list(accumulate((2 * m for m in points), initial=head_end))
     if hurst != 0.5:
@@ -477,7 +500,7 @@ def simulate_ltfsm(
             _embedding_coefficients(hurst, m)
     # at H = 1/2 a term reads only the first m words of its 2m-word block
     used = 1 if hurst == 0.5 else 2
-    threads = resolve_threads(requested, _term_bytes(hurst, max(points)))
+    threads = resolve_threads(requested, term_bytes)
     chunk_terms = -(-params.P // threads)
     buffers = {}  # chunk start -> (noise words, work), sized at its largest m
     for start in range(0, params.P, chunk_terms):

@@ -13,15 +13,16 @@ first admissible index dominates the tail.  The budget functions below bound
 the q-th moment of the tail left after truncating at N terms, and of the
 inner-curve approximation error accumulated between terms N+1 and P.  All
 Gamma-function ratios are evaluated in log space (``gammaln``) for stability
-at large arguments.
+at large arguments.  :func:`bound_B_q` (for q != 2) and :func:`bound_H_nq`
+import ``scipy.special.gammaln`` when they first need it, after their own
+argument checks, so importing this module does not load ``scipy.special``
+(about 26 MiB of resident memory; see :mod:`ltfsm.streams`).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
-
-from scipy.special import gammaln
 
 __all__ = [
     "bound_B_q",
@@ -44,6 +45,8 @@ def bound_B_q(q: float) -> float:
         raise ValueError("q must be finite and >= 2")
     if q == 2.0:
         return 1.0
+    from scipy.special import gammaln  # loaded on first use; see the module docstring
+
     log_val = 0.5 * math.log(2.0) + (
         gammaln((q + 1.0) / 2.0) - 0.5 * math.log(math.pi)
     ) / q
@@ -59,6 +62,8 @@ def bound_H_nq(n: int, q: float, alpha: float) -> float:
     r = q / alpha
     if not (float(n).is_integer() and n > r):
         raise ValueError("n must be an integer that exceeds q / alpha")
+    from scipy.special import gammaln  # loaded on first use; see the module docstring
+
     return float(math.exp(gammaln(n - r) + r * math.log(n) - gammaln(n)))
 
 

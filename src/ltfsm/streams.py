@@ -56,6 +56,15 @@ multiplying a float by ``+-1.0`` only flips its sign bit.  A kernel that holds
 raw words may therefore apply signs by XOR-ing the complement of each sign
 word's top bit into the float's sign bit, bitwise equal to
 ``x * uniform_to_rademacher(raw_to_uniform(w))``.
+
+Start-up: :func:`uniform_to_gaussian` imports ``scipy.special.ndtri`` on its
+first call, not at module import.  The LePage marginal path draws only
+uniforms, exponentials and signs, and the ``scipy.special`` import costs
+about 26 MiB of resident memory and a quarter of a second, so ``import
+ltfsm``, ``ltfsm --help``, ``stable-check`` and the option checks of every
+command run without it.  The first Gaussian draw loads it (the first
+Gamma-function bound too, see :mod:`ltfsm.shotnoise`); the import lock makes
+a first call from several threads at once safe.
 """
 
 from __future__ import annotations
@@ -64,7 +73,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.random import Philox
-from scipy.special import ndtri
 
 __all__ = [
     "RandomStream",
@@ -137,6 +145,8 @@ def uniform_to_exponential(u: np.ndarray) -> np.ndarray:
 def uniform_to_gaussian(u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Standard normal via the inverse CDF (into ``out`` when given, which
     may be ``u`` itself)."""
+    from scipy.special import ndtri  # loaded at the first draw; see the module docstring
+
     return ndtri(u, out=out)
 
 

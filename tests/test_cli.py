@@ -5,7 +5,7 @@ import re
 import numpy as np
 import pytest
 
-from ltfsm import SeriesConfig, flat_params, simulate_ltfsm, tune
+from ltfsm import SeriesConfig, flat_params, process, simulate_ltfsm, tune
 from ltfsm.cli import _COMMANDS, main
 from ltfsm.streams import RandomStream
 
@@ -157,6 +157,16 @@ def test_simulate_rejects_an_unknown_density_before_writing(tmp_path, capsys):
     code, out = _simulate(tmp_path, "p.csv", ["--density", "poisson"])
     assert code == 2
     assert "density must be" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []  # no CSV and no manifest
+
+
+def test_simulate_refuses_a_term_larger_than_physical_memory_before_writing(
+    tmp_path, capsys, monkeypatch
+):
+    monkeypatch.setattr(process, "_physical_bytes", lambda: 1024)
+    code, out = _simulate(tmp_path, "big.csv")
+    assert code == 2
+    assert "GiB of this machine" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []  # no CSV and no manifest
 
 

@@ -29,13 +29,14 @@ from ltfsm import (
 )
 from ltfsm.process import (
     _occupation_curves,
+    _physical_bytes,
     _run_chunks,
     _term_bytes,
     _walk_sites,
     _work_row,
     resolve_threads,
 )
-from ltfsm.streams import RandomStream
+from ltfsm.streams import RandomStream, _cursor
 
 
 # -- configuration validation -----------------------------------------------------
@@ -401,6 +402,48 @@ def test_the_default_thread_count_bounds_the_tuned_path_memory(monkeypatch):
     path = simulate_ltfsm(cfg, params, RandomStream(61))
     assert counts == [3]
     assert np.array_equal(path.values, simulate_ltfsm(cfg, params, RandomStream(61), threads=1).values)
+
+
+def _must_not_run(*args, **kwargs):
+    raise AssertionError("ran after the memory check")
+
+
+def test_a_term_larger_than_physical_memory_is_refused_before_any_noise(monkeypatch):
+    cfg = SeriesConfig(alpha=1.3, hurst=0.7, grid_points=9, delta=0.1, delta_prime=0.2)
+    params = flat_params(5, 2, 24)
+    monkeypatch.setattr(process, "_physical_bytes", lambda: _term_bytes(0.7, 24) - 1)
+    monkeypatch.setattr(process, "_embedding_coefficients", _must_not_run)
+    monkeypatch.setattr(process, "_run_chunks", _must_not_run)
+    stream = RandomStream(61)
+    with pytest.raises(ValueError, match=r"m = 24.*more than the .* GiB of this machine"):
+        simulate_ltfsm(cfg, params, stream)
+    assert _cursor(stream)[1] == 3 * params.P  # the head only, no noise word
+
+
+@pytest.mark.parametrize("memory", ["exact", "unknown"])
+def test_a_term_that_fits_in_memory_or_an_unknown_size_runs(monkeypatch, memory):
+    cfg = SeriesConfig(alpha=1.3, hurst=0.7, grid_points=9, delta=0.1, delta_prime=0.2)
+    params = flat_params(5, 2, 24)
+    expect = simulate_ltfsm(cfg, params, RandomStream(61), threads=1)
+    probe = _term_bytes(0.7, 24) if memory == "exact" else None
+    monkeypatch.setattr(process, "_physical_bytes", lambda: probe)
+    path = simulate_ltfsm(cfg, params, RandomStream(61), threads=1)
+    assert path.values.tobytes() == expect.values.tobytes()
+
+
+def test_the_memory_probe_reads_sysconf_or_gives_none(monkeypatch):
+    memory = _physical_bytes()
+    assert memory is None or (isinstance(memory, int) and memory > 0)
+
+    def sysconf_without_phys_pages(name):
+        if name != "SC_PAGE_SIZE":
+            raise ValueError("unrecognized configuration name")
+        return 4096
+
+    monkeypatch.setattr(os, "sysconf", sysconf_without_phys_pages)
+    assert _physical_bytes() is None
+    monkeypatch.delattr(os, "sysconf")
+    assert _physical_bytes() is None
 
 
 class _NoDraws:
