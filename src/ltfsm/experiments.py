@@ -7,31 +7,36 @@ single-path operation, so results are independent of the worker count
 driver reduces its replicates only after ``_run_chunks`` has put them back
 together.
 
-Chunk sizes follow from one byte budget, ``_CHUNK_BYTES`` (8 MB): each
-driver has a pure model of the peak working bytes of one replicate
-(``_series_row_bytes``, ``_ARRIVAL_BYTES`` per arrival) and a chunk holds as
-many replicates as fit.  Each thread of a chunked driver allocates one
-buffer set, sized for one chunk (or for the whole call, if that is smaller),
-on the first chunk it runs and reuses it for every later one
-(``_thread_buffers``), so no chunk faults fresh pages in.  With ``threads``
-workers the peak is at most about ``threads * 8 MB``; the default count of
-the series and LePage drivers is therefore at most 5.
+Every driver hands its chunk worker to ``_run_chunks`` (shared with
+:func:`ltfsm.process.simulate_ltfsm`), the only code that allocates chunk
+memory: the calling thread makes one buffer set per chunk that can run at
+once, and each chunk borrows a free set and takes its leading rows.  Chunk
+sizes follow from one byte budget, ``_CHUNK_BYTES`` (8 MB): each driver has
+a pure model of the peak working bytes of one replicate
+(``_series_row_bytes``, ``_ARRIVAL_BYTES`` per arrival), and a set holds as
+many replicates as fit, or the whole call if that is smaller.  A replicate
+that alone needs more than physical memory is refused with ``ValueError``
+before any substream is drawn.  Chunks run on ``threads=`` workers, else
+``LTFSM_THREADS``, else the CPUs, but no more than add 32 MB of buffers to
+the first (:func:`resolve_threads`; at most 5 for the series and LePage
+drivers); outputs are bitwise identical for any thread count.
 
 A chunk of replicates draws its rows from one reused Philox (see
 :func:`ltfsm.streams._substream_heads`) instead of building one
 :class:`~ltfsm.streams.RandomStream` per replicate.  The series ensemble
-copies each row's words into its thread's ``uint64`` head and noise buffers
+copies each row's words into its chunk's ``uint64`` head and noise buffers
 (at H = 1/2 only the used half of each noise block), converts them to
 uniforms in place and runs ``ndtri`` into the same memory; the occupation
-kernel then works in those normals and the thread's work array, and the
-terms are summed in arrival order in the curves' own memory.  The
+kernel then works in those normals and the chunk's work array, and the
+terms are summed in arrival order in the curves' own memory
+(``_arrival_order_sum``, shared with :func:`ltfsm.process.simulate_ltfsm`).  The
 random-walk ensemble runs the walk kernel of
 :func:`ltfsm.process.simulate_rwrr_baseline` row by row, so its rows equal
 that function's paths bitwise; a row is a dozen short NumPy calls that hold
 the interpreter lock, so more threads do not speed it up.
 The arrival-series drivers (:func:`lepage_marginal_samples`,
 :func:`tail_moment_sweep`) share one chunk worker, ``_arrival_sums``, that
-draws each chunk into its thread's two ``uint64`` buffers, the exponential
+draws each chunk into its two ``uint64`` buffers, the exponential
 words and the sign words.  The exponential block becomes uniforms, arrival
 times and powers in its own memory, and the Rademacher signs are applied as
 sign-bit flips from the sign block (see the :mod:`ltfsm.streams` docstring),
@@ -43,18 +48,11 @@ style): ``terms`` series terms, kernel bandwidth ``bandwidth`` and ``points``
 fBm increments per term.  The epsilon-tuned rules produce per-term grids far
 beyond desk budgets, while the distributional checks here only need sizes
 large enough that the remaining bias is below Monte Carlo resolution.
-
-Every driver hands its chunk worker to ``_run_chunks`` (shared with
-:func:`ltfsm.process.simulate_ltfsm`).  Chunks run on ``threads=`` workers,
-else ``LTFSM_THREADS``, else as many as this process has CPUs, but no more
-than add 32 MB of buffers to the first (:func:`resolve_threads`); outputs
-are bitwise identical for any thread count.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,8 +61,10 @@ from .fbm import _check_horizon, _check_hurst
 from .localtime import _check_bandwidth, grid_index
 from .oracle import _stable_from_uniforms, sample_stable_oracle
 from .process import (
+    _arrival_order_sum,
     _check_counts,
     _check_density,
+    _check_memory,
     _occupation_curves,
     _run_chunks,
     _rwrr_values,
@@ -82,7 +82,6 @@ from .streams import (
 from .validation import CfEstimate, empirical_cf, fit_scale_by_cf, ks_distance, linreg_r2
 
 __all__ = [
-    "resolve_threads",
     "series_path_ensemble",
     "rwrr_path_ensemble",
     "CfLinearityResult",
@@ -113,22 +112,6 @@ def _chunk_rows(bytes_per_row: int) -> int:
     return max(1, _CHUNK_BYTES // bytes_per_row)
 
 
-def _thread_buffers(rows: int, *layouts):
-    """``take(count)``: the leading ``count`` rows of each of the calling
-    thread's chunk buffers, one ``(rows, *row_shape)`` array per
-    ``(row_shape, dtype)`` in ``layouts``.  A thread allocates its set on its
-    first call and reuses it for every later chunk of the driver call, so no
-    chunk faults fresh pages in; the set goes with the driver call."""
-    local = threading.local()
-
-    def take(count: int) -> list[np.ndarray]:
-        if not hasattr(local, "buffers"):
-            local.buffers = [np.empty((rows, *shape), dtype) for shape, dtype in layouts]
-        return [buf[:count] for buf in local.buffers]
-
-    return take
-
-
 # -- flat-parameter series ensemble -------------------------------------------
 
 
@@ -143,19 +126,6 @@ def _series_row_bytes(hurst: float, terms: int, points: int) -> int:
     p, m = terms, points
     noise = p * (m if hurst == 0.5 else 2 * m)
     return 8 * (3 * p + noise) + 8 * p * _work_row(hurst, m)
-
-
-def _arrival_order_sum(coef: np.ndarray, curves: np.ndarray) -> np.ndarray:
-    """``sum_n coef[:, n] * curves[:, n, :]`` in increasing-arrival order,
-    bitwise the loop ``out = zeros; out += coef[:, n:n+1] * curves[:, n, :]``,
-    as a fresh C-ordered array; ``curves`` is overwritten.
-
-    ``cumsum`` adds the terms one by one, as the loop does; ``+ 0.0`` turns
-    a column whose every term is -0.0 into +0.0, as the sum from zeros does.
-    """
-    curves *= coef[:, :, None]
-    np.cumsum(curves, axis=1, out=curves)
-    return np.add(curves[:, -1, :], 0.0, out=np.empty((len(curves), curves.shape[2])))
 
 
 def series_path_ensemble(
@@ -186,6 +156,9 @@ def series_path_ensemble(
     _check_density(density)
     _check_counts(n_paths=n_paths, terms=terms, points=points, grid_points=grid_points)
     _check_bandwidth(bandwidth)
+    row_bytes = _series_row_bytes(hurst, terms, points)
+    _check_memory(f"one replicate ({terms} terms of {points} points)", row_bytes,
+                  "lower terms or points")
     threads = resolve_threads(threads, _CHUNK_BYTES)
     m = points
     p = terms
@@ -195,16 +168,16 @@ def series_path_ensemble(
     # every word is still drawn, but the rest are never kept
     used = m if hurst == 0.5 else 2 * m
 
-    chunk_rows = _chunk_rows(_series_row_bytes(hurst, terms, points))
-    buffers = _thread_buffers(
-        min(chunk_rows, n_paths),
-        ((3 * p,), np.uint64),
-        ((p, used), np.uint64),
-        ((p * _work_row(hurst, m),), np.float64),
-    )
+    chunk_rows = _chunk_rows(row_bytes)
+    size = min(chunk_rows, n_paths)
+    layouts = [
+        ((size, 3 * p), np.uint64),
+        ((size, p, used), np.uint64),
+        ((size, p * _work_row(hurst, m)), np.float64),
+    ]
 
-    def worker(start: int, rows: int) -> np.ndarray:
-        head, noise, work = buffers(rows)
+    def worker(start: int, rows: int, head, noise, work) -> np.ndarray:
+        head, noise, work = head[:rows], noise[:rows], work[:rows]
         for r, bitgen in enumerate(_substream_heads(stream, start, rows)):
             head[r] = bitgen.random_raw(3 * p)
             noise[r] = bitgen.random_raw(p * 2 * m).reshape(p, 2 * m)[:, :used]
@@ -219,7 +192,7 @@ def series_path_ensemble(
         out[:, 0] = 0.0
         return out
 
-    return _run_chunks(worker, n_paths, chunk_rows, threads)
+    return _run_chunks(worker, n_paths, chunk_rows, threads, layouts)
 
 
 def rwrr_path_ensemble(
@@ -386,20 +359,22 @@ def _arrival_sums(
     """``count`` replicates of ``sum_{n = skip + 1}^{arrivals} Gamma_n**(-1/alpha)
     * eps_n``.  Replicate ``j`` consumes from ``stream.substream(j)``:
     ``arrivals`` exponentials, then ``arrivals - skip`` signs."""
+    # a replicate holds 16 B per arrival: its exponential and its sign word
+    _check_memory(f"one replicate ({arrivals} arrivals)", 16 * arrivals,
+                  "lower the number of arrivals")
     signs = arrivals - skip
     chunk_rows = _chunk_rows(_ARRIVAL_BYTES * arrivals)
-    buffers = _thread_buffers(
-        min(chunk_rows, count), ((arrivals,), np.uint64), ((signs,), np.uint64)
-    )
+    size = min(chunk_rows, count)
+    layouts = [((size, arrivals), np.uint64), ((size, signs), np.uint64)]
 
-    def worker(start: int, rows: int) -> np.ndarray:
-        exp, sgn = buffers(rows)
+    def worker(start: int, rows: int, exp, sgn) -> np.ndarray:
+        exp, sgn = exp[:rows], sgn[:rows]
         for r, bitgen in enumerate(_substream_heads(stream, start, rows)):
             exp[r] = bitgen.random_raw(arrivals)
             sgn[r] = bitgen.random_raw(signs)
         return _signed_arrival_sums(exp, sgn, skip, alpha)
 
-    return _run_chunks(worker, count, chunk_rows, threads)
+    return _run_chunks(worker, count, chunk_rows, threads, layouts)
 
 
 def lepage_marginal_samples(

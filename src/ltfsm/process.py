@@ -39,40 +39,45 @@ Draw order for one path (one stream, strictly sequential): P exponentials
 ``_series_head`` maps the first ``3 P`` uniforms (one path or a block of
 rows) through ``_DENSITIES``, the one table of the two importance pairs.
 
+Chunk memory has one rule: ``_run_chunks`` is the only code that allocates
+it.  Before any block runs, the calling thread makes one buffer set, in the
+caller's layouts, per block that can run at once (``min(threads,
+blocks)``); a block borrows a free set and gives it back, so later blocks
+reuse memory that is already faulted in.
+
 Given the head, the terms are independent, and the stream is counter-based,
-so :func:`simulate_ltfsm` runs its terms on threads (``threads=``, else
-``LTFSM_THREADS``, else the CPUs this process may use, at most as many as
-add 32 MB of working memory to the first; see :func:`resolve_threads`)
-through ``_run_chunks``, one block of consecutive terms per thread.  The
-calling thread first works out every term's ``m`` (so the cap warnings fire
-there, in term order), the word offset of its noise block (``3 P +
-sum_{j<n} 2 m_j`` from the path's first word) and the embedding
-coefficients of every distinct ``m``; it allocates one (noise, work) pair
-per block, sized at the block's largest ``m``.  A worker seats one Philox
-at each term's offset (:func:`ltfsm.streams._seek`), draws the words the
-term uses (at H = 1/2 the first ``m`` of its ``2 m``) and converts them in
-place.  The calling thread sums the curves in arrival order, so the path is
-bitwise that of the sequential loop for any thread count, and leaves the
-stream just past the last noise block.  Each thread peaks near ``64 m``
-bytes at H != 1/2 (``24 m`` at H = 1/2; ``_term_bytes``) for the largest
-``m``, and the curves take ``8 P (grid_points + 1)`` bytes.  A path whose
-largest term alone needs more than the machine's physical memory
-(``_physical_bytes``; an uncapped tune at small ``epsilon`` asks for
-billions of points) is refused with ``ValueError`` before any embedding
-coefficient, buffer or noise word; where ``os.sysconf`` cannot tell the
-memory size, there is no check.
+so :func:`simulate_ltfsm` runs one block of consecutive terms per thread
+(``threads=``, else ``LTFSM_THREADS``, else the CPUs this process may use,
+at most as many as add 32 MB of working memory to the first; see
+:func:`resolve_threads`), each on a (noise words, work) set sized at the
+largest ``m``.  The calling thread first works out every term's ``m`` (so
+the cap warnings fire there, in term order), the word offset of its noise
+block (``3 P + sum_{j<n} 2 m_j`` from the path's first word) and the
+embedding coefficients of every distinct ``m``.  A worker seats one Philox
+at each term's offset (:func:`ltfsm.streams._seek`) and draws the words the
+term uses (at H = 1/2 the first ``m`` of its ``2 m``).  Each thread peaks
+near ``64 m`` bytes at H != 1/2 (``24 m`` at H = 1/2; ``_term_bytes``), and
+the curves take ``8 P (grid_points + 1)`` bytes.  A path whose largest term
+alone needs more than the machine's physical memory (an uncapped tune at
+small ``epsilon`` asks for billions of points) is refused with
+``ValueError`` before any embedding coefficient, buffer or noise word
+(``_check_memory``; no check where ``os.sysconf`` cannot tell the size).
 
 :class:`TuningParams` is plain data: ``P``, ``N``, ``k``, ``k_power =
 k**((2 + delta)/delta')``, ``head_exp = 1/(delta' alpha)``, ``tail_exp =
 beta/delta'`` and ``max_points``; :func:`flat_params` is the rule with
-``N = 0``, ``k_power = points`` and no cap.  One kernel, ``_occupation_curves``
-(fGn, cumulative path, kernel prefix sums), serves :func:`simulate_ltfsm`
-with one row per term and :func:`ltfsm.experiments.series_path_ensemble`
-with one row per term and replicate; each caller sums its terms in arrival
-order.  The kernel works in memory its caller owns: the noise rows, which
-the inverse FFT overwrites at H != 1/2, and one work array that holds the
-half spectrum, then the path, the tent kernel (in place, bitwise
-:func:`~ltfsm.localtime.kernel_phi_k`) and its prefix sums.
+``N = 0``, ``k_power = points`` and no cap.  The two series drivers,
+:func:`simulate_ltfsm` (one row per term) and
+:func:`ltfsm.experiments.series_path_ensemble` (one row per term and
+replicate), share the kernel ``_occupation_curves`` (fGn, cumulative path,
+kernel prefix sums) and the arrival-order sum ``_arrival_order_sum``; they
+differ only in scheduling, per-term sizes and how they form the
+coefficients ``Gamma_n**(-1/alpha)``.  So the path is bitwise that of the
+sequential term loop for any thread count, and the stream is left just
+past the last noise block.  The kernel works in memory its caller owns: the
+noise rows, which the inverse FFT overwrites at H != 1/2, and one work
+array that holds the half spectrum, then the path, the tent kernel (in
+place, bitwise :func:`~ltfsm.localtime.kernel_phi_k`) and its prefix sums.
 
 :func:`simulate_rwrr_baseline` and
 :func:`ltfsm.experiments.rwrr_path_ensemble` share the walk kernel:
@@ -346,6 +351,18 @@ def _physical_bytes() -> int | None:
         return None
 
 
+def _check_memory(what: str, need: int, remedy: str) -> None:
+    """Refuse with ``ValueError`` a run whose ``what`` alone needs ``need``
+    working bytes, more than the machine's physical memory; no check where
+    :func:`_physical_bytes` cannot tell the size."""
+    memory = _physical_bytes()
+    if memory is not None and need > memory:
+        raise ValueError(
+            f"{what} needs about {need / 2**30:.1f} GiB of working memory, more than "
+            f"the {memory / 2**30:.1f} GiB of this machine; {remedy}"
+        )
+
+
 def _occupation_curves(hurst, m, horizon, bandwidth, noise, centers, idx, work):
     """Row ``r``: the occupation functional at level ``centers[r]`` of the fBm
     path with ``m`` increments driven by row ``r`` of ``noise`` (``2 * m``
@@ -378,6 +395,19 @@ def _occupation_curves(hurst, m, horizon, bandwidth, noise, centers, idx, work):
     sampled = paths[:, idx]
     sampled *= horizon / m
     return sampled
+
+
+def _arrival_order_sum(coef: np.ndarray, curves: np.ndarray) -> np.ndarray:
+    """``sum_n coef[:, n] * curves[:, n, :]`` in increasing-arrival order,
+    bitwise the loop ``out = zeros; out += coef[:, n:n+1] * curves[:, n, :]``,
+    as a fresh C-ordered array; ``curves`` is overwritten.
+
+    ``cumsum`` adds the terms one by one, as the loop does; ``+ 0.0`` turns
+    a column whose every term is -0.0 into +0.0, as the sum from zeros does.
+    """
+    curves *= coef[:, :, None]
+    np.cumsum(curves, axis=1, out=curves)
+    return np.add(curves[:, -1, :], 0.0, out=np.empty((len(curves), curves.shape[2])))
 
 
 # density name -> (uniform -> location transform, importance weight): the only
@@ -446,15 +476,36 @@ def resolve_threads(threads: int | None = None, thread_bytes: int = _THREAD_BYTE
     return max(1, min(cpus, 1 + _THREAD_BYTES // thread_bytes))
 
 
-def _run_chunks(worker, total: int, chunk_rows: int, threads: int) -> np.ndarray:
-    """``worker(start, rows)`` on consecutive blocks of at most ``chunk_rows``
-    of ``total`` rows; the results concatenated in row order."""
+def _run_chunks(worker, total: int, chunk_rows: int, threads: int, layouts=()) -> np.ndarray:
+    """``worker(start, rows, *buffers)`` on consecutive blocks of at most
+    ``chunk_rows`` of ``total`` rows, on ``threads`` workers; the results
+    concatenated in row order.
+
+    The only place that allocates chunk memory: before any block runs, the
+    calling thread makes one set of ``np.empty(shape, dtype)`` buffers, one
+    per ``(shape, dtype)`` in ``layouts``, for each block that can run at
+    once (``min(threads, blocks)``).  A block takes a free set, gets it
+    whole as ``buffers`` and gives it back when it returns, so every later
+    block reuses memory that is already faulted in, and no two running
+    blocks share a set."""
     starts = range(0, total, chunk_rows)
     rows = [min(chunk_rows, total - start) for start in starts]
-    if threads == 1 or len(rows) == 1:
-        return np.concatenate(list(map(worker, starts, rows)))
+    threads = min(threads, len(rows))
+    # at most ``threads`` blocks run at once, so a block always finds a free
+    # set; ``list.pop`` and ``list.append`` are atomic
+    free = [[np.empty(shape, dtype) for shape, dtype in layouts] for _ in range(threads)]
+
+    def run(start: int, count: int) -> np.ndarray:
+        buffers = free.pop()
+        try:
+            return worker(start, count, *buffers)
+        finally:
+            free.append(buffers)
+
+    if threads == 1:
+        return np.concatenate(list(map(run, starts, rows)))
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        return np.concatenate(list(pool.map(worker, starts, rows)))
+        return np.concatenate(list(pool.map(run, starts, rows)))
 
 
 def simulate_ltfsm(
@@ -486,13 +537,8 @@ def simulate_ltfsm(
     points = [params.points_for(n + 1, float(gamma)) for n, gamma in enumerate(gammas)]
     largest = max(points)
     term_bytes = _term_bytes(hurst, largest)
-    memory = _physical_bytes()
-    if memory is not None and term_bytes > memory:
-        raise ValueError(
-            f"the largest term (m = {largest}) needs about {term_bytes / 2**30:.1f} GiB "
-            f"of working memory, more than the {memory / 2**30:.1f} GiB of this machine; "
-            "cap the grid size with max_points"
-        )
+    _check_memory(f"the largest term (m = {largest})", term_bytes,
+                  "cap the grid size with max_points")
     key, head_end = _cursor(stream)
     offsets = list(accumulate((2 * m for m in points), initial=head_end))
     if hurst != 0.5:
@@ -501,14 +547,8 @@ def simulate_ltfsm(
     # at H = 1/2 a term reads only the first m words of its 2m-word block
     used = 1 if hurst == 0.5 else 2
     threads = resolve_threads(requested, term_bytes)
-    chunk_terms = -(-params.P // threads)
-    buffers = {}  # chunk start -> (noise words, work), sized at its largest m
-    for start in range(0, params.P, chunk_terms):
-        m_max = max(points[start : start + chunk_terms])
-        buffers[start] = (np.empty(used * m_max, np.uint64), np.empty(_work_row(hurst, m_max)))
 
-    def worker(start: int, count: int) -> np.ndarray:
-        words, work = buffers[start]
+    def worker(start: int, count: int, words: np.ndarray, work: np.ndarray) -> np.ndarray:
         bitgen = Philox(key=0)
         curves = np.empty((count, len(times)))
         for n in range(start, start + count):
@@ -523,12 +563,13 @@ def simulate_ltfsm(
             )[0]
         return curves
 
-    curves = _run_chunks(worker, params.P, chunk_terms, threads)
+    layouts = [((used * largest,), np.uint64), ((_work_row(hurst, largest),), np.float64)]
+    curves = _run_chunks(worker, params.P, -(-params.P // threads), threads, layouts)
     _seek(stream._bitgen, key, offsets[-1])
-    total = np.zeros(len(times))
-    for n, curve in enumerate(curves):  # increasing-arrival order
-        gamma = float(gammas[n])
-        total += gamma ** (-1.0 / alpha) * (float(weights[n]) * curve)
+    curves *= weights[:, None]
+    # Python's scalar power: numpy's vector power may differ in the last ulp
+    coef = np.array([float(gamma) ** (-1.0 / alpha) for gamma in gammas])
+    total = _arrival_order_sum(coef[None], curves[None])[0]
     total[0] = 0.0
     return SamplePath(times=times, values=total)
 

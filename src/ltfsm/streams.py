@@ -213,11 +213,6 @@ class RandomStream:
         x = uniform_to_gaussian(self.uniform(1 if size is None else size))
         return float(x[0]) if size is None else x
 
-    def laplace_half(self, size: int | None = None):
-        """Laplace(0, 1/2) variates, density ``exp(-2|x|)``."""
-        x = uniform_to_laplace_half(self.uniform(1 if size is None else size))
-        return float(x[0]) if size is None else x
-
     def rademacher(self, size: int | None = None):
         """Signs +-1 with equal probability."""
         x = uniform_to_rademacher(self.uniform(1 if size is None else size))

@@ -170,6 +170,18 @@ def test_simulate_refuses_a_term_larger_than_physical_memory_before_writing(
     assert list(tmp_path.iterdir()) == []  # no CSV and no manifest
 
 
+def test_an_out_of_memory_handler_exits_2_and_writes_nothing(tmp_path, capsys, monkeypatch):
+    def exhausted(vals):
+        raise MemoryError("Unable to allocate 7.28 TiB")
+
+    help_text, schema, _ = _COMMANDS["simulate"]
+    monkeypatch.setitem(_COMMANDS, "simulate", (help_text, schema, exhausted))
+    code, _ = _simulate(tmp_path, "oom.csv")
+    assert code == 2
+    assert capsys.readouterr().err == "error: out of memory: Unable to allocate 7.28 TiB\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_unknown_config_keys_are_rejected(tmp_path, capsys):
     cfg = tmp_path / "typo.cfg"
     cfg.write_text("alpha = 1.2\nhurst = 0.5\nepsilon = 0.5\nseed = 1\nalpa = 2\n")
@@ -356,6 +368,21 @@ def test_unknown_subcommand_exits_via_argparse():
 
 
 # -- non-finite options ------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "args",
+    [CF_ARGS, ["stable-check", "--alpha", "1.5", "--terms", "300", "--samples", "300",
+               "--seed", "3"]],
+    ids=["validate-cf", "stable-check"],
+)
+def test_ensembles_refuse_a_replicate_larger_than_physical_memory_before_writing(
+    tmp_path, capsys, monkeypatch, args
+):
+    monkeypatch.setattr(process, "_physical_bytes", lambda: 1024)
+    assert main(args + ["--out", str(tmp_path / "big.csv")]) == 2
+    assert "one replicate" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []  # no CSV and no manifest
 
 
 @pytest.mark.parametrize(

@@ -2,8 +2,9 @@
 
 import os
 import sys
+import threading
+import time
 import tracemalloc
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -21,16 +22,9 @@ from ltfsm import (
     stable_marginal_check,
     tail_moment_sweep,
 )
-from ltfsm import experiments
-from ltfsm.experiments import (
-    _ARRIVAL_BYTES,
-    _CHUNK_BYTES,
-    _arrival_order_sum,
-    _chunk_rows,
-    _series_row_bytes,
-    _thread_buffers,
-    resolve_threads,
-)
+from ltfsm import experiments, process
+from ltfsm.experiments import _ARRIVAL_BYTES, _CHUNK_BYTES, _chunk_rows, _series_row_bytes
+from ltfsm.process import _arrival_order_sum, _run_chunks, resolve_threads
 from ltfsm.streams import (
     RandomStream,
     raw_to_uniform,
@@ -463,32 +457,69 @@ def test_lepage_samples_are_bitwise_invariant_to_the_chunk_budget(monkeypatch, t
     assert draw() == whole
 
 
-# -- one reused buffer set per thread
+# -- the one chunk runner
 
 
-def test_thread_buffers_are_reused_within_a_thread_and_apart_across_threads():
-    take = _thread_buffers(5, ((3,), np.uint64), ((2, 4), np.float64))
-    head, work = take(5)
+def test_run_chunks_reuses_one_buffer_set_across_blocks():
+    seen = []
+
+    def worker(start, rows, head, work):
+        seen.append((head, work))
+        # a block of fewer rows takes the leading rows, C-contiguous, so words
+        # still convert to uniforms in place
+        head, work = head[:rows], work[:rows]
+        assert head.flags.c_contiguous and work.flags.c_contiguous
+        assert head.__array_interface__["data"] == seen[0][0].__array_interface__["data"]
+        head[:] = start
+        return head[:, 0].astype(np.int64)
+
+    layouts = [((5, 3), np.uint64), ((5, 2, 4), np.float64)]
+    out = _run_chunks(worker, 12, 5, 1, layouts)
+    assert out.tolist() == [0] * 5 + [5] * 5 + [10] * 2
+    head, work = seen[0]
     assert head.shape == (5, 3) and head.dtype == np.uint64
     assert work.shape == (5, 2, 4) and work.dtype == np.float64
-    # a later chunk in the same thread gets leading rows of the same memory,
-    # C-contiguous, so words still convert to uniforms in place
-    again_head, again_work = take(2)
-    assert again_head.shape == (2, 3) and again_head.flags.c_contiguous
-    assert again_work.flags.c_contiguous
-    assert again_head.__array_interface__["data"] == head.__array_interface__["data"]
-    assert again_work.__array_interface__["data"] == work.__array_interface__["data"]
-    # another thread gets its own set
-    with ThreadPoolExecutor(max_workers=1) as pool:
-        other_head, _ = pool.submit(take, 5).result()
-    assert not np.shares_memory(other_head, head)
-    # another driver call gets its own set
-    assert not np.shares_memory(_thread_buffers(5, ((3,), np.uint64))(5)[0], head)
+    assert all(h is head and w is work for h, w in seen)
+    # another call gets its own set
+    again = []
+    _run_chunks(lambda start, rows, h, w: again.append(h) or np.empty(rows), 5, 5, 1, layouts)
+    assert not np.shares_memory(again[0], head)
 
 
-def test_thread_buffers_stay_apart_under_many_threads_and_frequent_switches(monkeypatch):
+@pytest.mark.parametrize("threads, total, sets", [(1, 12, 1), (2, 12, 2), (3, 6, 2), (6, 40, 6)])
+def test_run_chunks_allocates_one_set_per_concurrent_block_in_the_calling_thread(
+    monkeypatch, threads, total, sets
+):
+    caller = threading.get_ident()
+    allocations = []
+    empty = np.empty
+
+    def recording_empty(*args, **kwargs):
+        allocations.append(threading.get_ident())
+        return empty(*args, **kwargs)
+
+    monkeypatch.setattr(np, "empty", recording_empty)
+    lock = threading.Lock()
+    busy, used = set(), {}
+
+    def worker(start, rows, buf):
+        with lock:
+            assert id(buf) not in busy  # no two running blocks share a set
+            busy.add(id(buf))
+            used[id(buf)] = buf
+        time.sleep(0.001)
+        with lock:
+            busy.remove(id(buf))
+        return np.full(rows, start)
+
+    _run_chunks(worker, total, 3, threads, [((3,), np.float64)])
+    assert allocations == [caller] * sets
+    assert 1 <= len(used) <= sets == min(threads, -(-total // 3))
+
+
+def test_run_chunks_sets_stay_apart_under_many_threads_and_frequent_switches(monkeypatch):
     # more threads than cores, many chunks each and a short switch interval:
-    # a buffer set shared between threads would mix rows of two chunks
+    # a buffer set shared between running blocks would mix rows of two chunks
     def draw(threads):
         return (
             series_path_ensemble(1.2, 0.7, 40, 4, 2, 16, RandomStream(8), grid_points=4,
@@ -586,9 +617,9 @@ def test_chunk_drivers_default_to_as_many_threads_as_their_chunk_budget_allows(m
     counts = []
     run_chunks = experiments._run_chunks
 
-    def recording(worker, total, chunk_rows, threads):
+    def recording(worker, total, chunk_rows, threads, layouts=()):
         counts.append(threads)
-        return run_chunks(worker, total, chunk_rows, threads)
+        return run_chunks(worker, total, chunk_rows, threads, layouts)
 
     monkeypatch.setattr(experiments, "_run_chunks", recording)
     series_path_ensemble(1.2, 0.7, 3, 4, 2, 16, RandomStream(5), grid_points=4)
@@ -596,3 +627,40 @@ def test_chunk_drivers_default_to_as_many_threads_as_their_chunk_budget_allows(m
     # the random-walk ensemble holds no chunk buffers and keeps the 32 MB rule
     rwrr_path_ensemble(1.2, 3, 10, RandomStream(5))
     assert counts == [5, 5, 2]
+
+
+# -- a replicate larger than physical memory
+
+
+def _must_not_run(*args, **kwargs):
+    raise AssertionError("drew a substream after the memory check")
+
+
+def test_a_replicate_larger_than_physical_memory_is_refused_before_any_substream(monkeypatch):
+    monkeypatch.setattr(experiments, "_substream_heads", _must_not_run)
+    monkeypatch.setattr(process, "_physical_bytes", lambda: _series_row_bytes(0.7, 4, 16) - 1)
+    with pytest.raises(ValueError, match=r"one replicate \(4 terms of 16 points\) .* GiB of this"):
+        series_path_ensemble(1.2, 0.7, 3, 4, 2, 16, RandomStream(5))
+    with pytest.raises(ValueError, match="one replicate"):
+        cf_linearity_experiment("series", 1.0, 0.5, 3, RandomStream(5), terms=4, bandwidth=2,
+                                points=64)
+    # 16 B per arrival: the exponential word and the sign word
+    monkeypatch.setattr(process, "_physical_bytes", lambda: 16 * 50 - 1)
+    with pytest.raises(ValueError, match=r"one replicate \(50 arrivals\) .* GiB of this"):
+        lepage_marginal_samples(1.2, 50, 5, RandomStream(5))
+    with pytest.raises(ValueError, match=r"one replicate \(50 arrivals\)"):
+        stable_marginal_check(1.2, 50, 5, RandomStream(5))
+    with pytest.raises(ValueError, match=r"one replicate \(50 arrivals\)"):
+        tail_moment_sweep(1.2, [5], 3, RandomStream(5), factor=10)
+
+
+@pytest.mark.parametrize("memory", ["exact", "unknown"])
+def test_a_replicate_that_fits_in_memory_or_an_unknown_size_runs(monkeypatch, memory):
+    expect = (series_path_ensemble(1.2, 0.7, 3, 4, 2, 16, RandomStream(5)),
+              lepage_marginal_samples(1.2, 50, 5, RandomStream(5)))
+    probes = iter([_series_row_bytes(0.7, 4, 16), 16 * 50])
+    monkeypatch.setattr(process, "_physical_bytes",
+                        lambda: next(probes) if memory == "exact" else None)
+    got = (series_path_ensemble(1.2, 0.7, 3, 4, 2, 16, RandomStream(5)),
+           lepage_marginal_samples(1.2, 50, 5, RandomStream(5)))
+    assert [a.tobytes() for a in got] == [a.tobytes() for a in expect]

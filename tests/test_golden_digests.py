@@ -159,6 +159,9 @@ CASES = {
         ["simulate", "--alpha", "1.2", "--hurst", "0.7", "--epsilon", "0.4", "--delta",
          "0.17", "--delta-prime", "0.2", "--max-points", "512", "--grid", "20",
          "--seed", "9", "--out", "path.csv"]),
+    "cli_bounds": lambda: _cli(
+        ["bounds", "--alpha", "1.2", "--q", "2.5", "--N", "3", "--P", "10", "--p", "2",
+         "--volK", "1.5", "--out", "bounds.txt"]),
     "cli_validate_cf": lambda: _cli(
         ["validate-cf", "--alpha", "1", "--hurst", "0.5", "--seed", "7", "--paths", "30",
          "--times", "4", "--terms", "6", "--bandwidth", "4", "--points", "32",
@@ -180,6 +183,7 @@ _GOLDEN = {
     ): {
         'bounds': '04ac2f4cb79003e8192cf7c743ec776d5a0d595c392d8c2ed5aff836da65d16d',
         'cf_linearity_experiment': '743490b917b8c596d9fe812bb739c3c1adbd07b5cc53136fce89b0376450ce99',
+        'cli_bounds': '7a53e917a104a3d9c3ffde945c84df4aac4813bea5a2b674fc5884d59d306bb8',
         'cli_simulate': '06cf53e1b09147fa6db369a90b223fdabf101d348730ae10d7be1e1f5b87de76',
         'cli_stable_check': 'e573702388f42a5a7c77bba64ce47b52af6c61198ab4ca09e4f91c485232ff10',
         'cli_validate_cf': '342a819b13d2a4ac8cbffe9a9d28a22096d2438a7f6e04a05628b6203bdfd716',

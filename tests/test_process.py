@@ -36,7 +36,7 @@ from ltfsm.process import (
     _work_row,
     resolve_threads,
 )
-from ltfsm.streams import RandomStream, _cursor
+from ltfsm.streams import RandomStream, _cursor, uniform_to_laplace_half
 
 
 # -- configuration validation -----------------------------------------------------
@@ -239,7 +239,7 @@ def test_single_term_path_is_the_documented_composition():
     s = RandomStream(99)
     gamma = poisson_arrivals(1, s)[0]
     gauss = s.gaussian(1)[0]
-    location = s.laplace_half(1)[0]
+    location = uniform_to_laplace_half(s.uniform(1))[0]
     noise = s.gaussian(128)
     fgn = fgn_from_noise(0.4, 64, 1.0 / 64, noise)
     inner = FbmPath(hurst=0.4, horizon=1.0, values=np.concatenate([[0.0], np.cumsum(fgn)]))
@@ -279,7 +279,7 @@ def test_simulate_ltfsm_follows_the_documented_draw_order(density):
     gammas = poisson_arrivals(params.P, s)
     normals = s.gaussian(params.P)
     if density == "laplace":
-        locations = s.laplace_half(params.P)
+        locations = uniform_to_laplace_half(s.uniform(params.P))
         weights = normals * laplace_weight(locations, cfg.alpha)
     else:
         locations = s.gaussian(params.P)
@@ -303,7 +303,7 @@ def _draw_order_reference(cfg, params, stream, density):
     gammas = poisson_arrivals(params.P, stream)
     normals = stream.gaussian(params.P)
     if density == "laplace":
-        locations = stream.laplace_half(params.P)
+        locations = uniform_to_laplace_half(stream.uniform(params.P))
         weights = normals * laplace_weight(locations, cfg.alpha)
     else:
         locations = stream.gaussian(params.P)
@@ -391,9 +391,9 @@ def test_the_default_thread_count_bounds_the_tuned_path_memory(monkeypatch):
     assert resolve_threads(None, _term_bytes(0.7, 2**18)) == 2
     counts = []
 
-    def spy(worker, total, chunk_rows, threads):
+    def spy(worker, total, chunk_rows, threads, layouts):
         counts.append(threads)
-        return _run_chunks(worker, total, chunk_rows, threads)
+        return _run_chunks(worker, total, chunk_rows, threads, layouts)
 
     monkeypatch.setattr(process, "_run_chunks", spy)
     monkeypatch.setattr(process, "_THREAD_BYTES", 2 * _term_bytes(0.7, 24))
