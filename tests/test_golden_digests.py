@@ -113,7 +113,8 @@ def _cli(argv):
     with contextlib.redirect_stdout(printed):
         code = main(argv)
     out = argv[argv.index("--out") + 1]
-    return code, printed.getvalue(), [pathlib.Path(p).read_bytes() for p in (out, manifest_path(out))]
+    written = [pathlib.Path(p).read_bytes() for p in (out, manifest_path(out))]
+    return code, printed.getvalue(), written
 
 
 # head terms of unequal size, the first ones capped, then a decreasing tail
@@ -228,8 +229,8 @@ if __name__ == "__main__":
     import os
     import tempfile
 
-    with tempfile.TemporaryDirectory() as scratch:
-        os.chdir(scratch)
+    with tempfile.TemporaryDirectory() as work:
+        os.chdir(work)
         print(f"    {fingerprint()!r}: {{")
         for case in sorted(CASES):
             print(f"        {case!r}: {_compute(case)!r},")
