@@ -35,6 +35,7 @@ from ltfsm import (
     bound_H_nq,
     cf_linearity_experiment,
     fbm_path,
+    fgn_from_noise,
     flat_params,
     lepage_marginal_samples,
     poisson_arrivals,
@@ -124,6 +125,10 @@ CASES = {
     "streams": _streams,
     "sample_stable_oracle": lambda: (sample_stable_oracle(1.3, RandomStream(13), 50),
                                      sample_stable_oracle(1.0, RandomStream(13), 50)),
+    "fgn_from_noise_batched": lambda: [
+        fgn_from_noise(h, 32, 1 / 32, RandomStream(18).gaussian(3 * 64).reshape(3, 64))
+        for h in (0.3, 0.5, 0.7)
+    ],
     "fbm_path": lambda: [fbm_path(h, 1.0, 64, RandomStream(14)).values for h in (0.3, 0.5, 0.7)],
     "bounds": lambda: (build_bound_report(N=2, q=2.5, alpha=1.2, moment_q=1.0,
                                           moment_qk=1.0, P=10), bound_H_nq(3, 3.0, 1.2)),
@@ -137,6 +142,10 @@ CASES = {
     ],
     "simulate_ltfsm_tuned": lambda: _tuned().values,
     "simulate_rwrr_baseline": lambda: simulate_rwrr_baseline(1.3, 200, 10, RandomStream(15)),
+    "simulate_rwrr_baseline_edges": lambda: [
+        simulate_rwrr_baseline(alpha, steps, 5, RandomStream(19))
+        for alpha in (0.5, 2.0) for steps in (1, 37)
+    ],
     "series_path_ensemble": lambda: [
         series_path_ensemble(1.2, h, 9, 6, 4, 32, RandomStream(3), grid_points=7,
                              density=d, threads=t)
@@ -189,6 +198,7 @@ _GOLDEN = {
         'cli_stable_check': 'e573702388f42a5a7c77bba64ce47b52af6c61198ab4ca09e4f91c485232ff10',
         'cli_validate_cf': '342a819b13d2a4ac8cbffe9a9d28a22096d2438a7f6e04a05628b6203bdfd716',
         'fbm_path': 'c81b79dea7336bb44a0c3110a5d816301826f52c9edab130ed6cd20cf2db68ba',
+        'fgn_from_noise_batched': 'b37cf227d2e44b582f6684e8b442947f4dafeb282548cde1277eb9358b700135',
         'lepage_marginal_samples': '7f85dd5b674a9db57d8f65354de611de0596b9407375527f04f37752204c03fc',
         'representation_cf_table': 'b8efcb01562f9bc614043328a104670a87bbf7c8aa4257a37cd8eb784ab2a208',
         'rwrr_path_ensemble': '71dc1ad141d692d03b4a53a6412563cb26cc44201f0b5c8e26adc767b081eb6c',
@@ -198,6 +208,7 @@ _GOLDEN = {
         'simulate_ltfsm_flat': '7ecd07ae1e7444de7c1b2a692c4dcfdae76bd9f19e972b8e74bb0ebfcadb6087',
         'simulate_ltfsm_tuned': 'ad05c42db8f0667f46b60d91bcf1bb29bdad596972f71963570d1f7c8dc8bafe',
         'simulate_rwrr_baseline': '0348836533e30e33e55019c6bb330f9bd4e29b01640829a8e2d5dbafe976bbf6',
+        'simulate_rwrr_baseline_edges': '50b2520d870cee21591794cdbee519a8c7f86a519147fc626a4c34ae6e8291ee',
         'stable_marginal_check': '8639bae537ab05340227d71352bbfa068e6a676db15792e102bee29f7f105041',
         'streams': 'ee3ab65515bd151cc3da7a8eba60ce7123f3c0b835ed006520fa45c9db071989',
         'tail_moment_sweep': '98d446cd9235e13bbcf6a811ce3f2855e51034cdce03ff833667d06d14b81bc0',
