@@ -30,10 +30,11 @@ uniforms in place and runs ``ndtri`` into the same memory; the occupation
 kernel then works in those normals and the chunk's work array, and the
 terms are summed in arrival order in the curves' own memory
 (``_arrival_order_sum``, shared with :func:`ltfsm.process.simulate_ltfsm`).  The
-random-walk ensemble runs the walk kernel of
-:func:`ltfsm.process.simulate_rwrr_baseline` row by row, so its rows equal
-that function's paths bitwise; a row is a dozen short NumPy calls that hold
-the interpreter lock, so more threads do not speed it up.
+random-walk ensemble runs the row kernel of
+:func:`ltfsm.process.simulate_rwrr_baseline`, ``_rwrr_row``, on each
+substream head's raw words, so its rows equal that function's paths bitwise;
+a row is a dozen short NumPy calls that hold the interpreter lock, so more
+threads do not speed it up.
 The arrival-series drivers (:func:`lepage_marginal_samples`,
 :func:`tail_moment_sweep`) share one chunk worker, ``_arrival_sums``, that
 draws each chunk into its two ``uint64`` buffers, the exponential
@@ -59,17 +60,17 @@ import numpy as np
 
 from .fbm import _check_horizon, _check_hurst
 from .localtime import _check_bandwidth, grid_index
-from .oracle import _stable_from_uniforms, sample_stable_oracle
+from .oracle import sample_stable_oracle
 from .process import (
     _arrival_order_sum,
     _check_counts,
     _check_density,
     _check_memory,
+    _check_rwrr,
     _occupation_curves,
     _run_chunks,
-    _rwrr_values,
+    _rwrr_row,
     _series_head,
-    _walk_sites,
     _work_row,
     resolve_threads,
 )
@@ -207,28 +208,16 @@ def rwrr_path_ensemble(
     """Matrix of random-walk-with-rewards paths, one row per replicate.
 
     Row ``j`` is bitwise ``simulate_rwrr_baseline(alpha, steps, grid_points,
-    stream.substream(j), horizon).values``.  Each row draws from one reused
-    Philox per chunk: ``steps`` sign words (the top bit gives the step), then
-    the rewards' words, continuing where the signs stopped.
+    stream.substream(j), horizon).values``: both run the row kernel
+    ``_rwrr_row``, here on the raw words of one reused Philox per chunk.
     """
-    if not 0.0 < alpha <= 2.0:
-        raise ValueError("alpha must lie in (0, 2]")
-    _check_counts(n_paths=n_paths, steps=steps, grid_points=grid_points)
-    _check_horizon(horizon)
+    _check_rwrr(alpha, steps, grid_points, horizon, n_paths)
     threads = resolve_threads(threads)
 
     def worker(start: int, rows: int) -> np.ndarray:
         out = np.empty((rows, grid_points + 1))
         for r, bitgen in enumerate(_substream_heads(stream, start, rows)):
-            words = bitgen.random_raw(steps)
-            words >>= np.uint64(63)  # 1 iff the step is +1 (sign-bit identity)
-            moves = words.view(np.int64)
-            moves *= 2
-            moves -= 1
-            sites = _walk_sites(moves)
-            u = _uniform_in_place(bitgen.random_raw(2 * sites))
-            rewards = _stable_from_uniforms(alpha, u)
-            out[r] = _rwrr_values(alpha, moves, rewards, grid_points)
+            out[r] = _rwrr_row(alpha, bitgen.random_raw, steps, grid_points)
         return out
 
     # rows run one at a time, so memory does not grow with the chunk: 512 rows

@@ -17,6 +17,12 @@ Hermitian: only its ``m + 1`` independent coefficients are formed, and one
 real inverse FFT of length ``2 m`` returns the fGn.  No complex transform of
 the full ``2 m`` points is ever computed.
 
+One step, ``_fgn_into``, synthesizes fGn into memory its caller owns:
+:func:`fgn_from_noise` (on a copy of the caller's noise, where the inverse
+FFT would overwrite it), :func:`fbm_path` (on its freshly drawn noise,
+straight into the path) and the series kernel of :mod:`ltfsm.process` (in
+its work array) all run it.
+
 Noise convention: a path with ``points = m`` increments always consumes one
 block of ``2 m`` standard normals, in order (the embedding needs all ``2 m``;
 the Hurst-1/2 shortcut uses the first ``m``).  Fixed block sizes keep
@@ -138,14 +144,30 @@ def fgn_from_noise(
     noise = np.asarray(noise, dtype=float)
     if noise.shape[-1] != 2 * points:
         raise ValueError("noise block must have length 2 * points")
-    m = points
-    scale = spacing**hurst
+    if hurst != 0.5:  # the inverse FFT runs in the memory of its input
+        noise = noise.copy()
+    return _fgn_into(hurst, spacing, noise, None, np.empty(noise.shape[:-1] + (points,)))
+
+
+def _fgn_into(hurst, spacing, noise, half, out) -> np.ndarray:
+    """:func:`fgn_from_noise` of the rows of ``noise`` (``2 m`` normals each;
+    at H = 1/2 the first ``m`` suffice), written into the rows of ``out``
+    (length ``m``), which is returned.
+
+    At H != 1/2 the half spectrum goes into the complex rows ``half``
+    (length ``m + 1``; allocated here when ``None``), and the inverse FFT
+    overwrites ``noise``, which must be C-contiguous; at H = 1/2 ``noise`` is
+    only read and ``half`` is not used."""
+    m = out.shape[-1]
     if hurst == 0.5:
-        return noise[..., :m] * scale
-    half = _half_spectrum(hurst, noise, np.empty(noise.shape[:-1] + (m + 1,), dtype=complex))
-    z = np.fft.irfft(half, n=2 * m, axis=-1, norm="forward")
-    del half
-    return z[..., :m] * scale
+        z = noise
+    else:
+        if half is None:
+            half = np.empty(noise.shape[:-1] + (m + 1,), dtype=complex)
+        z = np.fft.irfft(
+            _half_spectrum(hurst, noise, half), n=2 * m, axis=-1, norm="forward", out=noise
+        )
+    return np.multiply(z[..., :m], spacing**hurst, out=out)
 
 
 def _half_spectrum(hurst: float, noise: np.ndarray, half: np.ndarray) -> np.ndarray:
@@ -202,10 +224,9 @@ def fbm_path(hurst: float, horizon: float, points: int, stream) -> FbmPath:
     _check_horizon(horizon)
     if points < 1:
         raise ValueError("points must be >= 1")
-    noise = stream.gaussian(2 * points)
-    fgn = fgn_from_noise(hurst, points, horizon / points, noise)
     values = np.empty(points + 1)
     values[0] = 0.0
-    np.cumsum(fgn, out=values[1:])
+    fgn = _fgn_into(hurst, horizon / points, stream.gaussian(2 * points), None, values[1:])
+    np.cumsum(fgn, out=fgn)
     return FbmPath(hurst=hurst, horizon=horizon, values=values)
 

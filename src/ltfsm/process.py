@@ -69,8 +69,9 @@ beta/delta'`` and ``max_points``; :func:`flat_params` is the rule with
 ``N = 0``, ``k_power = points`` and no cap.  The two series drivers,
 :func:`simulate_ltfsm` (one row per term) and
 :func:`ltfsm.experiments.series_path_ensemble` (one row per term and
-replicate), share the kernel ``_occupation_curves`` (fGn, cumulative path,
-kernel prefix sums) and the arrival-order sum ``_arrival_order_sum``; they
+replicate), share the kernel ``_occupation_curves`` (fGn through
+``fbm._fgn_into``, the one fGn step, then cumulative path and kernel prefix
+sums) and the arrival-order sum ``_arrival_order_sum``; they
 differ only in scheduling, per-term sizes and how they form the
 coefficients ``Gamma_n**(-1/alpha)``.  So the path is bitwise that of the
 sequential term loop for any thread count, and the stream is left just
@@ -80,9 +81,13 @@ array that holds the half spectrum, then the path, the tent kernel (in
 place, bitwise :func:`~ltfsm.localtime.kernel_phi_k`) and its prefix sums.
 
 :func:`simulate_rwrr_baseline` and
-:func:`ltfsm.experiments.rwrr_path_ensemble` share the walk kernel:
-``_walk_sites`` (positions in place), the caller's reward draw, then
-``_rwrr_values`` (one gather, one ``cumsum``, one fancy index).
+:func:`ltfsm.experiments.rwrr_path_ensemble` are one walk kernel:
+both check their arguments with ``_check_rwrr`` and run one row kernel,
+``_rwrr_row``, on a raw-word draw (``RandomStream.raw`` for the one path, a
+substream head's ``random_raw`` for each ensemble row).  The kernel takes
+the steps from the sign bits, shifts the sites in place, draws the rewards
+through the oracle transform and reads the grid partial sums (one gather,
+one ``cumsum``, one fancy index).
 """
 
 from __future__ import annotations
@@ -99,7 +104,7 @@ import numpy as np
 from numpy.random import Philox
 
 from . import oracle
-from .fbm import _check_horizon, _embedding_coefficients, _half_spectrum
+from .fbm import _check_horizon, _embedding_coefficients, _fgn_into
 from .localtime import _check_bandwidth, _phi_k_in_place, grid_index
 from .streams import (
     _cursor,
@@ -370,23 +375,16 @@ def _occupation_curves(hurst, m, horizon, bandwidth, noise, centers, idx, work):
     bitwise :func:`~ltfsm.localtime.discretized_occupation`.
 
     The caller owns the memory: ``work`` is a 1-d ``float64`` array of at
-    least ``rows * _work_row(hurst, m)`` entries.  At H != 1/2 it first holds
-    the half spectrum, the inverse FFT overwrites ``noise``, and the scaled
-    fGn goes from there into ``work``; at H = 1/2 ``noise`` is only read.
+    least ``rows * _work_row(hurst, m)`` entries.  ``fbm._fgn_into`` writes
+    the fGn into it: at H != 1/2 ``work`` first holds the half spectrum and
+    the inverse FFT overwrites ``noise``; at H = 1/2 ``noise`` is only read.
     ``work`` then holds the path, the tent kernel and its prefix sums; only
     the columns ``idx`` are copied out and scaled by ``horizon / m``."""
     _check_bandwidth(bandwidth)
     rows = len(noise)
-    spacing = horizon / m
     paths = work[: rows * (m + 1)].reshape(rows, m + 1)
-    if hurst == 0.5:  # the Hurst-1/2 branch of fgn_from_noise, in the path
-        np.multiply(noise[:, :m], spacing**0.5, out=paths[:, 1:])
-    else:  # fgn_from_noise, its spectrum and transform in the caller's memory
-        half = work[: 2 * rows * (m + 1)].view(complex).reshape(rows, m + 1)
-        z = np.fft.irfft(
-            _half_spectrum(hurst, noise, half), n=2 * m, axis=-1, norm="forward", out=noise
-        )
-        np.multiply(z[:, :m], spacing**hurst, out=paths[:, 1:])
+    half = None if hurst == 0.5 else work[: 2 * paths.size].view(complex).reshape(rows, m + 1)
+    _fgn_into(hurst, horizon / m, noise, half, paths[:, 1:])
     paths[:, 0] = 0.0
     np.cumsum(paths[:, 1:], axis=1, out=paths[:, 1:])
     paths -= centers
@@ -588,44 +586,49 @@ def simulate_rwrr_baseline(
 
         S(t) = sum_{j = 1}^{floor(steps * t / horizon)} reward(walk_j)
 
-    are normalized by ``steps**(1/2 + 1/(2 alpha))``.  Draw order: ``steps``
-    sign draws, then one reward per site of the visited range in ascending
-    site order.  The value at t = 0 is exactly 0 (empty sum).
+    are normalized by ``steps**(1/2 + 1/(2 alpha))``.  Draw order, in raw
+    words of ``stream``: ``steps`` sign words, then the rewards of the
+    visited range in ascending site order, two words per site (first all the
+    sites' oracle angles, then their exponentials; see :mod:`ltfsm.oracle`).
+    The value at t = 0 is exactly 0 (empty sum).
     """
-    if not 0.0 < alpha <= 2.0:
-        raise ValueError("alpha must lie in (0, 2]")
-    if steps < 1:
-        raise ValueError("steps must be >= 1")
-    if grid_points < 1:
-        raise ValueError("grid_points must be >= 1")
-    _check_horizon(horizon)
-    positions = stream.rademacher(steps).astype(np.int64)
-    sites = _walk_sites(positions)
-    rewards = np.asarray(oracle.sample_stable_oracle(alpha, stream, sites))
-    values = _rwrr_values(alpha, positions, rewards, grid_points)
+    _check_rwrr(alpha, steps, grid_points, horizon)
+    values = _rwrr_row(alpha, stream.raw, steps, grid_points)
     times = np.arange(grid_points + 1) * (horizon / grid_points)
     return SamplePath(times=times, values=values)
 
 
-def _walk_sites(moves: np.ndarray) -> int:
-    """Overwrite the ``+-1`` steps ``moves`` (``int64``) with the walk's
-    positions, shifted so that the lowest visited site is 0, and return the
-    number of visited sites."""
-    np.cumsum(moves, out=moves)
-    moves -= int(moves.min())
-    return int(moves.max()) + 1
+def _check_rwrr(alpha, steps, grid_points, horizon, n_paths=1) -> None:
+    """Reject, by name, random-walk arguments out of range, before anything
+    is drawn."""
+    if not 0.0 < alpha <= 2.0:
+        raise ValueError("alpha must lie in (0, 2]")
+    _check_counts(n_paths=n_paths, steps=steps, grid_points=grid_points)
+    _check_horizon(horizon)
 
 
-def _rwrr_values(alpha, positions, rewards, grid_points) -> np.ndarray:
+def _rwrr_row(alpha, draw, steps, grid_points) -> np.ndarray:
     """The ``grid_points + 1`` values of one :func:`simulate_rwrr_baseline`
-    path from the shifted ``positions`` of :func:`_walk_sites` and the
-    ``rewards`` of the visited sites in ascending site order.
+    path, from ``draw(n)``, which returns the next ``n`` raw words as a fresh
+    ``uint64`` array.
 
-    Grid point ``i`` reads the partial sum after ``floor(steps * i /
-    grid_points)`` steps, and the empty sum before the first step is
-    exactly 0.
+    Step ``j`` is +1 iff the top bit of sign word ``j`` is set (the sign-bit
+    identity of :mod:`ltfsm.streams`).  The positions overwrite the sign
+    words, shifted so that the lowest visited site is 0; the rewards of the
+    visited sites, in ascending site order, are the oracle transform of the
+    next ``2 * sites`` words.  Grid point ``i`` reads the partial sum after
+    ``floor(steps * i / grid_points)`` steps, and the empty sum before the
+    first step is exactly 0.
     """
-    steps = len(positions)
+    words = draw(steps)
+    words >>= np.uint64(63)  # 1 iff the step is +1
+    positions = words.view(np.int64)
+    positions *= 2
+    positions -= 1
+    np.cumsum(positions, out=positions)
+    positions -= int(positions.min())
+    u = _uniform_in_place(draw(2 * (int(positions.max()) + 1)))
+    rewards = oracle._stable_from_uniforms(alpha, u)
     partial = np.empty(steps + 1)
     partial[0] = 0.0
     np.cumsum(rewards[positions], out=partial[1:])

@@ -365,6 +365,22 @@ def test_series_ensemble_rejects_a_bad_hurst_before_any_draw(hurst):
         series_path_ensemble(1.2, hurst, 3, 4, 2, 16, NoDraws())
 
 
+@pytest.mark.parametrize("steps", [2.5, True, 0, -3, np.inf])
+def test_random_walk_drivers_reject_a_bad_step_count_before_any_draw(steps):
+    with pytest.raises(ValueError, match="steps must be an integer >= 1"):
+        rwrr_path_ensemble(1.2, 3, steps, NoDraws())
+    with pytest.raises(ValueError, match="steps must be an integer >= 1"):
+        simulate_rwrr_baseline(1.2, steps, 5, NoDraws())
+
+
+@pytest.mark.parametrize("grid_points", [2.5, False, 0])
+def test_random_walk_drivers_reject_a_bad_grid_before_any_draw(grid_points):
+    with pytest.raises(ValueError, match="grid_points must be an integer >= 1"):
+        rwrr_path_ensemble(1.2, 3, 10, NoDraws(), grid_points=grid_points)
+    with pytest.raises(ValueError, match="grid_points must be an integer >= 1"):
+        simulate_rwrr_baseline(1.2, 10, grid_points, NoDraws())
+
+
 @pytest.mark.parametrize("horizon", [0.0, np.nan, np.inf])
 def test_random_walk_drivers_reject_a_non_finite_horizon_before_any_draw(horizon):
     with pytest.raises(ValueError, match="horizon"):

@@ -126,6 +126,17 @@ def test_half_spectrum_is_bitwise_the_negated_product_form(hurst):
     assert np.signbit(half.imag[0, 1:m]).all() and not np.signbit(half.imag[1, 1:m]).any()
 
 
+@pytest.mark.parametrize("hurst", [0.3, 0.5, 0.7])
+@pytest.mark.parametrize("shape", [(32,), (3, 32)])
+def test_fgn_from_noise_leaves_the_callers_noise_unchanged(hurst, shape):
+    noise = RandomStream(8).gaussian(int(np.prod(shape))).reshape(shape)
+    before = noise.copy()
+    fgn = fgn_from_noise(hurst, 16, 0.1, noise)
+    assert noise.tobytes() == before.tobytes()
+    assert fgn.shape == shape[:-1] + (16,)
+    assert not np.shares_memory(fgn, noise)
+
+
 def test_noise_block_length_is_validated():
     with pytest.raises(ValueError):
         fgn_from_noise(0.3, 8, 0.1, np.zeros(15))

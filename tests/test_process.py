@@ -32,7 +32,6 @@ from ltfsm.process import (
     _physical_bytes,
     _run_chunks,
     _term_bytes,
-    _walk_sites,
     _work_row,
     resolve_threads,
 )
@@ -493,37 +492,50 @@ def test_occupation_curves_rows_are_the_per_path_occupation(hurst, rows):
 # -- discrete baseline -----------------------------------------------------------------------
 
 
+class _Words:
+    """A raw-word source that hands out ``words`` in order and records the
+    size of each request."""
+
+    def __init__(self, words):
+        self.words = np.asarray(words, dtype=np.uint64)
+        self.sizes = []
+
+    def raw(self, size):
+        start = sum(self.sizes)
+        self.sizes.append(size)
+        return self.words[start : start + size].copy()
+
+
+def _sign_words(steps):
+    """Raw words whose top bit is set exactly for the +1 steps; the low bits
+    are noise the walk must ignore."""
+    low = RandomStream(23).raw(len(steps)) >> np.uint64(1)
+    return [int(w) | (1 << 63 if step > 0 else 0) for w, step in zip(low, steps)]
+
+
 def test_rwrr_hand_recomputation_with_stub_draws():
-    class Stub:
-        def __init__(self):
-            self.uniforms = np.array([0.3, 0.6, 0.9, 0.2])
-
-        def rademacher(self, size):
-            return np.array([1.0, 1.0, -1.0, 1.0])[:size]
-
-        def uniform(self, size):
-            return self.uniforms[:size]
-
-    path = simulate_rwrr_baseline(1.5, 4, 2, Stub())
-    rewards = ltfsm.oracle.sample_stable_oracle(1.5, Stub(), 2)
+    reward_words = RandomStream(5).raw(4)
+    source = _Words(_sign_words([1, 1, -1, 1]) + reward_words.tolist())
+    path = simulate_rwrr_baseline(1.5, 4, 2, source)
+    # the reward words are the oracle's uniforms: 2 angles, then 2 exponentials
+    rewards = ltfsm.oracle.sample_stable_oracle(1.5, RandomStream(5), 2)
     # walk 1, 2, 1, 2 over sites {1, 2}: partial sums r0+r1 then 2 r0 + 2 r1
     norm = 4.0 ** (0.5 + 0.5 / 1.5)
     expect = np.array([0.0, (rewards[0] + rewards[1]) / norm, 2.0 * (rewards[0] + rewards[1]) / norm])
     np.testing.assert_allclose(path.values, expect, rtol=1e-14)
     assert np.array_equal(path.times, [0.0, 0.5, 1.0])
+    assert source.sizes == [4, 4]  # steps sign words, then 2 words per site
+
+
+def _unit_rewards(alpha, u):
+    return np.ones(len(u) // 2)
 
 
 def test_rwrr_grid_mapping_counts_whole_steps(monkeypatch):
-    monkeypatch.setattr(
-        ltfsm.oracle, "sample_stable_oracle", lambda alpha, stream, size=None: np.ones(size)
-    )
-
-    class Signs:
-        def rademacher(self, size):
-            return np.where(np.arange(size) % 2 == 0, 1.0, -1.0)
-
+    monkeypatch.setattr(ltfsm.oracle, "_stable_from_uniforms", _unit_rewards)
+    source = _Words(_sign_words([1, -1] * 5) + [0] * 4)
     # unit rewards make the partial sum equal the step count floor(steps t / T)
-    path = simulate_rwrr_baseline(1.0, 10, 4, Signs())
+    path = simulate_rwrr_baseline(1.0, 10, 4, source)
     norm = 10.0 ** (0.5 + 0.5)
     np.testing.assert_allclose(path.values, np.array([0.0, 2.0, 5.0, 7.0, 10.0]) / norm)
 
@@ -537,10 +549,15 @@ def test_rwrr_grid_mapping_counts_whole_steps(monkeypatch):
         ([-1], 1, [0]),
     ],
 )
-def test_walk_sites_shifts_the_lowest_site_to_zero(steps, sites, expect):
-    moves = np.array(steps, dtype=np.int64)
-    assert _walk_sites(moves) == sites
-    assert moves.tolist() == expect  # overwritten in place
+def test_rwrr_shifts_the_lowest_site_to_zero(monkeypatch, steps, sites, expect):
+    # site s carries reward s, so the increments of the partial sums read the
+    # shifted site of every step
+    monkeypatch.setattr(ltfsm.oracle, "_stable_from_uniforms",
+                        lambda alpha, u: np.arange(len(u) // 2, dtype=float))
+    source = _Words(_sign_words(steps) + [0] * (2 * sites))
+    path = simulate_rwrr_baseline(1.0, len(steps), len(steps), source)
+    assert source.sizes == [len(steps), 2 * sites]
+    assert np.diff(np.rint(path.values * len(steps))).tolist() == expect
 
 
 def test_rwrr_is_deterministic_and_validated():
