@@ -58,12 +58,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fbm import _check_horizon, _check_hurst
+from .fbm import _check_counts, _check_horizon, _check_hurst
 from .localtime import _check_bandwidth, grid_index
 from .oracle import sample_stable_oracle
 from .process import (
     _arrival_order_sum,
-    _check_counts,
     _check_density,
     _check_memory,
     _check_rwrr,
@@ -342,15 +341,20 @@ def _signed_arrival_sums(
     return np.sum(x, axis=1)
 
 
+def _check_arrivals(arrivals: int) -> None:
+    """Refuse a replicate of ``arrivals`` arrivals that alone needs more than
+    physical memory; it holds 16 B per arrival, its exponential and its sign
+    word."""
+    _check_memory(f"one replicate ({arrivals} arrivals)", 16 * arrivals,
+                  "lower the number of arrivals")
+
+
 def _arrival_sums(
     alpha: float, arrivals: int, skip: int, count: int, stream: RandomStream, threads: int
 ) -> np.ndarray:
     """``count`` replicates of ``sum_{n = skip + 1}^{arrivals} Gamma_n**(-1/alpha)
     * eps_n``.  Replicate ``j`` consumes from ``stream.substream(j)``:
     ``arrivals`` exponentials, then ``arrivals - skip`` signs."""
-    # a replicate holds 16 B per arrival: its exponential and its sign word
-    _check_memory(f"one replicate ({arrivals} arrivals)", 16 * arrivals,
-                  "lower the number of arrivals")
     signs = arrivals - skip
     chunk_rows = _chunk_rows(_ARRIVAL_BYTES * arrivals)
     size = min(chunk_rows, count)
@@ -381,6 +385,7 @@ def lepage_marginal_samples(
     if not 0.0 < alpha < 2.0:
         raise ValueError("alpha must lie in (0, 2)")
     _check_counts(terms=terms, n_samples=n_samples)
+    _check_arrivals(terms)
     threads = resolve_threads(threads, _CHUNK_BYTES)
     return _arrival_sums(alpha, terms, 0, n_samples, stream, threads)
 
@@ -453,6 +458,7 @@ def tail_moment_sweep(
     n_values = [int(n_low) for n_low in n_values]
     if len(set(n_values)) < len(n_values):
         raise ValueError("n_values must not repeat")
+    _check_arrivals(factor * max(n_values))  # before the first sweep draws
     out: dict[int, tuple[float, float]] = {}
     for i, n_low in enumerate(n_values):
         total = int(factor * n_low)

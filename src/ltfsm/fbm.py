@@ -32,6 +32,7 @@ counter-based streams aligned across Hurst indices.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -62,6 +63,14 @@ def _check_hurst(hurst: float) -> None:
 def _check_horizon(horizon: float) -> None:
     if not 0.0 < horizon < math.inf:  # NaN fails the comparison too
         raise ValueError("horizon must be finite and > 0")
+
+
+def _check_counts(**counts: int) -> None:
+    """Reject, by name, the first count that is not an integer >= 1, before
+    anything is drawn."""
+    for name, value in counts.items():
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+            raise ValueError(f"{name} must be an integer >= 1")
 
 
 def _check_spacing(spacing: float) -> None:
@@ -138,8 +147,7 @@ def fgn_from_noise(
     conjugates.
     """
     _check_hurst(hurst)
-    if points < 1:
-        raise ValueError("points must be >= 1")
+    _check_counts(points=points)
     _check_spacing(spacing)
     noise = np.asarray(noise, dtype=float)
     if noise.shape[-1] != 2 * points:
@@ -222,8 +230,7 @@ def fbm_path(hurst: float, horizon: float, points: int, stream) -> FbmPath:
     """
     _check_hurst(hurst)
     _check_horizon(horizon)
-    if points < 1:
-        raise ValueError("points must be >= 1")
+    _check_counts(points=points)
     values = np.empty(points + 1)
     values[0] = 0.0
     fgn = _fgn_into(hurst, horizon / points, stream.gaussian(2 * points), None, values[1:])

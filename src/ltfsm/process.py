@@ -93,7 +93,6 @@ one ``cumsum``, one fancy index).
 from __future__ import annotations
 
 import math
-import numbers
 import os
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -104,7 +103,7 @@ import numpy as np
 from numpy.random import Philox
 
 from . import oracle
-from .fbm import _check_horizon, _embedding_coefficients, _fgn_into
+from .fbm import _check_counts, _check_horizon, _embedding_coefficients, _fgn_into
 from .localtime import _check_bandwidth, _phi_k_in_place, grid_index
 from .streams import (
     _cursor,
@@ -244,13 +243,19 @@ class TuningParams:
         """Grid size of term ``n`` (1-based) with arrival time ``gamma``, by
         the head/tail rule in the module docstring."""
         if n <= self.N:
-            try:
-                value = gamma ** (-self.head_exp) * self.k_power
-            except OverflowError:  # an early arrival at a small alpha
-                value = math.inf
+            value = _power(gamma, -self.head_exp) * self.k_power
         else:
             value = self.k_power * float(n) ** (-self.tail_exp)
         return _clamp_points(value, self.max_points)
+
+
+def _power(base: float, exponent: float) -> float:
+    """Python's scalar ``base ** exponent`` (numpy's vector power may differ
+    in the last ulp), ``inf`` where it overflows, as numpy's does."""
+    try:
+        return base**exponent
+    except OverflowError:  # an early arrival at a small alpha
+        return math.inf
 
 
 def _clamp_points(value: float, max_points: int) -> int:
@@ -433,14 +438,6 @@ def _series_head(u: np.ndarray, alpha: float, density: str):
     return gammas, locations, weights
 
 
-def _check_counts(**counts: int) -> None:
-    """Reject, by name, the first count that is not an integer >= 1, before
-    anything is drawn."""
-    for name, value in counts.items():
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
-            raise ValueError(f"{name} must be an integer >= 1")
-
-
 # Working bytes that the threads of the default count may add to those of the
 # first thread.
 _THREAD_BYTES = 32_000_000
@@ -565,8 +562,7 @@ def simulate_ltfsm(
     curves = _run_chunks(worker, params.P, -(-params.P // threads), threads, layouts)
     _seek(stream._bitgen, key, offsets[-1])
     curves *= weights[:, None]
-    # Python's scalar power: numpy's vector power may differ in the last ulp
-    coef = np.array([float(gamma) ** (-1.0 / alpha) for gamma in gammas])
+    coef = np.array([_power(float(gamma), -1.0 / alpha) for gamma in gammas])
     total = _arrival_order_sum(coef[None], curves[None])[0]
     total[0] = 0.0
     return SamplePath(times=times, values=total)
@@ -599,12 +595,21 @@ def simulate_rwrr_baseline(
 
 
 def _check_rwrr(alpha, steps, grid_points, horizon, n_paths=1) -> None:
-    """Reject, by name, random-walk arguments out of range, before anything
-    is drawn."""
+    """Reject, by name, random-walk arguments out of range, and a walk that
+    alone needs more than physical memory, before anything is drawn."""
     if not 0.0 < alpha <= 2.0:
         raise ValueError("alpha must lie in (0, 2]")
     _check_counts(n_paths=n_paths, steps=steps, grid_points=grid_points)
     _check_horizon(horizon)
+    _check_memory(f"one walk ({steps} steps)", _rwrr_row_bytes(steps), "lower steps")
+
+
+def _rwrr_row_bytes(steps: int) -> int:
+    """Peak working bytes of ``_rwrr_row``: 8 B per step for the positions
+    and 56 B per visited site, for its two words and the oracle transform's
+    float temporaries, with at most ``steps + 1`` sites (a walk that never
+    turns peaks at 64 B per step)."""
+    return 8 * steps + 56 * (steps + 1)
 
 
 def _rwrr_row(alpha, draw, steps, grid_points) -> np.ndarray:

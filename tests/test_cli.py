@@ -277,6 +277,18 @@ def test_validate_cf_rejects_bad_sizes_before_running(tmp_path, capsys, flag, va
     assert not (tmp_path / "cf.csv.manifest").exists()
 
 
+def test_validate_cf_refuses_a_walk_larger_than_physical_memory_before_writing(
+    tmp_path, capsys, monkeypatch
+):
+    monkeypatch.setattr(process, "_physical_bytes", lambda: 1024)
+    out = tmp_path / "walk.csv"
+    assert main(["validate-cf", "--alpha", "1", "--hurst", "0.5", "--seed", "7",
+                 "--method", "rwrr", "--steps", "100000", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "one walk (100000 steps)" in err and "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []  # no CSV and no manifest
+
+
 def test_validate_cf_rwrr_method(tmp_path, capsys):
     out = tmp_path / "cfr.csv"
     code = main(["validate-cf", "--alpha", "1", "--hurst", "0.5", "--seed", "7",
@@ -476,6 +488,19 @@ def test_simulate_refuses_to_write_a_non_finite_path(tmp_path, capsys):
     out = tmp_path / "nf.csv"
     args = ["simulate", "--alpha", "0.01", "--hurst", "0.5", "--epsilon", "0.9",
             "--max-points", "64", "--grid", "10", "--seed", "6", "--out", str(out)]
+    with pytest.warns(RuntimeWarning):
+        assert main(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "not finite" in err
+    assert "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_simulate_refuses_an_overflowing_series_coefficient(tmp_path, capsys):
+    # an early arrival so small that Gamma**(-1/alpha) overflows the float range
+    out = tmp_path / "nf.csv"
+    args = ["simulate", "--alpha", "0.01", "--hurst", "0.5", "--epsilon", "0.9",
+            "--max-points", "64", "--grid", "10", "--seed", "1715", "--out", str(out)]
     with pytest.warns(RuntimeWarning):
         assert main(args) == 2
     err = capsys.readouterr().err

@@ -24,7 +24,7 @@ from ltfsm import (
 )
 from ltfsm import experiments, process
 from ltfsm.experiments import _ARRIVAL_BYTES, _CHUNK_BYTES, _chunk_rows, _series_row_bytes
-from ltfsm.process import _arrival_order_sum, _run_chunks, resolve_threads
+from ltfsm.process import _arrival_order_sum, _run_chunks, _rwrr_row_bytes, resolve_threads
 from ltfsm.streams import (
     RandomStream,
     raw_to_uniform,
@@ -668,6 +668,35 @@ def test_a_replicate_larger_than_physical_memory_is_refused_before_any_substream
         stable_marginal_check(1.2, 50, 5, RandomStream(5))
     with pytest.raises(ValueError, match=r"one replicate \(50 arrivals\)"):
         tail_moment_sweep(1.2, [5], 3, RandomStream(5), factor=10)
+
+
+def test_a_walk_larger_than_physical_memory_is_refused_before_any_draw(monkeypatch):
+    monkeypatch.setattr(experiments, "_substream_heads", _must_not_run)
+    monkeypatch.setattr(process, "_physical_bytes", lambda: _rwrr_row_bytes(1000) - 1)
+    with pytest.raises(ValueError, match=r"one walk \(1000 steps\) .* GiB of this"):
+        rwrr_path_ensemble(1.2, 3, 1000, RandomStream(5))
+    with pytest.raises(ValueError, match=r"one walk \(1000 steps\)"):
+        simulate_rwrr_baseline(1.2, 1000, 5, NoDraws())
+    with pytest.raises(ValueError, match=r"one walk \(1000 steps\)"):
+        cf_linearity_experiment("rwrr", 1.0, 0.5, 3, RandomStream(5), steps=1000)
+
+
+def test_a_tail_sweep_is_refused_at_its_largest_n_before_any_sweep_draws(monkeypatch):
+    monkeypatch.setattr(experiments, "_substream_heads", _must_not_run)
+    monkeypatch.setattr(process, "_physical_bytes", lambda: 16 * 640 - 1)
+    with pytest.raises(ValueError, match=r"one replicate \(640 arrivals\)"):
+        tail_moment_sweep(1.2, [8, 64], 3, RandomStream(5), factor=10)
+
+
+@pytest.mark.parametrize("memory", ["exact", "unknown"])
+def test_a_walk_that_fits_in_memory_or_an_unknown_size_runs(monkeypatch, memory):
+    expect = (rwrr_path_ensemble(1.2, 3, 1000, RandomStream(5)),
+              simulate_rwrr_baseline(1.2, 1000, 5, RandomStream(6)).values)
+    size = _rwrr_row_bytes(1000) if memory == "exact" else None
+    monkeypatch.setattr(process, "_physical_bytes", lambda: size)
+    got = (rwrr_path_ensemble(1.2, 3, 1000, RandomStream(5)),
+           simulate_rwrr_baseline(1.2, 1000, 5, RandomStream(6)).values)
+    assert [a.tobytes() for a in got] == [a.tobytes() for a in expect]
 
 
 @pytest.mark.parametrize("memory", ["exact", "unknown"])

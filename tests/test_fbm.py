@@ -183,6 +183,14 @@ def test_path_arguments_are_validated():
         fbm_path(1.5, 1.0, 8, RandomStream(1))
 
 
+@pytest.mark.parametrize("points", [2.5, 0, -4, True, math.inf, math.nan, "8"])
+def test_a_bad_point_count_is_rejected_by_name(points):
+    with pytest.raises(ValueError, match="points must be an integer >= 1"):
+        fbm_path(0.7, 1.0, points, RandomStream(1))
+    with pytest.raises(ValueError, match="points must be an integer >= 1"):
+        fgn_from_noise(0.7, points, 0.1, np.zeros(16))
+
+
 @pytest.mark.parametrize("horizon", [math.nan, math.inf, -1.0])
 def test_fbm_path_rejects_a_non_finite_or_negative_horizon(horizon):
     with pytest.raises(ValueError, match="horizon must be finite and > 0"):

@@ -31,6 +31,7 @@ from ltfsm.process import (
     _occupation_curves,
     _physical_bytes,
     _run_chunks,
+    _rwrr_row_bytes,
     _term_bytes,
     _work_row,
     resolve_threads,
@@ -558,6 +559,20 @@ def test_rwrr_shifts_the_lowest_site_to_zero(monkeypatch, steps, sites, expect):
     path = simulate_rwrr_baseline(1.0, len(steps), len(steps), source)
     assert source.sizes == [len(steps), 2 * sites]
     assert np.diff(np.rint(path.values * len(steps))).tolist() == expect
+
+
+def test_rwrr_row_bytes_bound_the_peak_of_a_walk_that_never_turns():
+    steps = 20_000  # one site per step, the most a walk can visit
+    source = _Words(_sign_words([1] * steps) + RandomStream(3).raw(2 * steps).tolist())
+    tracemalloc.start()
+    try:
+        simulate_rwrr_baseline(1.2, steps, 20, source)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert source.sizes == [steps, 2 * steps]
+    # the model leaves out a few small arrays (the grid columns, the values)
+    assert 0.99 * _rwrr_row_bytes(steps) <= peak <= 1.01 * _rwrr_row_bytes(steps)
 
 
 def test_rwrr_is_deterministic_and_validated():
