@@ -157,7 +157,9 @@ def fgn_from_noise(
     return _fgn_into(hurst, spacing, noise, None, np.empty(noise.shape[:-1] + (points,)))
 
 
-def _fgn_into(hurst, spacing, noise, half, out) -> np.ndarray:
+def _fgn_into(
+    hurst: float, spacing: float, noise: np.ndarray, half: np.ndarray | None, out: np.ndarray
+) -> np.ndarray:
     """:func:`fgn_from_noise` of the rows of ``noise`` (``2 m`` normals each;
     at H = 1/2 the first ``m`` suffice), written into the rows of ``out``
     (length ``m``), which is returned.

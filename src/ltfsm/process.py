@@ -81,9 +81,8 @@ array that holds the half spectrum, then the path, the tent kernel (in
 place, bitwise :func:`~ltfsm.localtime.kernel_phi_k`) and its prefix sums.
 
 :func:`simulate_rwrr_baseline` and
-:func:`ltfsm.experiments.rwrr_path_ensemble` are one walk kernel:
-both check their arguments with ``_check_rwrr`` and run one row kernel,
-``_rwrr_row``, on a raw-word draw (``RandomStream.raw`` for the one path, a
+:func:`ltfsm.experiments.rwrr_path_ensemble` check their arguments with
+``_check_rwrr`` and run one row kernel, ``_rwrr_row``, on a raw-word draw (``RandomStream.raw`` for the one path, a
 substream head's ``random_raw`` for each ensemble row).  The kernel takes
 the steps from the sign bits, shifts the sites in place, draws the rewards
 through the oracle transform and reads the grid partial sums (one gather,
@@ -605,11 +604,14 @@ def _check_rwrr(alpha, steps, grid_points, horizon, n_paths=1) -> None:
 
 
 def _rwrr_row_bytes(steps: int) -> int:
-    """Peak working bytes of ``_rwrr_row``: 8 B per step for the positions
-    and 56 B per visited site, for its two words and the oracle transform's
-    float temporaries, with at most ``steps + 1`` sites (a walk that never
-    turns peaks at 64 B per step)."""
-    return 8 * steps + 56 * (steps + 1)
+    """A bound on the peak working bytes of ``_rwrr_row``, 64 B per step.
+
+    A walk that never turns visits one site per step and peaks there: 8 B
+    of positions per step and 56 B per site, its two words and the oracle
+    transform's float temporaries.  A walk visits at most ``steps + 1``
+    sites; a typical one visits about ``steps**(1/2)`` and peaks near 24 B
+    per step (positions, gathered rewards, partial sums)."""
+    return 64 * (steps + 1)
 
 
 def _rwrr_row(alpha, draw, steps, grid_points) -> np.ndarray:
