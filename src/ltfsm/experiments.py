@@ -70,15 +70,10 @@ from .process import (
     _run_chunks,
     _rwrr_row,
     _series_head,
-    _work_row,
+    _term_layout,
     resolve_threads,
 )
-from .streams import (
-    RandomStream,
-    _substream_heads,
-    _uniform_in_place,
-    uniform_to_gaussian,
-)
+from .streams import RandomStream, _substream_heads, _uniform_in_place
 from .validation import CfEstimate, empirical_cf, fit_scale_by_cf, ks_distance, linreg_r2
 
 __all__ = [
@@ -118,14 +113,12 @@ def _chunk_rows(bytes_per_row: int) -> int:
 def _series_row_bytes(hurst: float, terms: int, points: int) -> int:
     """Peak working bytes of one :func:`series_path_ensemble` replicate.
 
-    The ``uint64`` head and noise buffers are converted in place and live
-    throughout (at H = 1/2 only ``points`` noise words per term are kept),
-    next to the occupation kernel's work array: the path at H = 1/2, the
-    complex half spectrum otherwise (the inverse FFT runs into the noise).
+    The ``uint64`` head and noise buffers (the noise words each term keeps)
+    are converted in place and live throughout, next to the occupation
+    kernel's work array: the path at H = 1/2, the complex half spectrum
+    otherwise (the inverse FFT runs into the noise); see ``_term_layout``.
     """
-    p, m = terms, points
-    noise = p * (m if hurst == 0.5 else 2 * m)
-    return 8 * (3 * p + noise) + 8 * p * _work_row(hurst, m)
+    return 8 * terms * (3 + sum(_term_layout(hurst, points)))
 
 
 def series_path_ensemble(
@@ -163,29 +156,24 @@ def series_path_ensemble(
     m = points
     p = terms
     idx = grid_index(m, horizon, np.arange(grid_points + 1) * (horizon / grid_points))
-
-    # at H = 1/2 only the first m words of each 2m-word noise block are used:
-    # every word is still drawn, but the rest are never kept
-    used = m if hurst == 0.5 else 2 * m
+    kept, floats = _term_layout(hurst, m)
 
     chunk_rows = _chunk_rows(row_bytes)
     size = min(chunk_rows, n_paths)
     layouts = [
         ((size, 3 * p), np.uint64),
-        ((size, p, used), np.uint64),
-        ((size, p * _work_row(hurst, m)), np.float64),
+        ((size, p, kept), np.uint64),
+        ((size, p * floats), np.float64),
     ]
 
     def worker(start: int, rows: int, head, noise, work) -> np.ndarray:
         head, noise, work = head[:rows], noise[:rows], work[:rows]
         for r, bitgen in enumerate(_substream_heads(stream, start, rows)):
             head[r] = bitgen.random_raw(3 * p)
-            noise[r] = bitgen.random_raw(p * 2 * m).reshape(p, 2 * m)[:, :used]
-        gammas, locations, weights = _series_head(_uniform_in_place(head), alpha, density)
-        normals = _uniform_in_place(noise)
-        uniform_to_gaussian(normals, out=normals)
+            noise[r] = bitgen.random_raw(p * 2 * m).reshape(p, 2 * m)[:, :kept]
+        gammas, locations, weights = _series_head(head, alpha, density)
         curves = _occupation_curves(
-            hurst, m, horizon, bandwidth, normals.reshape(rows * p, used),
+            hurst, m, horizon, bandwidth, noise.reshape(rows * p, kept),
             locations.reshape(rows * p, 1), idx, work.reshape(-1),
         ).reshape(rows, p, len(idx))
         out = _arrival_order_sum(gammas ** (-1.0 / alpha) * weights, curves)

@@ -335,10 +335,14 @@ def gaussian_density_weight(x: np.ndarray, alpha: float) -> np.ndarray:
     return (2.0 * np.pi) ** (0.5 / alpha) * np.exp(x * x / (2.0 * alpha))
 
 
-def _work_row(hurst: float, m: int) -> int:
-    """``float64`` entries of ``_occupation_curves``'s work array per row: the
-    complex half spectrum (``m + 1`` values) at H != 1/2, the path at H = 1/2."""
-    return (m + 1) * (1 if hurst == 0.5 else 2)
+def _term_layout(hurst: float, m: int) -> tuple[int, int]:
+    """The buffers of one term at grid size ``m``: the noise words it keeps
+    (all ``2 m`` of its block at H != 1/2, the first ``m`` at H = 1/2) and
+    the ``float64`` entries of ``_occupation_curves``'s work array (the
+    complex half spectrum, ``m + 1`` values, at H != 1/2; the path at H = 1/2)."""
+    if hurst == 0.5:
+        return m, m + 1
+    return 2 * m, 2 * (m + 1)
 
 
 def _term_bytes(hurst: float, m: int) -> int:
@@ -347,8 +351,17 @@ def _term_bytes(hurst: float, m: int) -> int:
     term, the raw words drawn (``8 m`` at H = 1/2) or the inverse FFT's own
     scratch (about ``32 m`` at H != 1/2; a thread at m = 2**18 measured 16 MiB
     of peak RSS, ``64 m`` bytes in all)."""
-    used = 1 if hurst == 0.5 else 2
-    return 8 * (used * m + _work_row(hurst, m)) + (8 if hurst == 0.5 else 32) * m
+    return 8 * sum(_term_layout(hurst, m)) + (8 if hurst == 0.5 else 32) * m
+
+
+def _path_bytes(terms: int, grid_points: int) -> int:
+    """A bound on the working bytes of :func:`simulate_ltfsm` besides its
+    term buffers: 128 B per term for the head (its three words, the three
+    arrays ``_series_head`` makes from them, their transients, and each
+    term's size, word offset and coefficient; 98 B measured), and the
+    curves, ``8 (grid_points + 1)`` B per term, counted twice because
+    ``_run_chunks`` concatenates the blocks."""
+    return terms * (128 + 16 * (grid_points + 1))
 
 
 def _physical_bytes() -> int | None:
@@ -372,19 +385,25 @@ def _check_memory(what: str, need: int, remedy: str) -> None:
         )
 
 
-def _occupation_curves(hurst, m, horizon, bandwidth, noise, centers, idx, work):
+def _occupation_curves(hurst, m, horizon, bandwidth, words, centers, idx, work):
     """Row ``r``: the occupation functional at level ``centers[r]`` of the fBm
-    path with ``m`` increments driven by row ``r`` of ``noise`` (``2 * m``
-    normals; at H = 1/2 the first ``m`` suffice), at path indices ``idx`` --
-    bitwise :func:`~ltfsm.localtime.discretized_occupation`.
+    path with ``m`` increments driven by the raw words of row ``r`` of
+    ``words`` (the words of its ``2 m``-word noise block that a term keeps,
+    see ``_term_layout``), at path indices ``idx`` -- bitwise
+    :func:`~ltfsm.localtime.discretized_occupation` of the path that
+    :func:`~ltfsm.fbm.fbm_path` draws from those words.
 
-    The caller owns the memory: ``work`` is a 1-d ``float64`` array of at
-    least ``rows * _work_row(hurst, m)`` entries.  ``fbm._fgn_into`` writes
-    the fGn into it: at H != 1/2 ``work`` first holds the half spectrum and
-    the inverse FFT overwrites ``noise``; at H = 1/2 ``noise`` is only read.
-    ``work`` then holds the path, the tent kernel and its prefix sums; only
-    the columns ``idx`` are copied out and scaled by ``horizon / m``."""
+    The caller owns the memory.  ``words`` is a C-contiguous ``uint64``
+    array; it becomes uniforms, then normals, in its own memory.  ``work`` is
+    a 1-d ``float64`` array of at least ``rows * _term_layout(hurst, m)[1]``
+    entries.  ``fbm._fgn_into`` writes the fGn into it: at H != 1/2 ``work``
+    first holds the half spectrum and the inverse FFT overwrites the
+    normals; at H = 1/2 they are only read.  ``work`` then holds the path,
+    the tent kernel and its prefix sums; only the columns ``idx`` are copied
+    out and scaled by ``horizon / m``."""
     _check_bandwidth(bandwidth)
+    noise = _uniform_in_place(words)
+    uniform_to_gaussian(noise, out=noise)
     rows = len(noise)
     paths = work[: rows * (m + 1)].reshape(rows, m + 1)
     half = None if hurst == 0.5 else work[: 2 * paths.size].view(complex).reshape(rows, m + 1)
@@ -425,11 +444,13 @@ def _check_density(density: str) -> None:
         raise ValueError(f"density must be {' or '.join(map(repr, _DENSITIES))}")
 
 
-def _series_head(u: np.ndarray, alpha: float, density: str):
-    """``gammas, locations, weights`` from the ``3 P`` head uniforms on the
-    last axis of ``u`` (one path, or one row per path): ``P`` arrival
+def _series_head(words: np.ndarray, alpha: float, density: str):
+    """``gammas, locations, weights`` from the ``3 P`` head words on the last
+    axis of the C-contiguous ``uint64`` array ``words`` (one path, or one row
+    per path), which become uniforms in their own memory: ``P`` arrival
     exponentials, ``P`` normal weights, ``P`` location variates."""
     to_location, weight = _DENSITIES[density]
+    u = _uniform_in_place(words)
     p = u.shape[-1] // 3
     gammas = np.cumsum(uniform_to_exponential(u[..., :p]), axis=-1)
     locations = to_location(u[..., 2 * p :])
@@ -522,7 +543,10 @@ def simulate_ltfsm(
     _check_density(density)
     requested = _requested_threads(threads)
     alpha, hurst, k, horizon = config.alpha, config.hurst, params.k, config.horizon
-    gammas, locations, weights = _series_head(stream.uniform(3 * params.P), alpha, density)
+    _check_memory(f"the head and curves of {params.P} terms on {config.grid_points + 1} times",
+                  _path_bytes(params.P, config.grid_points),
+                  "raise epsilon or lower the grid size")
+    gammas, locations, weights = _series_head(stream.raw(3 * params.P), alpha, density)
     times = config.grid_times
     # before any noise is drawn, in this thread: the grid sizes (so the cap
     # warnings fire here, in term order, and an overflow before any work),
@@ -538,8 +562,6 @@ def simulate_ltfsm(
     if hurst != 0.5:
         for m in sorted(set(points)):
             _embedding_coefficients(hurst, m)
-    # at H = 1/2 a term reads only the first m words of its 2m-word block
-    used = 1 if hurst == 0.5 else 2
     threads = resolve_threads(requested, term_bytes)
 
     def worker(start: int, count: int, words: np.ndarray, work: np.ndarray) -> np.ndarray:
@@ -547,17 +569,17 @@ def simulate_ltfsm(
         curves = np.empty((count, len(times)))
         for n in range(start, start + count):
             m = points[n]
+            kept = _term_layout(hurst, m)[0]
             _seek(bitgen, key, offsets[n])
-            words[: used * m] = bitgen.random_raw(used * m)
-            noise = _uniform_in_place(words[: used * m])
-            uniform_to_gaussian(noise, out=noise)
+            words[:kept] = bitgen.random_raw(kept)
             idx = grid_index(m, horizon, times)
             curves[n - start] = _occupation_curves(
-                hurst, m, horizon, k, noise[None], locations[n], idx, work
+                hurst, m, horizon, k, words[None, :kept], locations[n], idx, work
             )[0]
         return curves
 
-    layouts = [((used * largest,), np.uint64), ((_work_row(hurst, largest),), np.float64)]
+    # one (noise words, work) set per thread, sized at the largest term
+    layouts = list(zip(_term_layout(hurst, largest), (np.uint64, np.float64)))
     curves = _run_chunks(worker, params.P, -(-params.P // threads), threads, layouts)
     _seek(stream._bitgen, key, offsets[-1])
     curves *= weights[:, None]

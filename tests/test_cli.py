@@ -163,10 +163,30 @@ def test_simulate_rejects_an_unknown_density_before_writing(tmp_path, capsys):
 def test_simulate_refuses_a_term_larger_than_physical_memory_before_writing(
     tmp_path, capsys, monkeypatch
 ):
-    monkeypatch.setattr(process, "_physical_bytes", lambda: 1024)
+    # the head and curves of SIM_ARGS (3 terms on 21 times) fit in 2 048 B
+    monkeypatch.setattr(process, "_physical_bytes", lambda: 2048)
     code, out = _simulate(tmp_path, "big.csv")
     assert code == 2
-    assert "GiB of this machine" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "the largest term (m = 128)" in err and "GiB of this machine" in err
+    assert list(tmp_path.iterdir()) == []  # no CSV and no manifest
+
+
+@pytest.mark.parametrize(
+    "extra",
+    [["--epsilon", "0.01"], ["--grid", "100000000"]],
+    ids=["tuned-P-1e9", "grid-1e8"],
+)
+def test_simulate_refuses_a_head_and_curves_larger_than_memory_before_drawing(
+    tmp_path, capsys, monkeypatch, extra
+):
+    # never run for real: the memory probe says 1 GiB, and the stream must not draw
+    monkeypatch.setattr(process, "_physical_bytes", lambda: 2**30)
+    monkeypatch.setattr(RandomStream, "raw", lambda self, size: pytest.fail("drew the head"))
+    code, out = _simulate(tmp_path, "huge.csv", extra)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: the head and curves of ") and "Traceback" not in err
     assert list(tmp_path.iterdir()) == []  # no CSV and no manifest
 
 

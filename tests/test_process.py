@@ -16,6 +16,7 @@ from ltfsm import (
     SeriesConfig,
     TuningParams,
     discretized_occupation,
+    fbm_path,
     fgn_from_noise,
     flat_params,
     grid_index,
@@ -29,11 +30,12 @@ from ltfsm import (
 )
 from ltfsm.process import (
     _occupation_curves,
+    _path_bytes,
     _physical_bytes,
     _run_chunks,
     _rwrr_row_bytes,
     _term_bytes,
-    _work_row,
+    _term_layout,
     resolve_threads,
 )
 from ltfsm.streams import RandomStream, _cursor, uniform_to_laplace_half
@@ -287,10 +289,10 @@ def test_simulate_ltfsm_follows_the_documented_draw_order(density):
     idx = grid_index(m, cfg.horizon, cfg.grid_times)
     expect = np.zeros(len(idx))
     for n in range(params.P):
-        noise = s.gaussian(2 * m)[None]
-        work = np.empty(_work_row(cfg.hurst, m))
+        words = s.raw(2 * m)[None]
+        work = np.empty(_term_layout(cfg.hurst, m)[1])
         curve = _occupation_curves(
-            cfg.hurst, m, cfg.horizon, params.k, noise, locations[n], idx, work
+            cfg.hurst, m, cfg.horizon, params.k, words, locations[n], idx, work
         )
         expect += float(gammas[n]) ** (-1.0 / cfg.alpha) * (float(weights[n]) * curve[0])
     expect[0] = 0.0
@@ -313,10 +315,10 @@ def _draw_order_reference(cfg, params, stream, density):
         gamma = float(gammas[n])
         m = params.points_for(n + 1, gamma)
         idx = grid_index(m, cfg.horizon, cfg.grid_times)
-        noise = stream.gaussian(2 * m)[None]
-        work = np.empty(_work_row(cfg.hurst, m))
+        words = stream.raw(2 * m)[None]
+        work = np.empty(_term_layout(cfg.hurst, m)[1])
         curve = _occupation_curves(
-            cfg.hurst, m, cfg.horizon, params.k, noise, locations[n], idx, work
+            cfg.hurst, m, cfg.horizon, params.k, words, locations[n], idx, work
         )
         expect += gamma ** (-1.0 / cfg.alpha) * (float(weights[n]) * curve[0])
     expect[0] = 0.0
@@ -379,9 +381,9 @@ def test_threaded_terms_peak_at_their_chunk_buffers(hurst):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    words = m if hurst == 0.5 else 2 * m  # noise words kept per term
-    pair = 8 * words + 8 * _work_row(hurst, m)
-    assert peak <= 1.10 * 2 * (pair + 8 * words)
+    kept, floats = _term_layout(hurst, m)  # noise words kept per term, work floats
+    pair = 8 * (kept + floats)
+    assert peak <= 1.10 * 2 * (pair + 8 * kept)
 
 
 def test_the_default_thread_count_bounds_the_tuned_path_memory(monkeypatch):
@@ -431,6 +433,39 @@ def test_a_term_that_fits_in_memory_or_an_unknown_size_runs(monkeypatch, memory)
     assert path.values.tobytes() == expect.values.tobytes()
 
 
+@pytest.mark.parametrize("epsilon, grid_points", [(0.01, 200), (0.8, 100_000_000)],
+                         ids=["tuned-P-1e9", "grid-1e8"])
+def test_a_head_and_curves_larger_than_physical_memory_are_refused_before_the_head(
+    monkeypatch, epsilon, grid_points
+):
+    # never run for real: P = 10**9 terms, or 8 * 3 * 10**8 B of curves
+    cfg = SeriesConfig(alpha=1.2, hurst=0.5, epsilon=epsilon, grid_points=grid_points)
+    params = tune(cfg)
+    monkeypatch.setattr(process, "_physical_bytes", lambda: 2**30)
+    monkeypatch.setattr(SeriesConfig, "grid_times", property(_must_not_run))
+    with pytest.raises(ValueError, match=rf"the head and curves of {params.P} terms on "
+                                         rf"{grid_points + 1} times .* GiB of this machine"):
+        simulate_ltfsm(cfg, params, _NoDraws())
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("hurst", [0.5, 0.7])
+@pytest.mark.parametrize("grid_points", [1, 100])
+def test_path_bytes_bound_the_peak_of_many_small_terms(hurst, grid_points, threads):
+    # m = 4: the head, the per-term bookkeeping and the curves dominate
+    cfg = SeriesConfig(alpha=1.2, hurst=hurst, grid_points=grid_points, delta=0.1,
+                       delta_prime=0.2)
+    params = flat_params(1000, 2, 4)
+    simulate_ltfsm(cfg, params, RandomStream(1), threads=threads)  # warm the caches
+    tracemalloc.start()
+    try:
+        simulate_ltfsm(cfg, params, RandomStream(2), threads=threads)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= _path_bytes(params.P, grid_points) + threads * _term_bytes(hurst, 4)
+
+
 def test_the_memory_probe_reads_sysconf_or_gives_none(monkeypatch):
     memory = _physical_bytes()
     assert memory is None or (isinstance(memory, int) and memory > 0)
@@ -473,20 +508,20 @@ def test_occupation_curves_rows_are_the_per_path_occupation(hurst, rows):
     m, k, horizon = 48, 3, 1.7
     times = np.arange(11) * (horizon / 10)
     idx = grid_index(m, horizon, times)
-    noise = RandomStream(rows).gaussian(rows * 2 * m).reshape(rows, 2 * m)
+    words = RandomStream(rows).raw(rows * 2 * m).reshape(rows, 2 * m)
     centers = RandomStream(rows + 100).gaussian(rows).reshape(rows, 1) * 0.3
-    work = np.empty(rows * _work_row(hurst, m))
-    # the kernel overwrites its noise at H != 1/2
-    curves = _occupation_curves(hurst, m, horizon, k, noise.copy(), centers, idx, work)
+    work = np.empty(rows * _term_layout(hurst, m)[1])
+    # the kernel converts its words in place (and at H != 1/2 overwrites them)
+    curves = _occupation_curves(hurst, m, horizon, k, words.copy(), centers, idx, work)
     assert curves.shape == (rows, len(idx))
+    stream = RandomStream(rows)  # row r's block is the r-th fBm path of that stream
     for r in range(rows):
-        fgn = fgn_from_noise(hurst, m, horizon / m, noise[r])
-        values = np.concatenate([[0.0], np.cumsum(fgn)])
-        path = FbmPath(hurst=hurst, horizon=horizon, values=values)
+        path = fbm_path(hurst, horizon, m, stream)
         expect = discretized_occupation(path, k, float(centers[r, 0]), times).values
         assert np.array_equal(curves[r], expect)
-    if hurst == 0.5:  # only the first m normals of a block are read
-        half = _occupation_curves(hurst, m, horizon, k, noise[:, :m].copy(), centers, idx, work)
+    if hurst == 0.5:  # a term keeps only the first m words of its block
+        assert _term_layout(hurst, m)[0] == m
+        half = _occupation_curves(hurst, m, horizon, k, words[:, :m].copy(), centers, idx, work)
         assert np.array_equal(half, curves)
 
 
