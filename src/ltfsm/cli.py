@@ -23,8 +23,8 @@ may stay unset) and, for a count, the smallest value accepted (``None`` for no
 bound).  A float must be finite unless it equals an infinite default: only
 ``bounds --P`` has one, ``inf`` for the supremum over block lengths.  A string
 must read back unchanged from a manifest.  Checks that state a policy or a
-reason (``validate-cf`` needs alpha = 1, ``bounds`` pairs ``--p`` with
-``--volK``) stay in the handlers.
+reason (``validate-cf`` needs alpha = 1 and a nonzero ``--u``, ``bounds``
+pairs ``--p`` with ``--volK``) stay in the handlers.
 
 A handler returns ``(exit code, report lines, CSV or None)`` and writes
 nothing; :func:`_run` then writes the CSV, or otherwise the report, to
@@ -101,7 +101,7 @@ _VALIDATE_CF_SCHEMA = {
     "seed": (int, REQUIRED, None),
     "method": (str, "series", None),
     "u": (float, 1.0, None),
-    "times": (int, 20, 2),
+    "times": (int, 20, 3),
     "T": (float, 1.0, None),
     "terms": (int, 64, 1),
     "bandwidth": (int, 16, 1),
@@ -254,6 +254,11 @@ def _cmd_validate_cf(vals: dict):
             "alpha must be exactly 1: the marginal scale grows linearly in t "
             "only at alpha = 1, which is what makes log |CF| linear and the "
             "R^2 check meaningful"
+        )
+    if vals["u"] == 0.0:
+        raise ConfigError(
+            "--u must be nonzero: at u = 0 every log |CF| is exactly 0, so the "
+            "line fit has nothing to test"
         )
     if not vals["T"] > 0.0:
         raise ConfigError(f"--T must be finite and > 0, got {vals['T']}")

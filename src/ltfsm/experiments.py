@@ -252,7 +252,18 @@ def cf_linearity_experiment(
     log-modulus is exactly linear, so ``r_squared`` quantifies how far the
     simulated ensemble is from that law.  ``stderr`` is the Monte Carlo
     standard error of the log-modulus (delta method).
+
+    ``u`` must be finite and nonzero (at u = 0 every log-modulus is exactly
+    0, and the fit tests nothing), ``n_paths`` at least 2 (the empirical CF)
+    and ``n_times`` at least 3 (a line through two points has no residual,
+    so R^2 = 1); all are checked before any draw.
     """
+    if method not in ("series", "rwrr"):
+        raise ValueError("method must be 'series' or 'rwrr'")
+    if not (math.isfinite(u) and u != 0.0):
+        raise ValueError("u must be finite and nonzero: at u = 0 every log-modulus is 0")
+    _check_counts(least=2, n_paths=n_paths)
+    _check_counts(least=3, n_times=n_times)
     if method == "series":
         values = series_path_ensemble(
             alpha,
@@ -266,7 +277,7 @@ def cf_linearity_experiment(
             grid_points=n_times,
             threads=threads,
         )
-    elif method == "rwrr":
+    else:
         values = rwrr_path_ensemble(
             alpha,
             n_paths,
@@ -276,8 +287,6 @@ def cf_linearity_experiment(
             grid_points=n_times,
             threads=threads,
         )
-    else:
-        raise ValueError("method must be 'series' or 'rwrr'")
     times = np.arange(1, n_times + 1) * (horizon / n_times)
     est = empirical_cf(values[:, 1:], u)
     modulus = np.maximum(est.modulus, 1e-300)
@@ -399,8 +408,10 @@ def stable_marginal_check(
     """KS distance between series samples and the CF-scale-fitted oracle.
 
     Series replicates run on ``stream.substream(0).substream(j)``; the oracle
-    draws ``n_samples`` variates from ``stream.substream(1)``.
+    draws ``n_samples`` variates from ``stream.substream(1)``.  The scale fit
+    needs ``n_samples >= 2``, checked before any draw.
     """
+    _check_counts(least=2, n_samples=n_samples)
     series = lepage_marginal_samples(
         alpha, terms, n_samples, stream.substream(0), threads=threads
     )
@@ -437,10 +448,11 @@ def tail_moment_sweep(
     """
     if not 0.0 < alpha < 2.0:
         raise ValueError("alpha must lie in (0, 2)")
-    _check_counts(replicates=replicates, factor=factor)
-    if replicates < 2:
-        raise ValueError("replicates must be >= 2")
+    _check_counts(factor=factor)
+    _check_counts(least=2, replicates=replicates)
     n_values = list(n_values)
+    if not n_values:
+        raise ValueError("n_values must not be empty")
     if not all(float(n_low).is_integer() and n_low >= 1 for n_low in n_values):
         raise ValueError("n_values must all be integers >= 1")
     n_values = [int(n_low) for n_low in n_values]
@@ -477,8 +489,10 @@ def representation_cf_table(
     Returns one ``(u, laplace_estimate, gaussian_estimate)`` triple per
     frequency, each estimate over the ``grid_points`` positive grid times.
     The two ensembles run on ``stream.substream(0)`` and
-    ``stream.substream(1)``.
+    ``stream.substream(1)``; the empirical CFs need ``n_paths >= 2``,
+    checked before any draw.
     """
+    _check_counts(least=2, n_paths=n_paths)
     common = dict(
         alpha=alpha,
         hurst=hurst,

@@ -65,12 +65,12 @@ def _check_horizon(horizon: float) -> None:
         raise ValueError("horizon must be finite and > 0")
 
 
-def _check_counts(**counts: int) -> None:
-    """Reject, by name, the first count that is not an integer >= 1, before
-    anything is drawn."""
+def _check_counts(least: int = 1, **counts: int) -> None:
+    """Reject, by name, the first count that is not an integer >= ``least``,
+    before anything is drawn."""
     for name, value in counts.items():
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
-            raise ValueError(f"{name} must be an integer >= 1")
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+            raise ValueError(f"{name} must be an integer >= {least}")
 
 
 def _check_spacing(spacing: float) -> None:

@@ -16,11 +16,15 @@ Gamma-function ratios are evaluated in log space (``gammaln``) for stability
 at large arguments.  :func:`bound_B_q` (for q != 2) and :func:`bound_H_nq`
 import ``scipy.special.gammaln`` when they first need it, after their own
 argument checks, so importing this module does not load ``scipy.special``
-(about 26 MiB of resident memory; see :mod:`ltfsm.streams`).
+(about 26 MiB of resident memory; see :mod:`ltfsm.streams`).  Each public
+budget returns a finite float, or raises ``ValueError`` naming itself when
+its value leaves the float range (``bounds --Mq 1e308``, or ``--q 300`` at
+alpha = 1.99), so the CLI exits 2 and writes nothing.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import asdict, dataclass
 
@@ -36,9 +40,28 @@ __all__ = [
 ]
 
 
+def _in_float_range(bound):
+    """Wrap the public budget ``bound`` so that it returns a finite float, or
+    raises ``ValueError`` naming it when its value leaves the float range
+    (an ``OverflowError``, ``inf`` or ``nan``)."""
+
+    @functools.wraps(bound)
+    def checked(*args, **kwargs) -> float:
+        try:
+            value = bound(*args, **kwargs)
+        except OverflowError:
+            value = math.inf
+        if not math.isfinite(value):
+            raise ValueError(f"{bound.__name__} leaves the float range at these arguments")
+        return value
+
+    return checked
+
+
 # -- moment constants ----------------------------------------------------------
 
 
+@_in_float_range
 def bound_B_q(q: float) -> float:
     """Gaussian q-th-moment constant; 1 at q = 2, increasing in q."""
     if not 2.0 <= q < math.inf:
@@ -53,6 +76,7 @@ def bound_B_q(q: float) -> float:
     return float(math.exp(log_val))
 
 
+@_in_float_range
 def bound_H_nq(n: int, q: float, alpha: float) -> float:
     """Gamma-ratio factor ``Gamma(n - q/alpha) * n**(q/alpha) / Gamma(n)``."""
     if not 0.0 < alpha < 2.0:
@@ -64,7 +88,8 @@ def bound_H_nq(n: int, q: float, alpha: float) -> float:
         raise ValueError("n must be an integer that exceeds q / alpha")
     from scipy.special import gammaln  # loaded on first use; see the module docstring
 
-    return float(math.exp(gammaln(n - r) + r * math.log(n) - gammaln(n)))
+    # a float n: gammaln cannot take an integer past 2**64
+    return float(math.exp(gammaln(n - r) + r * math.log(n) - gammaln(float(n))))
 
 
 def _a_q(q: float, alpha: float, moment_q: float) -> float:
@@ -97,6 +122,7 @@ def _check_lp_args(q: float, p: float, vol_k: float) -> None:
 # -- truncation budget ----------------------------------------------------------
 
 
+@_in_float_range
 def truncation_bound(N: int, q: float, alpha: float, moment_q: float) -> float:
     """Uniform-in-time bound on the q-th moment of the tail beyond N terms.
 
@@ -113,6 +139,7 @@ def truncation_bound(N: int, q: float, alpha: float, moment_q: float) -> float:
     return _a_q(q, alpha, moment_q) * h / N ** (q * (2.0 - alpha) / (2.0 * alpha))
 
 
+@_in_float_range
 def truncation_bound_lp(
     N: int, q: float, alpha: float, moment_q: float, p: float, vol_k: float
 ) -> float:
@@ -153,6 +180,7 @@ def _check_approx_args(
         raise ValueError("P must be an integer >= N, or infinity")
 
 
+@_in_float_range
 def approximation_bound(
     N: int, P: float, q: float, alpha: float, beta: float, moment_qk: float
 ) -> float:
@@ -169,6 +197,7 @@ def approximation_bound(
     return _a_prime_q(q, alpha, beta) * h * moment_qk * gap ** (q / 2.0)
 
 
+@_in_float_range
 def approximation_bound_lp(
     N: int,
     P: float,

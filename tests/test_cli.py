@@ -61,6 +61,13 @@ def test_bounds_rejects_a_fractional_block_end(capsys):
     assert main(["bounds", "--alpha", "1", "--q", "2", "--N", "5", "--P", "7.5"]) == 2
 
 
+def test_bounds_takes_a_term_count_past_2_64(capsys):
+    assert main(["bounds", "--alpha", "0.5", "--q", "3", "--N", str(10**21)]) == 0
+    report = dict(line.split(" = ") for line in capsys.readouterr().out.splitlines())
+    assert report.pop("P") == "inf"  # the supremum over block lengths, by default
+    assert all(np.isfinite(float(value)) for value in report.values())
+
+
 def test_bounds_writes_a_rerunnable_report(tmp_path, capsys):
     out = tmp_path / "budget.txt"
     assert main(["bounds", "--alpha", "1.2", "--q", "2.5", "--N", "4",
@@ -276,6 +283,8 @@ def test_validate_cf_requires_the_linear_regime(capsys):
     [
         ("--times", "0"),
         ("--times", "1"),
+        ("--times", "2"),
+        ("--u", "0"),
         ("--paths", "1"),
         ("--terms", "0"),
         ("--bandwidth", "0"),
@@ -428,6 +437,9 @@ def test_ensembles_refuse_a_replicate_larger_than_physical_memory_before_writing
         CF_ARGS + ["--u", "inf"],
         CF_ARGS + ["--u", "nan"],
         CF_ARGS + ["--threshold", "inf"],
+        ["bounds", "--alpha", "1", "--q", "3", "--N", "5", "--p", "2", "--volK", "1e300"],
+        ["bounds", "--alpha", "1.99", "--q", "300", "--N", "200"],
+        ["bounds", "--alpha", "1", "--q", "3", "--N", "5", "--Mq", "1e308"],
         ["stable-check", "--alpha", "1.5", "--terms", "30", "--samples", "30",
          "--seed", "3", "--threshold", "inf"],
         ["stable-check", "--alpha", "1.5", "--terms", "30", "--samples", "30",

@@ -670,6 +670,33 @@ def test_a_replicate_larger_than_physical_memory_is_refused_before_any_substream
         tail_moment_sweep(1.2, [5], 3, RandomStream(5), factor=10)
 
 
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        (lambda s: cf_linearity_experiment("series", 1.0, 0.5, 20, s, n_times=1), "n_times"),
+        (lambda s: cf_linearity_experiment("rwrr", 1.0, 0.5, 20, s, n_times=2), "n_times"),
+        (lambda s: cf_linearity_experiment("series", 1.0, 0.5, 1, s), "n_paths"),
+        (lambda s: cf_linearity_experiment("rwrr", 1.0, 0.5, 1, s), "n_paths"),
+        (lambda s: cf_linearity_experiment("series", 1.0, 0.5, 20, s, u=0.0), "u must"),
+        (lambda s: cf_linearity_experiment("rwrr", 1.0, 0.5, 20, s, u=0.0), "u must"),
+        (lambda s: cf_linearity_experiment("series", 1.0, 0.5, 20, s, u=np.nan), "u must"),
+        (lambda s: cf_linearity_experiment("series", 1.0, 0.5, 20, s, u=-np.inf), "u must"),
+        (lambda s: stable_marginal_check(1.2, 50, 1, s), "n_samples"),
+        (lambda s: representation_cf_table(1.2, 0.5, 1, 8, 2, 16, (1.0,), s), "n_paths"),
+        (lambda s: tail_moment_sweep(1.2, [], 10, s), "n_values must not be empty"),
+    ],
+    ids=["cf-series-1-time", "cf-rwrr-2-times", "cf-series-1-path", "cf-rwrr-1-path",
+         "cf-series-u-0", "cf-rwrr-u-0", "cf-u-nan", "cf-u-inf", "marginal-1-sample",
+         "representation-1-path", "sweep-no-n"],
+)
+def test_protocol_drivers_check_what_their_statistics_need_before_any_substream(
+    monkeypatch, call, name
+):
+    monkeypatch.setattr(experiments, "_substream_heads", _must_not_run)
+    with pytest.raises(ValueError, match=name):
+        call(RandomStream(5))
+
+
 def test_a_walk_larger_than_physical_memory_is_refused_before_any_draw(monkeypatch):
     monkeypatch.setattr(experiments, "_substream_heads", _must_not_run)
     monkeypatch.setattr(process, "_physical_bytes", lambda: _rwrr_row_bytes(1000) - 1)

@@ -257,3 +257,32 @@ def test_a_term_count_that_is_not_a_finite_integer_is_rejected_by_name(
 ):
     with pytest.raises(ValueError, match=rf"^{name} must be an integer"):
         bound(value, *args)
+
+
+@pytest.mark.parametrize(
+    "bound, args, name",
+    [
+        (truncation_bound_lp, (5, 3.0, 1.0, 1.0, 2.0, 1e300), "truncation_bound_lp"),
+        (approximation_bound_lp, (5, INF, 3.0, 1.0, 0.0, 1.0, 2.0, 1e300),
+         "approximation_bound_lp"),
+        (truncation_bound, (200, 300.0, 1.99, 1.0), "truncation_bound"),
+        (truncation_bound, (5, 3.0, 1.0, 1e308), "truncation_bound"),
+        (approximation_bound, (5, INF, 3.0, 1.0, 0.0, 1e308), "approximation_bound"),
+        (bound_H_nq, (1001, 1000.0, 1.0), "bound_H_nq"),
+        (bound_B_q, (1e308,), "bound_B_q"),
+        (build_bound_report, (200, 300.0, 1.99), "truncation_bound"),
+        (build_bound_report, (5, 3.0, 1.0, 1e308), "truncation_bound"),
+    ],
+    ids=lambda x: x.__name__ if callable(x) else "",
+)
+def test_a_budget_that_leaves_the_float_range_is_rejected_by_name(bound, args, name):
+    with pytest.raises(ValueError, match=rf"^{name} leaves the float range"):
+        bound(*args)
+
+
+def test_a_term_count_past_2_64_gives_finite_budgets():
+    n = 10**21  # gammaln takes it as a float
+    assert bound_H_nq(n, 3.0, 0.5) == pytest.approx(1.0, abs=1e-15)
+    report = build_bound_report(n, 3.0, 0.5)
+    assert all(math.isfinite(value) for value in report.as_dict().values())
+    assert 0.0 < report.truncation_bound < 1e-90
