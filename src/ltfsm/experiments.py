@@ -16,20 +16,25 @@ a pure model of the peak working bytes of one replicate
 (``_series_row_bytes``, ``_ARRIVAL_BYTES`` per arrival), and a set holds as
 many replicates as fit, or the whole call if that is smaller.  A replicate
 that alone needs more than physical memory is refused with ``ValueError``
-before any substream is drawn.  Chunks run on ``threads=`` workers, else
+before any substream is drawn, and so is a protocol whose statistic cannot
+be formed: a zero or non-finite CF frequency, fewer than 3 CF times, fewer
+than 2 paths or samples, or an empty tail sweep.  Chunks run on ``threads=`` workers, else
 ``LTFSM_THREADS``, else the CPUs, but no more than add 32 MB of buffers to
 the first (:func:`resolve_threads`; at most 5 for the series and LePage
 drivers); outputs are bitwise identical for any thread count.
 
 A chunk of replicates draws its rows from one reused Philox (see
 :func:`ltfsm.streams._substream_heads`) instead of building one
-:class:`~ltfsm.streams.RandomStream` per replicate.  The series ensemble
-copies each row's words into its chunk's ``uint64`` head and noise buffers
-(at H = 1/2 only the used half of each noise block), converts them to
-uniforms in place and runs ``ndtri`` into the same memory; the occupation
-kernel then works in those normals and the chunk's work array, and the
-terms are summed in arrival order in the curves' own memory
-(``_arrival_order_sum``, shared with :func:`ltfsm.process.simulate_ltfsm`).  The
+:class:`~ltfsm.streams.RandomStream` per replicate.  Every chunk worker only
+seats substreams and draws raw words; the kernels convert them.  The series
+ensemble copies each row's words into its chunk's ``uint64`` head and noise
+buffers (the noise words each term keeps, by ``ltfsm.process._term_layout``,
+which also sizes the work array).  The head kernel ``_series_head`` and the
+occupation kernel ``_occupation_curves`` turn those words into uniforms and
+normals in their own memory, the latter working on in the chunk's work
+array, and the terms are summed in arrival order in the curves' own memory
+(``_arrival_order_sum``; all three are shared with
+:func:`ltfsm.process.simulate_ltfsm`).  The
 random-walk ensemble runs the row kernel of
 :func:`ltfsm.process.simulate_rwrr_baseline`, ``_rwrr_row``, on each
 substream head's raw words, so its rows equal that function's paths bitwise;

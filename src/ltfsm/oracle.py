@@ -1,7 +1,9 @@
 """Reference sampler for symmetric alpha-stable marginals.
 
 This is the comparison *oracle* used by the statistical checks and the
-``stable-check`` command; the simulation engine itself never draws from it.
+``stable-check`` command.  The series simulation never draws from it; the
+random-walk baseline (``ltfsm.process._rwrr_row``) draws its site rewards
+through the same transform, ``_stable_from_uniforms``, on its own raw words.
 
 The variate is the Chambers-Mallows-Stuck transform for the symmetric case
 (skewness 0, unit scale, characteristic function ``exp(-|u|**alpha)``):

@@ -36,8 +36,18 @@ RuntimeWarning fires whenever it binds, and ``max_points = 0`` disables it).
 Draw order for one path (one stream, strictly sequential): P exponentials
 (arrivals), P normals (weights), P location variates, then per term
 ``n = 1 .. P`` one block of ``2 * m_{n,k}`` normals for the fBm increments.
-``_series_head`` maps the first ``3 P`` uniforms (one path or a block of
-rows) through ``_DENSITIES``, the one table of the two importance pairs.
+
+Words in, curves out: the drivers only seat streams and draw raw words, and
+every variate transform runs inside the two series kernels, in the words'
+own memory.  ``_series_head`` takes the first ``3 P`` raw words (one path
+or a block of rows), makes them uniforms and maps them through
+``_DENSITIES``, the one table of the two importance pairs.
+``_occupation_curves`` takes each term's noise words and makes them
+uniforms, normals, fGn, the path and its kernel prefix sums.  One function,
+``_term_layout``, states a term's buffers: the noise words it keeps (all
+``2 m`` of its block, or at H = 1/2 the first ``m``, which is all the fGn
+step reads) and its work floats.  Every memory model, both drivers' buffer
+layouts and the per-term draw read it.
 
 Chunk memory has one rule: ``_run_chunks`` is the only code that allocates
 it.  Before any block runs, the calling thread makes one buffer set, in the
@@ -55,13 +65,15 @@ the cap warnings fire there, in term order), the word offset of its noise
 block (``3 P + sum_{j<n} 2 m_j`` from the path's first word) and the
 embedding coefficients of every distinct ``m``.  A worker seats one Philox
 at each term's offset (:func:`ltfsm.streams._seek`) and draws the words the
-term uses (at H = 1/2 the first ``m`` of its ``2 m``).  Each thread peaks
-near ``64 m`` bytes at H != 1/2 (``24 m`` at H = 1/2; ``_term_bytes``), and
-the curves take ``8 P (grid_points + 1)`` bytes.  A path whose largest term
-alone needs more than the machine's physical memory (an uncapped tune at
-small ``epsilon`` asks for billions of points) is refused with
-``ValueError`` before any embedding coefficient, buffer or noise word
-(``_check_memory``; no check where ``os.sysconf`` cannot tell the size).
+term keeps.  Each thread peaks near ``64 m`` bytes at H != 1/2 (``24 m`` at
+H = 1/2; ``_term_bytes``), and the head and the curves need at most
+``P (128 + 16 (grid_points + 1))`` bytes (``_path_bytes``).  Two runs are
+refused with ``ValueError`` (``_check_memory``; no check where
+``os.sysconf`` cannot tell the size): one whose head and curves together
+need more than the machine's physical memory, before the head is drawn (at
+alpha = 1.2 a tune at ``epsilon = 0.01`` asks for 10**9 terms); and one whose largest
+term alone does (an uncapped tune at small ``epsilon`` asks for billions
+of points), before any embedding coefficient, buffer or noise word.
 
 :class:`TuningParams` is plain data: ``P``, ``N``, ``k``, ``k_power =
 k**((2 + delta)/delta')``, ``head_exp = 1/(delta' alpha)``, ``tail_exp =
@@ -69,21 +81,24 @@ beta/delta'`` and ``max_points``; :func:`flat_params` is the rule with
 ``N = 0``, ``k_power = points`` and no cap.  The two series drivers,
 :func:`simulate_ltfsm` (one row per term) and
 :func:`ltfsm.experiments.series_path_ensemble` (one row per term and
-replicate), share the kernel ``_occupation_curves`` (fGn through
+replicate), share the head kernel ``_series_head``, the curve kernel
+``_occupation_curves`` (uniforms and ``ndtri`` in place, fGn through
 ``fbm._fgn_into``, the one fGn step, then cumulative path and kernel prefix
 sums) and the arrival-order sum ``_arrival_order_sum``; they
 differ only in scheduling, per-term sizes and how they form the
 coefficients ``Gamma_n**(-1/alpha)``.  So the path is bitwise that of the
 sequential term loop for any thread count, and the stream is left just
 past the last noise block.  The kernel works in memory its caller owns: the
-noise rows, which the inverse FFT overwrites at H != 1/2, and one work
-array that holds the half spectrum, then the path, the tent kernel (in
-place, bitwise :func:`~ltfsm.localtime.kernel_phi_k`) and its prefix sums.
+noise words, which become uniforms and normals (and at H != 1/2 the inverse
+FFT's output), and one work array that holds the half spectrum, then the
+path, the tent kernel (in place, bitwise
+:func:`~ltfsm.localtime.kernel_phi_k`) and its prefix sums.
 
 :func:`simulate_rwrr_baseline` and
 :func:`ltfsm.experiments.rwrr_path_ensemble` check their arguments with
-``_check_rwrr`` and run one row kernel, ``_rwrr_row``, on a raw-word draw (``RandomStream.raw`` for the one path, a
-substream head's ``random_raw`` for each ensemble row).  The kernel takes
+``_check_rwrr`` and run one row kernel, ``_rwrr_row``, on a raw-word draw
+(``RandomStream.raw`` for the one path, a substream head's ``random_raw``
+for each ensemble row).  The kernel takes
 the steps from the sign bits, shifts the sites in place, draws the rewards
 through the oracle transform and reads the grid partial sums (one gather,
 one ``cumsum``, one fancy index).

@@ -273,7 +273,8 @@ def test_a_term_count_that_is_not_a_finite_integer_is_rejected_by_name(
         (build_bound_report, (200, 300.0, 1.99), "truncation_bound"),
         (build_bound_report, (5, 3.0, 1.0, 1e308), "truncation_bound"),
     ],
-    ids=lambda x: x.__name__ if callable(x) else "",
+    ids=["truncation-lp-volK", "approximation-lp-volK", "truncation-q300", "truncation-Mq",
+         "approximation-Mqk", "H-q1000", "B-q1e308", "report-q300", "report-Mq"],
 )
 def test_a_budget_that_leaves_the_float_range_is_rejected_by_name(bound, args, name):
     with pytest.raises(ValueError, match=rf"^{name} leaves the float range"):
