@@ -13,118 +13,26 @@ Brownian motion.  The package provides
 * Monte Carlo validation statistics (:mod:`ltfsm.validation`) and batched
   experiment drivers (:mod:`ltfsm.experiments`),
 * a command line front end (``ltfsm``, :mod:`ltfsm.cli`).
+
+Every public name of the eight library modules is re-exported here; each is
+declared once, in its own module's ``__all__``.  ``ltfsm.io`` and
+``ltfsm.cli`` serve the command line and are imported from their modules.
 """
 
 __version__ = "0.1.0"
 
-from .streams import RandomStream, poisson_arrivals
-from .oracle import sample_stable_oracle
-from .fbm import (
-    EmbeddingError,
-    FbmPath,
-    fbm_covariance,
-    fbm_path,
-    fgn_from_noise,
-    increment_autocovariance,
-)
-from .localtime import (
-    OccupationCurve,
-    discretized_occupation,
-    grid_index,
-    kernel_phi,
-    kernel_phi_k,
-    occupation_oracle,
-)
-from .shotnoise import (
-    BoundReport,
-    approximation_bound,
-    approximation_bound_lp,
-    bound_B_q,
-    bound_H_nq,
-    build_bound_report,
-    truncation_bound,
-    truncation_bound_lp,
-)
-from .process import (
-    ConfigError,
-    SamplePath,
-    SeriesConfig,
-    TuningParams,
-    flat_params,
-    gaussian_density_weight,
-    laplace_weight,
-    simulate_ltfsm,
-    simulate_rwrr_baseline,
-    tune,
-)
-from .validation import (
-    CfEstimate,
-    empirical_cf,
-    fit_scale_by_cf,
-    holder_exponent_estimate,
-    ks_distance,
-    linreg_r2,
-)
-from .experiments import (
-    CfLinearityResult,
-    MarginalCheckResult,
-    cf_linearity_experiment,
-    lepage_marginal_samples,
-    representation_cf_table,
-    rwrr_path_ensemble,
-    series_path_ensemble,
-    stable_marginal_check,
-    tail_moment_sweep,
-)
+from . import experiments, fbm, localtime, oracle, process, shotnoise, streams, validation
+from .streams import *
+from .oracle import *
+from .fbm import *
+from .localtime import *
+from .shotnoise import *
+from .process import *
+from .validation import *
+from .experiments import *
 
-__all__ = [
-    "__version__",
-    "RandomStream",
-    "poisson_arrivals",
-    "sample_stable_oracle",
-    "EmbeddingError",
-    "FbmPath",
-    "fbm_covariance",
-    "fbm_path",
-    "fgn_from_noise",
-    "increment_autocovariance",
-    "OccupationCurve",
-    "discretized_occupation",
-    "grid_index",
-    "kernel_phi",
-    "kernel_phi_k",
-    "occupation_oracle",
-    "BoundReport",
-    "approximation_bound",
-    "approximation_bound_lp",
-    "bound_B_q",
-    "bound_H_nq",
-    "build_bound_report",
-    "truncation_bound",
-    "truncation_bound_lp",
-    "ConfigError",
-    "SamplePath",
-    "SeriesConfig",
-    "TuningParams",
-    "flat_params",
-    "gaussian_density_weight",
-    "laplace_weight",
-    "simulate_ltfsm",
-    "simulate_rwrr_baseline",
-    "tune",
-    "CfEstimate",
-    "empirical_cf",
-    "fit_scale_by_cf",
-    "holder_exponent_estimate",
-    "ks_distance",
-    "linreg_r2",
-    "CfLinearityResult",
-    "MarginalCheckResult",
-    "cf_linearity_experiment",
-    "lepage_marginal_samples",
-    "representation_cf_table",
-    "rwrr_path_ensemble",
-    "series_path_ensemble",
-    "stable_marginal_check",
-    "tail_moment_sweep",
+__all__ = ["__version__"] + [
+    name
+    for module in (streams, oracle, fbm, localtime, shotnoise, process, validation, experiments)
+    for name in module.__all__
 ]

@@ -19,7 +19,16 @@ def test_every_exported_name_resolves_once(name):
 
 
 def test_the_package_reexports_only_module_exports():
-    from_modules = {
-        n for name in MODULES[1:] for n in importlib.import_module(name).__all__
-    }
-    assert [n for n in ltfsm.__all__ if n not in from_modules] == ["__version__"]
+    library = [
+        "streams", "oracle", "fbm", "localtime", "shotnoise", "process", "validation",
+        "experiments",
+    ]
+    from_modules = [
+        n for name in library for n in importlib.import_module(f"ltfsm.{name}").__all__
+    ]
+    assert ltfsm.__all__ == ["__version__"] + from_modules
+    front_end = {n for name in ("io", "cli") for n in importlib.import_module(f"ltfsm.{name}").__all__}
+    assert front_end.isdisjoint(ltfsm.__all__)
+    assert sorted(set(MODULES[1:]) - {f"ltfsm.{name}" for name in library}) == [
+        "ltfsm.cli", "ltfsm.io",
+    ]
