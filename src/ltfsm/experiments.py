@@ -16,9 +16,11 @@ a pure model of the peak working bytes of one replicate
 (``_series_row_bytes``, ``_ARRIVAL_BYTES`` per arrival), and a set holds as
 many replicates as fit, or the whole call if that is smaller.  A replicate
 that alone needs more than physical memory is refused with ``ValueError``
-before any substream is drawn, and so is a protocol whose statistic cannot
-be formed: a zero or non-finite CF frequency, fewer than 3 CF times, fewer
-than 2 paths or samples, or an empty tail sweep.  Chunks run on ``threads=`` workers, else
+before any substream is drawn, and so is a returned array that does (16 B
+per value: the chunk results and their concatenation), and a protocol
+whose statistic cannot be formed: a zero or non-finite CF frequency, fewer
+than 3 CF times, fewer than 2 paths or samples, or an empty tail sweep or
+frequency list.  Chunks run on ``threads=`` workers, else
 ``LTFSM_THREADS``, else the CPUs, but no more than add 32 MB of buffers to
 the first (:func:`resolve_threads`; at most 5 for the series and LePage
 drivers); outputs are bitwise identical for any thread count.
@@ -112,6 +114,14 @@ def _chunk_rows(bytes_per_row: int) -> int:
     return max(1, _CHUNK_BYTES // bytes_per_row)
 
 
+def _check_paths(n_paths: int, grid_points: int) -> None:
+    """Refuse a returned matrix of ``n_paths`` rows on ``grid_points + 1``
+    times that needs more than physical memory: 16 B per cell, the chunk
+    results and their concatenation."""
+    _check_memory(f"{n_paths} paths on {grid_points + 1} times",
+                  16 * n_paths * (grid_points + 1), "lower the paths or the grid points")
+
+
 # -- flat-parameter series ensemble -------------------------------------------
 
 
@@ -157,6 +167,7 @@ def series_path_ensemble(
     row_bytes = _series_row_bytes(hurst, terms, points)
     _check_memory(f"one replicate ({terms} terms of {points} points)", row_bytes,
                   "lower terms or points")
+    _check_paths(n_paths, grid_points)
     threads = resolve_threads(threads, _CHUNK_BYTES)
     m = points
     p = terms
@@ -204,6 +215,7 @@ def rwrr_path_ensemble(
     ``_rwrr_row``, here on the raw words of one reused Philox per chunk.
     """
     _check_rwrr(alpha, steps, grid_points, horizon, n_paths)
+    _check_paths(n_paths, grid_points)
     threads = resolve_threads(threads)
 
     def worker(start: int, rows: int) -> np.ndarray:
@@ -265,8 +277,7 @@ def cf_linearity_experiment(
     """
     if method not in ("series", "rwrr"):
         raise ValueError("method must be 'series' or 'rwrr'")
-    if not (math.isfinite(u) and u != 0.0):
-        raise ValueError("u must be finite and nonzero: at u = 0 every log-modulus is 0")
+    _check_frequency(u)
     _check_counts(least=2, n_paths=n_paths)
     _check_counts(least=3, n_times=n_times)
     if method == "series":
@@ -309,6 +320,11 @@ def cf_linearity_experiment(
         intercept=intercept,
         r_squared=r2,
     )
+
+
+def _check_frequency(u: float) -> None:
+    if not (math.isfinite(u) and u != 0.0):
+        raise ValueError("u must be finite and nonzero: at u = 0 every log-modulus is 0")
 
 
 # -- marginal distribution against the oracle -----------------------------------
@@ -388,6 +404,7 @@ def lepage_marginal_samples(
         raise ValueError("alpha must lie in (0, 2)")
     _check_counts(terms=terms, n_samples=n_samples)
     _check_arrivals(terms)
+    _check_memory(f"{n_samples} samples", 16 * n_samples, "lower the number of samples")
     threads = resolve_threads(threads, _CHUNK_BYTES)
     return _arrival_sums(alpha, terms, 0, n_samples, stream, threads)
 
@@ -414,9 +431,14 @@ def stable_marginal_check(
 
     Series replicates run on ``stream.substream(0).substream(j)``; the oracle
     draws ``n_samples`` variates from ``stream.substream(1)``.  The scale fit
-    needs ``n_samples >= 2``, checked before any draw.
+    needs ``n_samples >= 2``, and the series, the oracle draws and the KS
+    test hold 112 B per sample, which must fit in physical memory; both are
+    checked before any draw.
     """
     _check_counts(least=2, n_samples=n_samples)
+    _check_arrivals(terms)
+    _check_memory(f"{n_samples} samples against the oracle", 112 * n_samples,
+                  "lower the number of samples")
     series = lepage_marginal_samples(
         alpha, terms, n_samples, stream.substream(0), threads=threads
     )
@@ -464,11 +486,15 @@ def tail_moment_sweep(
     if len(set(n_values)) < len(n_values):
         raise ValueError("n_values must not repeat")
     _check_arrivals(factor * max(n_values))  # before the first sweep draws
+    # 24 B per replicate: a sweep's chunk results and their concatenation,
+    # next to the previous sweep's squares
+    _check_memory(f"{replicates} replicates", 24 * replicates,
+                  "lower the number of replicates")
     out: dict[int, tuple[float, float]] = {}
     for i, n_low in enumerate(n_values):
         total = int(factor * n_low)
-        sums = _arrival_sums(alpha, total, n_low, replicates, stream.substream(i), 1)
-        sq = sums * sums
+        sq = _arrival_sums(alpha, total, n_low, replicates, stream.substream(i), 1)
+        sq *= sq
         out[n_low] = (float(sq.mean()), float(sq.std(ddof=1)) / math.sqrt(replicates))
     return out
 
@@ -494,10 +520,16 @@ def representation_cf_table(
     Returns one ``(u, laplace_estimate, gaussian_estimate)`` triple per
     frequency, each estimate over the ``grid_points`` positive grid times.
     The two ensembles run on ``stream.substream(0)`` and
-    ``stream.substream(1)``; the empirical CFs need ``n_paths >= 2``,
-    checked before any draw.
+    ``stream.substream(1)``.  The empirical CFs need ``n_paths >= 2`` and
+    at least one frequency, each finite and nonzero; all are checked before
+    any draw.
     """
     _check_counts(least=2, n_paths=n_paths)
+    u_values = [float(u) for u in u_values]
+    if not u_values:
+        raise ValueError("u_values must not be empty")
+    for u in u_values:
+        _check_frequency(u)
     common = dict(
         alpha=alpha,
         hurst=hurst,
@@ -515,9 +547,7 @@ def representation_cf_table(
     values_g = series_path_ensemble(
         stream=stream.substream(1), density="gaussian", **common
     )
-    table = []
-    for u in u_values:
-        table.append(
-            (float(u), empirical_cf(values_l[:, 1:], u), empirical_cf(values_g[:, 1:], u))
-        )
-    return table
+    return [
+        (u, empirical_cf(values_l[:, 1:], u), empirical_cf(values_g[:, 1:], u))
+        for u in u_values
+    ]

@@ -117,8 +117,8 @@ def occupation_oracle(path: FbmPath, bin_width: float, x: float, t: float) -> fl
     Time spent (rectangle weight ``T / m``) at grid values within
     ``bin_width / 2`` of ``x`` up to time ``t``, divided by ``bin_width``.
     """
-    if not bin_width > 0.0:  # NaN fails the comparison too
-        raise ValueError("bin_width must be > 0")
+    if not 0.0 < bin_width < np.inf:  # NaN fails the comparison too
+        raise ValueError("bin_width must be finite and > 0")
     if not 0.0 <= t <= path.horizon * (1.0 + 1e-12):
         raise ValueError("t must lie within [0, horizon]")
     m = path.points

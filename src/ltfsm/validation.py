@@ -106,27 +106,23 @@ def ks_distance(a, b) -> float:
     return float(np.max(np.abs(cdf_a - cdf_b)))
 
 
-def fit_scale_by_cf(samples, alpha: float, u_grid=None) -> float:
+def fit_scale_by_cf(samples, alpha: float) -> float:
     """Scale of a symmetric alpha-stable sample by CF matching.
 
     Least-squares fit of ``log(-log |empirical CF(u)|)`` against
     ``alpha * log u`` with unit slope; the intercept is ``alpha * log sigma``.
-    The default ``u_grid`` is ``(0.2, 0.4, 0.6, 0.8, 1.0)`` divided by the
-    median absolute sample value, which keeps the moduli well inside (0, 1).
+    The frequencies are ``(0.2, 0.4, 0.6, 0.8, 1.0)`` divided by the median
+    absolute sample value, which keeps the moduli well inside (0, 1).
     """
     x = np.asarray(samples, dtype=float).ravel()
     if len(x) < 2:
         raise ValueError("need at least 2 samples")
     if not 0.0 < alpha <= 2.0:
         raise ValueError("alpha must lie in (0, 2]")
-    if u_grid is None:
-        base = float(np.median(np.abs(x)))
-        if base <= 0.0:
-            raise ValueError("degenerate sample: median absolute value is 0")
-        u_grid = np.array([0.2, 0.4, 0.6, 0.8, 1.0]) / base
-    u_grid = np.asarray(u_grid, dtype=float)
-    if np.any(u_grid <= 0.0):
-        raise ValueError("u_grid must be positive")
+    base = float(np.median(np.abs(x)))
+    if base <= 0.0:
+        raise ValueError("degenerate sample: median absolute value is 0")
+    u_grid = np.array([0.2, 0.4, 0.6, 0.8, 1.0]) / base
     mods = np.array(
         [float(np.hypot(np.cos(u * x).mean(), np.sin(u * x).mean())) for u in u_grid]
     )

@@ -5,7 +5,7 @@ import re
 import numpy as np
 import pytest
 
-from ltfsm import SeriesConfig, flat_params, process, simulate_ltfsm, tune
+from ltfsm import SeriesConfig, experiments, flat_params, process, simulate_ltfsm, tune
 from ltfsm.cli import _COMMANDS, main
 from ltfsm.streams import RandomStream
 
@@ -423,6 +423,27 @@ def test_ensembles_refuse_a_replicate_larger_than_physical_memory_before_writing
     monkeypatch.setattr(process, "_physical_bytes", lambda: 1024)
     assert main(args + ["--out", str(tmp_path / "big.csv")]) == 2
     assert "one replicate" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []  # no CSV and no manifest
+
+
+@pytest.mark.parametrize(
+    "args",
+    [CF_ARGS + ["--paths", "10000000000"],
+     ["stable-check", "--alpha", "1.2", "--terms", "10", "--samples", "10000000000",
+      "--seed", "3"]],
+    ids=["validate-cf", "stable-check"],
+)
+def test_ensembles_refuse_a_result_larger_than_physical_memory_before_writing(
+    tmp_path, capsys, monkeypatch, args
+):
+    # never run for real: the memory probe says 1 GiB, and the chunk runner,
+    # which allocates every buffer and seats every substream, must not start
+    monkeypatch.setattr(process, "_physical_bytes", lambda: 2**30)
+    monkeypatch.setattr(experiments, "_run_chunks", lambda *a: pytest.fail("ran chunks"))
+    assert main(args + ["--out", str(tmp_path / "big.csv")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: 10000000000 ") and "GiB of this machine" in err
+    assert "Traceback" not in err
     assert list(tmp_path.iterdir()) == []  # no CSV and no manifest
 
 

@@ -683,11 +683,17 @@ def test_a_replicate_larger_than_physical_memory_is_refused_before_any_substream
         (lambda s: cf_linearity_experiment("series", 1.0, 0.5, 20, s, u=-np.inf), "u must"),
         (lambda s: stable_marginal_check(1.2, 50, 1, s), "n_samples"),
         (lambda s: representation_cf_table(1.2, 0.5, 1, 8, 2, 16, (1.0,), s), "n_paths"),
+        (lambda s: representation_cf_table(1.2, 0.5, 20, 8, 2, 16, (1.0, np.nan), s), "u must"),
+        (lambda s: representation_cf_table(1.2, 0.5, 20, 8, 2, 16, (np.inf,), s), "u must"),
+        (lambda s: representation_cf_table(1.2, 0.5, 20, 8, 2, 16, (0.0, 1.0), s), "u must"),
+        (lambda s: representation_cf_table(1.2, 0.5, 20, 8, 2, 16, [], s),
+         "u_values must not be empty"),
         (lambda s: tail_moment_sweep(1.2, [], 10, s), "n_values must not be empty"),
     ],
     ids=["cf-series-1-time", "cf-rwrr-2-times", "cf-series-1-path", "cf-rwrr-1-path",
          "cf-series-u-0", "cf-rwrr-u-0", "cf-u-nan", "cf-u-inf", "marginal-1-sample",
-         "representation-1-path", "sweep-no-n"],
+         "representation-1-path", "representation-u-nan", "representation-u-inf",
+         "representation-u-0", "representation-no-u", "sweep-no-n"],
 )
 def test_protocol_drivers_check_what_their_statistics_need_before_any_substream(
     monkeypatch, call, name
@@ -730,9 +736,67 @@ def test_a_walk_that_fits_in_memory_or_an_unknown_size_runs(monkeypatch, memory)
 def test_a_replicate_that_fits_in_memory_or_an_unknown_size_runs(monkeypatch, memory):
     expect = (series_path_ensemble(1.2, 0.7, 3, 4, 2, 16, RandomStream(5)),
               lepage_marginal_samples(1.2, 50, 5, RandomStream(5)))
-    probes = iter([_series_row_bytes(0.7, 4, 16), 16 * 50])
+    # the replicate, then the returned array, of each call
+    probes = iter([_series_row_bytes(0.7, 4, 16), 16 * 3 * 21, 16 * 50, 16 * 5])
     monkeypatch.setattr(process, "_physical_bytes",
                         lambda: next(probes) if memory == "exact" else None)
     got = (series_path_ensemble(1.2, 0.7, 3, 4, 2, 16, RandomStream(5)),
            lepage_marginal_samples(1.2, 50, 5, RandomStream(5)))
     assert [a.tobytes() for a in got] == [a.tobytes() for a in expect]
+
+
+# -- a returned array larger than physical memory
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: series_path_ensemble(1.2, 0.7, 10**10, 4, 2, 16, RandomStream(5)),
+        lambda: stable_marginal_check(1.2, 10, 10**10, RandomStream(5)),
+    ],
+    ids=["series-1e10-paths", "marginal-1e10-samples"],
+)
+def test_a_result_larger_than_physical_memory_is_refused_before_any_substream(
+    monkeypatch, call
+):
+    # never run for real: the memory probe says 1 GiB, and the chunk runner,
+    # which allocates every buffer and seats every substream, must not start
+    monkeypatch.setattr(experiments, "_run_chunks", _must_not_run)
+    monkeypatch.setattr(process, "_physical_bytes", lambda: 2**30)
+    with pytest.raises(ValueError, match=r"^10000000000 .* GiB of this machine"):
+        call()
+
+
+@pytest.mark.parametrize(
+    "call, need",
+    [
+        (lambda: series_path_ensemble(1.2, 0.5, 3000, 2, 2, 4, RandomStream(1), threads=1),
+         16 * 3000 * 21),
+        (lambda: rwrr_path_ensemble(1.2, 3000, 10, RandomStream(1), threads=1),
+         16 * 3000 * 21),
+        (lambda: lepage_marginal_samples(1.2, 10, 50000, RandomStream(1), threads=1),
+         16 * 50000),
+        (lambda: stable_marginal_check(1.2, 10, 50000, RandomStream(1), threads=1),
+         112 * 50000),
+        (lambda: tail_moment_sweep(1.2, [1, 2], 50000, RandomStream(1), factor=2),
+         24 * 50000),
+    ],
+    ids=["series", "rwrr", "lepage", "marginal", "sweep"],
+)
+def test_a_result_model_bounds_the_peak_and_is_where_refusal_starts(monkeypatch, call, need):
+    # small chunks, so that the returned array, not one chunk's buffers,
+    # dominates the peak
+    monkeypatch.setattr(experiments, "_CHUNK_BYTES", 65536)
+    call()  # the lazy imports and caches before the measurement
+    monkeypatch.setattr(process, "_physical_bytes", lambda: need)
+    tracemalloc.start()
+    try:
+        call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= need + 2 * 65536
+    monkeypatch.setattr(process, "_physical_bytes", lambda: need - 1)
+    monkeypatch.setattr(experiments, "_substream_heads", _must_not_run)
+    with pytest.raises(ValueError, match="GiB of this machine"):
+        call()

@@ -129,10 +129,11 @@ def test_occupation_oracle_domain():
         occupation_oracle(path, 0.1, 0.0, -0.1)
 
 
-def test_occupation_oracle_rejects_a_nan_bin_width():
+def test_occupation_oracle_rejects_a_non_finite_bin_width():
     path = FbmPath(hurst=0.5, horizon=1.0, values=np.zeros(11))
-    with pytest.raises(ValueError, match="bin_width"):
-        occupation_oracle(path, math.nan, 0.0, 1.0)
+    for bin_width in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="bin_width must be finite"):
+            occupation_oracle(path, bin_width, 0.0, 1.0)
 
 
 def test_kernel_and_histogram_routes_agree_at_matched_bandwidth():

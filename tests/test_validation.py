@@ -138,14 +138,6 @@ def test_fit_scale_recovers_a_known_scaling():
     assert abs(fit_scale_by_cf(g, 2.0) - 1.0) < 0.05
 
 
-def test_fit_scale_accepts_a_custom_frequency_grid():
-    x = sample_stable_oracle(1.0, RandomStream(14), 50000)
-    default = fit_scale_by_cf(x, 1.0)
-    custom = fit_scale_by_cf(x, 1.0, u_grid=np.array([0.3, 0.6, 0.9]))
-    assert abs(default - 1.0) < 0.1
-    assert abs(custom - 1.0) < 0.1
-
-
 def test_fit_scale_domain():
     with pytest.raises(ValueError):
         fit_scale_by_cf([1.0], 1.0)
@@ -153,8 +145,6 @@ def test_fit_scale_domain():
         fit_scale_by_cf([1.0, 2.0], 2.5)
     with pytest.raises(ValueError):
         fit_scale_by_cf(np.zeros(100), 1.0)  # degenerate median
-    with pytest.raises(ValueError):
-        fit_scale_by_cf([1.0, 2.0], 1.0, u_grid=np.array([0.0, 1.0]))
 
 
 # -- path-regularity diagnostic --------------------------------------------------------------
