@@ -436,7 +436,7 @@ def stable_marginal_check(
     checked before any draw.
     """
     _check_counts(least=2, n_samples=n_samples)
-    _check_arrivals(terms)
+    _check_arrivals(terms)  # one replicate too large is named first
     _check_memory(f"{n_samples} samples against the oracle", 112 * n_samples,
                   "lower the number of samples")
     series = lepage_marginal_samples(

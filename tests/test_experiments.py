@@ -749,25 +749,6 @@ def test_a_replicate_that_fits_in_memory_or_an_unknown_size_runs(monkeypatch, me
 
 
 @pytest.mark.parametrize(
-    "call",
-    [
-        lambda: series_path_ensemble(1.2, 0.7, 10**10, 4, 2, 16, RandomStream(5)),
-        lambda: stable_marginal_check(1.2, 10, 10**10, RandomStream(5)),
-    ],
-    ids=["series-1e10-paths", "marginal-1e10-samples"],
-)
-def test_a_result_larger_than_physical_memory_is_refused_before_any_substream(
-    monkeypatch, call
-):
-    # never run for real: the memory probe says 1 GiB, and the chunk runner,
-    # which allocates every buffer and seats every substream, must not start
-    monkeypatch.setattr(experiments, "_run_chunks", _must_not_run)
-    monkeypatch.setattr(process, "_physical_bytes", lambda: 2**30)
-    with pytest.raises(ValueError, match=r"^10000000000 .* GiB of this machine"):
-        call()
-
-
-@pytest.mark.parametrize(
     "call, need",
     [
         (lambda: series_path_ensemble(1.2, 0.5, 3000, 2, 2, 4, RandomStream(1), threads=1),

@@ -27,7 +27,9 @@ def test_the_package_reexports_only_module_exports():
         n for name in library for n in importlib.import_module(f"ltfsm.{name}").__all__
     ]
     assert ltfsm.__all__ == ["__version__"] + from_modules
-    front_end = {n for name in ("io", "cli") for n in importlib.import_module(f"ltfsm.{name}").__all__}
+    front_end = {
+        n for name in ("io", "cli") for n in importlib.import_module(f"ltfsm.{name}").__all__
+    }
     assert front_end.isdisjoint(ltfsm.__all__)
     assert sorted(set(MODULES[1:]) - {f"ltfsm.{name}" for name in library}) == [
         "ltfsm.cli", "ltfsm.io",

@@ -22,7 +22,6 @@ _SKIP = {
     tokenize.ENDMARKER,
 }
 
-
 _DOCUMENTED = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
 
 
