@@ -9,32 +9,37 @@ together.
 
 Every driver hands its chunk worker to ``_run_chunks`` (shared with
 :func:`ltfsm.process.simulate_ltfsm`), the only code that allocates chunk
-memory: the calling thread makes one buffer set per chunk that can run at
-once, and each chunk borrows a free set and takes its leading rows.  Chunk
-sizes follow from one byte budget, ``_CHUNK_BYTES`` (8 MB): each driver has
-a pure model of the peak working bytes of one replicate
-(``_series_row_bytes``, ``_ARRIVAL_BYTES`` per arrival), and a set holds as
-many replicates as fit, or the whole call if that is smaller.  A replicate
-that alone needs more than physical memory is refused with ``ValueError``
-before any substream is drawn, and so is a returned array that does (16 B
-per value: the chunk results and their concatenation), and a protocol
-whose statistic cannot be formed: a zero or non-finite CF frequency, fewer
-than 3 CF times, fewer than 2 paths or samples, or an empty tail sweep or
-frequency list.  Chunks run on ``threads=`` workers, else
-``LTFSM_THREADS``, else the CPUs, but no more than add 32 MB of buffers to
-the first (:func:`resolve_threads`; at most 5 for the series and LePage
-drivers); outputs are bitwise identical for any thread count.
+memory: the calling thread makes one buffer set per worker thread, and each
+thread takes chunks one at a time, each chunk using the leading rows of the
+thread's set.  Chunk sizes follow from one byte budget, ``_CHUNK_BYTES``
+(2 MB): each driver has a pure model of the peak working bytes of one
+replicate (``_series_row_bytes``, ``_ARRIVAL_BYTES`` per arrival) and of
+one replicate's raw draw, the ``random_raw`` result that a row is copied
+from, and a set holds as many replicates as fit next to one such draw
+(``_chunk_rows``), or the whole call if that is smaller.  A replicate that
+alone needs more than physical memory is refused with ``ValueError`` before
+any substream is drawn, and so is a returned array that does (16 B per
+value: the chunk results and their concatenation), an empirical-CF
+statistic that does (``_CF_BYTES``, ``_TABLE_BYTES``), and a protocol whose
+statistic cannot be formed: a zero or non-finite CF frequency, fewer than 3
+CF times, fewer than 2 paths or samples, or an empty tail sweep or frequency
+list.  Chunks run on ``threads=`` workers, else ``LTFSM_THREADS``, else the
+CPUs, but no more than add 32 MB of buffers to the first
+(:func:`resolve_threads`; at most 17 for the series and LePage drivers);
+outputs are bitwise identical for any thread count.
 
 A chunk of replicates draws its rows from one reused Philox (see
 :func:`ltfsm.streams._substream_heads`) instead of building one
 :class:`~ltfsm.streams.RandomStream` per replicate.  Every chunk worker only
 seats substreams and draws raw words; the kernels convert them.  The series
 ensemble copies each row's words into its chunk's ``uint64`` head and noise
-buffers (the noise words each term keeps, by ``ltfsm.process._term_layout``,
-which also sizes the work array).  The head kernel ``_series_head`` and the
-occupation kernel ``_occupation_curves`` turn those words into uniforms and
-normals in their own memory, the latter working on in the chunk's work
-array, and the terms are summed in arrival order in the curves' own memory
+buffers (the noise word slots of each term, by ``ltfsm.process._term_layout``,
+which also sizes the work array: none at H = 1/2, where the path is built in
+the noise slots).  The head kernel ``_series_head`` and the occupation
+kernel ``_occupation_curves`` turn those words into uniforms and normals in
+their own memory, the latter working on in the chunk's work array or at
+H = 1/2 in the noise buffer, and the terms are summed in arrival order in
+the curves' own memory
 (``_arrival_order_sum``; all three are shared with
 :func:`ltfsm.process.simulate_ltfsm`).  The
 random-walk ensemble runs the row kernel of
@@ -73,6 +78,7 @@ from .process import (
     _check_density,
     _check_memory,
     _check_rwrr,
+    _noise_lead,
     _occupation_curves,
     _run_chunks,
     _rwrr_row,
@@ -97,29 +103,32 @@ __all__ = [
 
 
 # Peak working bytes of one chunk in flight (see the module docstring).
-_CHUNK_BYTES = 8_000_000
+_CHUNK_BYTES = 2_000_000
 
 # Arrival-series drivers, per arrival: the chunk holds 16 B of words (the
-# exponential and at most one sign word), converted in place.  The budget is
-# held at 32 B, so a chunk in flight peaks near half of ``_CHUNK_BYTES``
-# (250 rows at 1 000 arrivals): budgeting the true 16 B doubles the rows, and
-# it raised the peak RSS of the ``marginal`` bench workload from 62.4 to
-# 65.1 MiB, with no measurable time gain.
-_ARRIVAL_BYTES = 32
+# exponential and at most one sign word), converted in place.
+_ARRIVAL_BYTES = 16
+
+# Empirical-CF protocols, per path and time: the ensemble's 8 B and the
+# statistic's three float arrays (``validation.empirical_cf``); the table
+# holds both ensembles' 8 B.
+_CF_BYTES = 32
+_TABLE_BYTES = 40
 
 
-def _chunk_rows(bytes_per_row: int) -> int:
-    """Rows per chunk for replicates of ``bytes_per_row`` peak working bytes:
-    as many as ``_CHUNK_BYTES`` holds, and at least 1."""
-    return max(1, _CHUNK_BYTES // bytes_per_row)
+def _chunk_rows(row_bytes: int, draw_bytes: int) -> int:
+    """Rows per chunk for replicates of ``row_bytes`` peak working bytes, each
+    copied from a raw draw of at most ``draw_bytes``: as many as
+    ``_CHUNK_BYTES`` holds next to one such draw, and at least 1."""
+    return max(1, (_CHUNK_BYTES - draw_bytes) // row_bytes)
 
 
-def _check_paths(n_paths: int, grid_points: int) -> None:
-    """Refuse a returned matrix of ``n_paths`` rows on ``grid_points + 1``
-    times that needs more than physical memory: 16 B per cell, the chunk
-    results and their concatenation."""
+def _check_paths(n_paths: int, grid_points: int, cell_bytes: int = 16) -> None:
+    """Refuse ``n_paths`` rows on ``grid_points + 1`` times that need more
+    than physical memory at ``cell_bytes`` per cell: by default 16 B, a
+    returned matrix's chunk results and their concatenation."""
     _check_memory(f"{n_paths} paths on {grid_points + 1} times",
-                  16 * n_paths * (grid_points + 1), "lower the paths or the grid points")
+                  cell_bytes * n_paths * (grid_points + 1), "lower the paths or the grid points")
 
 
 # -- flat-parameter series ensemble -------------------------------------------
@@ -128,12 +137,32 @@ def _check_paths(n_paths: int, grid_points: int) -> None:
 def _series_row_bytes(hurst: float, terms: int, points: int) -> int:
     """Peak working bytes of one :func:`series_path_ensemble` replicate.
 
-    The ``uint64`` head and noise buffers (the noise words each term keeps)
-    are converted in place and live throughout, next to the occupation
-    kernel's work array: the path at H = 1/2, the complex half spectrum
-    otherwise (the inverse FFT runs into the noise); see ``_term_layout``.
+    The ``uint64`` head and noise buffers (each term's noise word slots) are
+    converted in place and live throughout, next to the occupation kernel's
+    work array: none at H = 1/2, where the path is built in the noise slots,
+    the complex half spectrum otherwise (the inverse FFT runs into the
+    noise); see ``_term_layout``.  A replicate's raw draw, ``2 * points``
+    words per term, comes on top of the chunk (see :func:`_chunk_rows`).
     """
     return 8 * terms * (3 + sum(_term_layout(hurst, points)))
+
+
+def _check_series(alpha, hurst, n_paths, terms, bandwidth, points, horizon, grid_points,
+                  density) -> int:
+    """Reject, by name, series-ensemble arguments out of range, and a
+    replicate that alone needs more than physical memory; return the
+    replicate's bytes (``_series_row_bytes``)."""
+    if not 0.0 < alpha < 2.0:
+        raise ValueError("alpha must lie in (0, 2)")
+    _check_hurst(hurst)
+    _check_horizon(horizon)
+    _check_density(density)
+    _check_counts(n_paths=n_paths, terms=terms, points=points, grid_points=grid_points)
+    _check_bandwidth(bandwidth)
+    row_bytes = _series_row_bytes(hurst, terms, points)
+    _check_memory(f"one replicate ({terms} terms of {points} points)", row_bytes,
+                  "lower terms or points")
+    return row_bytes
 
 
 def series_path_ensemble(
@@ -157,24 +186,17 @@ def series_path_ensemble(
     variates, then ``terms`` blocks of ``2 * points`` normals (fBm noise) --
     the same order as :func:`ltfsm.process.simulate_ltfsm`.
     """
-    if not 0.0 < alpha < 2.0:
-        raise ValueError("alpha must lie in (0, 2)")
-    _check_hurst(hurst)
-    _check_horizon(horizon)
-    _check_density(density)
-    _check_counts(n_paths=n_paths, terms=terms, points=points, grid_points=grid_points)
-    _check_bandwidth(bandwidth)
-    row_bytes = _series_row_bytes(hurst, terms, points)
-    _check_memory(f"one replicate ({terms} terms of {points} points)", row_bytes,
-                  "lower terms or points")
+    row_bytes = _check_series(alpha, hurst, n_paths, terms, bandwidth, points, horizon,
+                              grid_points, density)
     _check_paths(n_paths, grid_points)
     threads = resolve_threads(threads, _CHUNK_BYTES)
     m = points
     p = terms
     idx = grid_index(m, horizon, np.arange(grid_points + 1) * (horizon / grid_points))
     kept, floats = _term_layout(hurst, m)
+    lead = _noise_lead(hurst)
 
-    chunk_rows = _chunk_rows(row_bytes)
+    chunk_rows = _chunk_rows(row_bytes, 8 * p * 2 * m)
     size = min(chunk_rows, n_paths)
     layouts = [
         ((size, 3 * p), np.uint64),
@@ -186,7 +208,7 @@ def series_path_ensemble(
         head, noise, work = head[:rows], noise[:rows], work[:rows]
         for r, bitgen in enumerate(_substream_heads(stream, start, rows)):
             head[r] = bitgen.random_raw(3 * p)
-            noise[r] = bitgen.random_raw(p * 2 * m).reshape(p, 2 * m)[:, :kept]
+            noise[r, :, lead:] = bitgen.random_raw(p * 2 * m).reshape(p, 2 * m)[:, : kept - lead]
         gammas, locations, weights = _series_head(head, alpha, density)
         curves = _occupation_curves(
             hurst, m, horizon, bandwidth, noise.reshape(rows * p, kept),
@@ -273,13 +295,21 @@ def cf_linearity_experiment(
     ``u`` must be finite and nonzero (at u = 0 every log-modulus is exactly
     0, and the fit tests nothing), ``n_paths`` at least 2 (the empirical CF)
     and ``n_times`` at least 3 (a line through two points has no residual,
-    so R^2 = 1); all are checked before any draw.
+    so R^2 = 1); one replicate, then the ensemble and its statistic
+    (``_CF_BYTES`` per path and time), must fit in physical memory.  All
+    are checked before any draw.
     """
     if method not in ("series", "rwrr"):
         raise ValueError("method must be 'series' or 'rwrr'")
     _check_frequency(u)
     _check_counts(least=2, n_paths=n_paths)
     _check_counts(least=3, n_times=n_times)
+    if method == "series":
+        _check_series(alpha, hurst, n_paths, terms, bandwidth, points, horizon, n_times,
+                      "laplace")
+    else:
+        _check_rwrr(alpha, steps, n_times, horizon, n_paths)
+    _check_paths(n_paths, n_times, _CF_BYTES)
     if method == "series":
         values = series_path_ensemble(
             alpha,
@@ -363,7 +393,7 @@ def _check_arrivals(arrivals: int) -> None:
     """Refuse a replicate of ``arrivals`` arrivals that alone needs more than
     physical memory; it holds 16 B per arrival, its exponential and its sign
     word."""
-    _check_memory(f"one replicate ({arrivals} arrivals)", 16 * arrivals,
+    _check_memory(f"one replicate ({arrivals} arrivals)", _ARRIVAL_BYTES * arrivals,
                   "lower the number of arrivals")
 
 
@@ -374,7 +404,8 @@ def _arrival_sums(
     * eps_n``.  Replicate ``j`` consumes from ``stream.substream(j)``:
     ``arrivals`` exponentials, then ``arrivals - skip`` signs."""
     signs = arrivals - skip
-    chunk_rows = _chunk_rows(_ARRIVAL_BYTES * arrivals)
+    # the larger raw draw of a row is its exponential words
+    chunk_rows = _chunk_rows(_ARRIVAL_BYTES * arrivals, 8 * arrivals)
     size = min(chunk_rows, count)
     layouts = [((size, arrivals), np.uint64), ((size, signs), np.uint64)]
 
@@ -521,8 +552,9 @@ def representation_cf_table(
     frequency, each estimate over the ``grid_points`` positive grid times.
     The two ensembles run on ``stream.substream(0)`` and
     ``stream.substream(1)``.  The empirical CFs need ``n_paths >= 2`` and
-    at least one frequency, each finite and nonzero; all are checked before
-    any draw.
+    at least one frequency, each finite and nonzero; one replicate, then
+    both ensembles and a statistic (``_TABLE_BYTES`` per path and time),
+    must fit in physical memory.  All are checked before any draw.
     """
     _check_counts(least=2, n_paths=n_paths)
     u_values = [float(u) for u in u_values]
@@ -530,6 +562,9 @@ def representation_cf_table(
         raise ValueError("u_values must not be empty")
     for u in u_values:
         _check_frequency(u)
+    _check_series(alpha, hurst, n_paths, terms, bandwidth, points, horizon, grid_points,
+                  "laplace")
+    _check_paths(n_paths, grid_points, _TABLE_BYTES)
     common = dict(
         alpha=alpha,
         hurst=hurst,

@@ -167,7 +167,7 @@ def _fgn_into(
     At H != 1/2 the half spectrum goes into the complex rows ``half``
     (length ``m + 1``; allocated here when ``None``), and the inverse FFT
     overwrites ``noise``, which must be C-contiguous; at H = 1/2 ``noise`` is
-    only read and ``half`` is not used."""
+    only read (``out`` may be the same memory) and ``half`` is not used."""
     m = out.shape[-1]
     if hurst == 0.5:
         z = noise

@@ -44,29 +44,32 @@ or a block of rows), makes them uniforms and maps them through
 ``_DENSITIES``, the one table of the two importance pairs.
 ``_occupation_curves`` takes each term's noise words and makes them
 uniforms, normals, fGn, the path and its kernel prefix sums.  One function,
-``_term_layout``, states a term's buffers: the noise words it keeps (all
-``2 m`` of its block, or at H = 1/2 the first ``m``, which is all the fGn
-step reads) and its work floats.  Every memory model, both drivers' buffer
-layouts and the per-term draw read it.
+``_term_layout``, states a term's buffers: its noise word slots (all ``2 m``
+words of its block; at H = 1/2 the first ``m``, which is all the fGn step
+reads, after one slot for the path's exact 0) and its work floats (none at
+H = 1/2, where the path is built in the words' own memory).  Every memory
+model, both drivers' buffer layouts and the per-term draw read it.
 
 Chunk memory has one rule: ``_run_chunks`` is the only code that allocates
 it.  Before any block runs, the calling thread makes one buffer set, in the
-caller's layouts, per block that can run at once (``min(threads,
-blocks)``); a block borrows a free set and gives it back, so later blocks
-reuse memory that is already faulted in.
+caller's layouts, per worker thread (``min(threads, blocks)``).  Each thread
+keeps its set and takes the next block until none is left or a block has
+failed, so later blocks reuse memory that is already faulted in, and a
+failure stops the run after at most the blocks already running.
 
 Given the head, the terms are independent, and the stream is counter-based,
 so :func:`simulate_ltfsm` runs one block of consecutive terms per thread
 (``threads=``, else ``LTFSM_THREADS``, else the CPUs this process may use,
 at most as many as add 32 MB of working memory to the first; see
 :func:`resolve_threads`), each on a (noise words, work) set sized at the
-largest ``m``.  The calling thread first works out every term's ``m`` (so
-the cap warnings fire there, in term order), the word offset of its noise
-block (``3 P + sum_{j<n} 2 m_j`` from the path's first word) and the
-embedding coefficients of every distinct ``m``.  A worker seats one Philox
-at each term's offset (:func:`ltfsm.streams._seek`) and draws the words the
-term keeps.  Each thread peaks near ``64 m`` bytes at H != 1/2 (``24 m`` at
-H = 1/2; ``_term_bytes``), and the head and the curves need at most
+largest ``m``.  The calling thread first works out every term's ``m`` into
+an ``int64`` array (so the cap warnings fire there, in term order) and the
+embedding coefficients of every distinct ``m``.  A worker counts, in exact
+Python ints, the word offset of each of its terms' noise blocks (``3 P +
+sum_{j<n} 2 m_j`` from the path's first word), seats one Philox there
+(:func:`ltfsm.streams._seek`) and draws the words the term keeps.  Each
+thread peaks near ``64 m`` bytes at H != 1/2 (``16 m`` at H = 1/2;
+``_term_bytes``), and the head and the curves need at most
 ``P (128 + 16 (grid_points + 1))`` bytes (``_path_bytes``).  Two runs are
 refused with ``ValueError`` (``_check_memory``; no check where
 ``os.sysconf`` cannot tell the size): one whose head and curves together
@@ -89,10 +92,12 @@ differ only in scheduling, per-term sizes and how they form the
 coefficients ``Gamma_n**(-1/alpha)``.  So the path is bitwise that of the
 sequential term loop for any thread count, and the stream is left just
 past the last noise block.  The kernel works in memory its caller owns: the
-noise words, which become uniforms and normals (and at H != 1/2 the inverse
-FFT's output), and one work array that holds the half spectrum, then the
+noise words, which become uniforms and normals, and the array that holds the
 path, the tent kernel (in place, bitwise
-:func:`~ltfsm.localtime.kernel_phi_k`) and its prefix sums.
+:func:`~ltfsm.localtime.kernel_phi_k`) and its prefix sums.  At H != 1/2
+that is a work array, which first holds the half spectrum (the inverse FFT
+runs into the normals); at H = 1/2 it is the words themselves, scaled in
+place.
 
 :func:`simulate_rwrr_baseline` and
 :func:`ltfsm.experiments.rwrr_path_ensemble` check their arguments with
@@ -108,10 +113,10 @@ from __future__ import annotations
 
 import math
 import os
+import threading
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
-from itertools import accumulate
 
 import numpy as np
 from numpy.random import Philox
@@ -351,21 +356,31 @@ def gaussian_density_weight(x: np.ndarray, alpha: float) -> np.ndarray:
 
 
 def _term_layout(hurst: float, m: int) -> tuple[int, int]:
-    """The buffers of one term at grid size ``m``: the noise words it keeps
-    (all ``2 m`` of its block at H != 1/2, the first ``m`` at H = 1/2) and
-    the ``float64`` entries of ``_occupation_curves``'s work array (the
-    complex half spectrum, ``m + 1`` values, at H != 1/2; the path at H = 1/2)."""
+    """The buffers of one term at grid size ``m``: its ``uint64`` noise word
+    slots and the ``float64`` entries of ``_occupation_curves``'s work array.
+
+    At H != 1/2 the slots hold all ``2 m`` words of its block, and the work
+    array the complex half spectrum (``m + 1`` values), then the path.  At
+    H = 1/2 the fGn step reads only the first ``m`` words; they fill slots
+    ``1 .. m``, and the path is built in the slots' own memory, slot 0
+    holding its exact 0, so there is no work array."""
     if hurst == 0.5:
-        return m, m + 1
+        return m + 1, 0
     return 2 * m, 2 * (m + 1)
+
+
+def _noise_lead(hurst: float) -> int:
+    """The first of a term's noise word slots (``_term_layout``) that takes a
+    drawn word: 1 at H = 1/2, where slot 0 becomes the path's exact 0, else 0."""
+    return int(hurst == 0.5)
 
 
 def _term_bytes(hurst: float, m: int) -> int:
     """Peak working bytes of one :func:`simulate_ltfsm` thread at grid size
     ``m``: its noise words and work array, plus the larger transient of a
-    term, the raw words drawn (``8 m`` at H = 1/2) or the inverse FFT's own
-    scratch (about ``32 m`` at H != 1/2; a thread at m = 2**18 measured 16 MiB
-    of peak RSS, ``64 m`` bytes in all)."""
+    term, the raw words drawn (``8 m`` at H = 1/2, ``16 m`` in all) or the
+    inverse FFT's own scratch (about ``32 m`` at H != 1/2; a thread at
+    m = 2**18 measured 16 MiB of peak RSS, ``64 m`` bytes in all)."""
     return 8 * sum(_term_layout(hurst, m)) + (8 if hurst == 0.5 else 32) * m
 
 
@@ -373,9 +388,12 @@ def _path_bytes(terms: int, grid_points: int) -> int:
     """A bound on the working bytes of :func:`simulate_ltfsm` besides its
     term buffers: 128 B per term for the head (its three words, the three
     arrays ``_series_head`` makes from them, their transients, and each
-    term's size, word offset and coefficient; 98 B measured), and the
-    curves, ``8 (grid_points + 1)`` B per term, counted twice because
-    ``_run_chunks`` concatenates the blocks."""
+    term's size and coefficient, 8 B each in arrays), and the curves,
+    ``8 (grid_points + 1)`` B per term, counted twice because
+    ``_run_chunks`` concatenates the blocks.  At P = 2 000 and 20 000,
+    m = 4, grid 1, the path peaked at 64 B per term (75 B at P = 2 000 with
+    the fixed costs), the head's own peak; per-term Python lists of sizes,
+    offsets and coefficients had made it 130 B."""
     return terms * (128 + 16 * (grid_points + 1))
 
 
@@ -403,25 +421,29 @@ def _check_memory(what: str, need: int, remedy: str) -> None:
 def _occupation_curves(hurst, m, horizon, bandwidth, words, centers, idx, work):
     """Row ``r``: the occupation functional at level ``centers[r]`` of the fBm
     path with ``m`` increments driven by the raw words of row ``r`` of
-    ``words`` (the words of its ``2 m``-word noise block that a term keeps,
-    see ``_term_layout``), at path indices ``idx`` -- bitwise
-    :func:`~ltfsm.localtime.discretized_occupation` of the path that
-    :func:`~ltfsm.fbm.fbm_path` draws from those words.
+    ``words`` (a term's noise word slots, see ``_term_layout``), at path
+    indices ``idx`` -- bitwise :func:`~ltfsm.localtime.discretized_occupation`
+    of the path that :func:`~ltfsm.fbm.fbm_path` draws from those words.
 
     The caller owns the memory.  ``words`` is a C-contiguous ``uint64``
-    array; it becomes uniforms, then normals, in its own memory.  ``work`` is
-    a 1-d ``float64`` array of at least ``rows * _term_layout(hurst, m)[1]``
-    entries.  ``fbm._fgn_into`` writes the fGn into it: at H != 1/2 ``work``
-    first holds the half spectrum and the inverse FFT overwrites the
-    normals; at H = 1/2 they are only read.  ``work`` then holds the path,
+    array; it becomes uniforms, then normals, in its own memory.  At
+    H != 1/2 ``work`` is a 1-d ``float64`` array of at least
+    ``rows * _term_layout(hurst, m)[1]`` entries: ``fbm._fgn_into`` writes
+    the half spectrum into it, the inverse FFT overwrites the normals, and
+    the fGn goes back into ``work``.  At H = 1/2 ``work`` is not used: the
+    fGn is the normals of slots ``1 .. m`` scaled in place, and slot 0
+    (whatever it held) becomes the path's 0.  The path's array then holds
     the tent kernel and its prefix sums; only the columns ``idx`` are copied
     out and scaled by ``horizon / m``."""
     _check_bandwidth(bandwidth)
-    noise = _uniform_in_place(words)
+    rows = len(words)
+    u = _uniform_in_place(words)
+    if hurst == 0.5:  # the path in the words' own memory, after its 0 slot
+        paths, noise, half = u, u[:, 1:], None
+    else:
+        paths = work[: rows * (m + 1)].reshape(rows, m + 1)
+        noise, half = u, work[: 2 * paths.size].view(complex).reshape(rows, m + 1)
     uniform_to_gaussian(noise, out=noise)
-    rows = len(noise)
-    paths = work[: rows * (m + 1)].reshape(rows, m + 1)
-    half = None if hurst == 0.5 else work[: 2 * paths.size].view(complex).reshape(rows, m + 1)
     _fgn_into(hurst, horizon / m, noise, half, paths[:, 1:])
     paths[:, 0] = 0.0
     np.cumsum(paths[:, 1:], axis=1, out=paths[:, 1:])
@@ -495,7 +517,7 @@ def resolve_threads(threads: int | None = None, thread_bytes: int = _THREAD_BYTE
     CPUs this process may run on, but no more threads than add
     ``_THREAD_BYTES`` (32 MB) of working memory to the first when each holds
     ``thread_bytes`` (by default all 32 MB, so at most 2; the series and
-    LePage ensembles pass their 8 MB chunk budget, so at most 5)."""
+    LePage ensembles pass their 2 MB chunk budget, so at most 17)."""
     requested = _requested_threads(threads)
     if requested is not None:
         return requested
@@ -513,29 +535,40 @@ def _run_chunks(worker, total: int, chunk_rows: int, threads: int, layouts=()) -
 
     The only place that allocates chunk memory: before any block runs, the
     calling thread makes one set of ``np.empty(shape, dtype)`` buffers, one
-    per ``(shape, dtype)`` in ``layouts``, for each block that can run at
-    once (``min(threads, blocks)``).  A block takes a free set, gets it
-    whole as ``buffers`` and gives it back when it returns, so every later
-    block reuses memory that is already faulted in, and no two running
-    blocks share a set."""
+    per ``(shape, dtype)`` in ``layouts``, for each worker thread
+    (``min(threads, blocks)``).  A thread keeps its set, passed whole as
+    ``buffers``, and takes the next block in row order until none is left,
+    so every later block reuses memory that is already faulted in, and no
+    two running blocks share a set.  Blocks are handed out one at a time:
+    after the first block that raises, no thread starts another, and that
+    error is raised once the running blocks have returned."""
     starts = range(0, total, chunk_rows)
-    rows = [min(chunk_rows, total - start) for start in starts]
-    threads = min(threads, len(rows))
-    # at most ``threads`` blocks run at once, so a block always finds a free
-    # set; ``list.pop`` and ``list.append`` are atomic
-    free = [[np.empty(shape, dtype) for shape, dtype in layouts] for _ in range(threads)]
-
-    def run(start: int, count: int) -> np.ndarray:
-        buffers = free.pop()
-        try:
-            return worker(start, count, *buffers)
-        finally:
-            free.append(buffers)
-
+    threads = min(threads, len(starts))
+    sets = [[np.empty(shape, dtype) for shape, dtype in layouts] for _ in range(threads)]
     if threads == 1:
-        return np.concatenate(list(map(run, starts, rows)))
+        return np.concatenate([worker(s, min(chunk_rows, total - s), *sets[0]) for s in starts])
+    results = [None] * len(starts)
+    blocks = iter(range(len(starts)))
+    lock = threading.Lock()
+    errors = []  # ``list.append`` is atomic
+
+    def run(buffers) -> None:
+        while not errors:
+            with lock:
+                i = next(blocks, None)
+            if i is None:
+                return
+            try:
+                results[i] = worker(starts[i], min(chunk_rows, total - starts[i]), *buffers)
+            except BaseException as error:  # re-raised in the calling thread
+                errors.append(error)
+
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        return np.concatenate(list(pool.map(run, starts, rows)))
+        for done in [pool.submit(run, buffers) for buffers in sets]:
+            done.result()
+    if errors:
+        raise errors[0]
+    return np.concatenate(results)
 
 
 def simulate_ltfsm(
@@ -565,28 +598,34 @@ def simulate_ltfsm(
     times = config.grid_times
     # before any noise is drawn, in this thread: the grid sizes (so the cap
     # warnings fire here, in term order, and an overflow before any work),
-    # the memory check, the word offset of every noise block and the embedding
-    # coefficients (the cache has no lock; ascending, so the largest stay cached)
-    points = [params.points_for(n + 1, float(gamma)) for n, gamma in enumerate(gammas)]
-    largest = max(points)
+    # the memory check and the embedding coefficients (the cache has no lock;
+    # ascending, so the largest stay cached)
+    points = np.fromiter(
+        (params.points_for(n + 1, float(gamma)) for n, gamma in enumerate(gammas)),
+        np.int64, params.P,
+    )
+    largest = int(points.max())
     term_bytes = _term_bytes(hurst, largest)
     _check_memory(f"the largest term (m = {largest})", term_bytes,
                   "cap the grid size with max_points")
     key, head_end = _cursor(stream)
-    offsets = list(accumulate((2 * m for m in points), initial=head_end))
     if hurst != 0.5:
-        for m in sorted(set(points)):
+        for m in np.unique(points).tolist():
             _embedding_coefficients(hurst, m)
     threads = resolve_threads(requested, term_bytes)
+    lead = _noise_lead(hurst)
 
     def worker(start: int, count: int, words: np.ndarray, work: np.ndarray) -> np.ndarray:
         bitgen = Philox(key=0)
         curves = np.empty((count, len(times)))
+        # exact Python ints: the word offset of term ``start``'s noise block
+        offset = head_end + 2 * sum(map(int, points[:start]))
         for n in range(start, start + count):
-            m = points[n]
+            m = int(points[n])
             kept = _term_layout(hurst, m)[0]
-            _seek(bitgen, key, offsets[n])
-            words[:kept] = bitgen.random_raw(kept)
+            _seek(bitgen, key, offset)
+            offset += 2 * m
+            words[lead:kept] = bitgen.random_raw(kept - lead)
             idx = grid_index(m, horizon, times)
             curves[n - start] = _occupation_curves(
                 hurst, m, horizon, k, words[None, :kept], locations[n], idx, work
@@ -596,9 +635,10 @@ def simulate_ltfsm(
     # one (noise words, work) set per thread, sized at the largest term
     layouts = list(zip(_term_layout(hurst, largest), (np.uint64, np.float64)))
     curves = _run_chunks(worker, params.P, -(-params.P // threads), threads, layouts)
-    _seek(stream._bitgen, key, offsets[-1])
+    _seek(stream._bitgen, key, head_end + 2 * sum(map(int, points)))
     curves *= weights[:, None]
-    coef = np.array([_power(float(gamma), -1.0 / alpha) for gamma in gammas])
+    coef = np.fromiter((_power(float(gamma), -1.0 / alpha) for gamma in gammas),
+                       np.float64, params.P)
     total = _arrival_order_sum(coef[None], curves[None])[0]
     total[0] = 0.0
     return SamplePath(times=times, values=total)

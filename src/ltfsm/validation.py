@@ -43,7 +43,10 @@ def empirical_cf(samples: np.ndarray, u: float) -> CfEstimate:
     """Empirical CF of ``samples`` (rows = paths, columns = time points).
 
     A 1-d input is treated as a single time point.  Requires at least two
-    paths.
+    paths.  Works in three arrays of the input's size: the cosines and
+    sines are centred and squared in place, by the ufuncs that
+    ``ndarray.var(ddof=1)`` runs, in its order, so the result is bitwise
+    that of ``var``.
     """
     x = np.asarray(samples, dtype=float)
     if x.ndim == 1:
@@ -51,13 +54,16 @@ def empirical_cf(samples: np.ndarray, u: float) -> CfEstimate:
     if x.ndim != 2 or x.shape[0] < 2:
         raise ValueError("samples must be a matrix with at least 2 paths (rows)")
     n = x.shape[0]
-    cos = np.cos(u * x)
-    sin = np.sin(u * x)
+    sin = u * x
+    cos = np.cos(sin)
+    np.sin(sin, out=sin)
     re = cos.mean(axis=0)
     im = sin.mean(axis=0)
-    var_c = cos.var(axis=0, ddof=1) / n
-    var_s = sin.var(axis=0, ddof=1) / n
-    cov = ((cos - re) * (sin - im)).sum(axis=0) / (n - 1) / n
+    np.subtract(cos, re, out=cos)
+    np.subtract(sin, im, out=sin)
+    cov = (cos * sin).sum(axis=0) / (n - 1) / n
+    var_c = np.square(cos, out=cos).sum(axis=0) / (n - 1) / n
+    var_s = np.square(sin, out=sin).sum(axis=0) / (n - 1) / n
     mod = np.hypot(re, im)
     safe = np.maximum(mod, 1e-300)
     stderr = np.sqrt(

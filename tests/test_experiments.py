@@ -23,7 +23,14 @@ from ltfsm import (
     tail_moment_sweep,
 )
 from ltfsm import experiments, process
-from ltfsm.experiments import _ARRIVAL_BYTES, _CHUNK_BYTES, _chunk_rows, _series_row_bytes
+from ltfsm.experiments import (
+    _ARRIVAL_BYTES,
+    _CF_BYTES,
+    _CHUNK_BYTES,
+    _TABLE_BYTES,
+    _chunk_rows,
+    _series_row_bytes,
+)
 from ltfsm.process import _arrival_order_sum, _run_chunks, _rwrr_row_bytes, resolve_threads
 from ltfsm.streams import (
     RandomStream,
@@ -392,44 +399,67 @@ def test_random_walk_drivers_reject_a_non_finite_horizon_before_any_draw(horizon
 # -- chunk sizes follow from one byte budget
 
 
-def test_chunk_rows_are_pinned_for_the_arrival_drivers_and_the_h_half_series():
-    # the rows pin the arrival drivers' memory, not their bits: these equal
-    # 500 000-word chunks for every arrival count, and a chunk holds half
-    # the 8 MB budget (see test_arrival_chunk_peaks_at_its_words)
-    for n in (1, 7, 1000, 2000, 2560, 249_999, 250_000):
-        assert _chunk_rows(_ARRIVAL_BYTES * n) == 250_000 // n
-    assert _chunk_rows(_ARRIVAL_BYTES * 500_000) == 1
-    assert _chunk_rows(_series_row_bytes(0.5, 64, 256)) == 30
-    assert _chunk_rows(_series_row_bytes(0.5, 64, 512)) == 15
-    assert _chunk_rows(_series_row_bytes(0.7, 128, 128)) == 15
+def _series_draw_bytes(terms, points):
+    """One series replicate's raw draw: ``2 * points`` words per term."""
+    return 8 * terms * 2 * points
+
+
+def _series_chunk(hurst, terms, points):
+    """Rows per series chunk and the bytes that chunk models: its rows and
+    one replicate's raw draw."""
+    row_bytes = _series_row_bytes(hurst, terms, points)
+    draw = _series_draw_bytes(terms, points)
+    rows = _chunk_rows(row_bytes, draw)
+    return rows, rows * row_bytes + draw
+
+
+def _arrival_rows(arrivals):
+    """Rows per arrival-driver chunk: 16 B per arrival next to one row's
+    exponential words."""
+    return _chunk_rows(_ARRIVAL_BYTES * arrivals, 8 * arrivals)
+
+
+def test_chunk_rows_are_pinned_for_the_arrival_drivers_and_the_series():
+    # the rows pin the drivers' memory, not their bits: 16 B per arrival
+    # and, for the series, each term's noise slots, in the 2 MB budget next
+    # to one row's raw draw
+    assert _ARRIVAL_BYTES == 16 and _CHUNK_BYTES == 2_000_000
+    pins = {1: 124_999, 7: 17_856, 1000: 124, 2000: 62, 2560: 48, 124_999: 1, 125_000: 1}
+    assert {n: _arrival_rows(n) for n in pins} == pins
+    assert _arrival_rows(500_000) == 1  # a draw larger than the budget
+    assert _series_chunk(0.5, 64, 256)[0] == 13
+    assert _series_chunk(0.5, 64, 512)[0] == 5
+    assert _series_chunk(0.7, 128, 128)[0] == 3
+    assert _series_chunk(0.3, 16, 1024)[0] == 3
 
 
 @pytest.mark.parametrize(
     "hurst, terms, points", [(0.7, 128, 128), (0.5, 64, 256), (0.3, 16, 1024)]
 )
 def test_series_row_bytes_model_the_measured_chunk_peak(hurst, terms, points):
-    row_bytes = _series_row_bytes(hurst, terms, points)
-    rows = _chunk_rows(row_bytes)
+    rows, chunk_bytes = _series_chunk(hurst, terms, points)
     tracemalloc.start()
     try:
         series_path_ensemble(1.2, hurst, rows, terms, 8, points, RandomStream(3), threads=1)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert 0.95 <= peak / (rows * row_bytes) <= 1.10
+    assert 0.95 <= peak / chunk_bytes <= 1.10
 
 
 @pytest.mark.parametrize("threads", [1, 2])
 @pytest.mark.parametrize("density", ["laplace", "gaussian"])
-@pytest.mark.parametrize("hurst", [0.3, 0.7])
+@pytest.mark.parametrize("hurst", [0.3, 0.5, 0.7])
 def test_series_ensemble_is_bitwise_invariant_to_the_chunk_budget(
     monkeypatch, hurst, density, threads
 ):
     args = (1.2, hurst, 8, 4, 2, 16, RandomStream(61))
     kwargs = dict(grid_points=6, density=density, threads=threads)
     whole = series_path_ensemble(*args, **kwargs)
-    monkeypatch.setattr(experiments, "_CHUNK_BYTES", 3 * _series_row_bytes(hurst, 4, 16))
-    assert _chunk_rows(_series_row_bytes(hurst, 4, 16)) == 3
+    row_bytes = _series_row_bytes(hurst, 4, 16)
+    monkeypatch.setattr(experiments, "_CHUNK_BYTES",
+                        3 * row_bytes + _series_draw_bytes(4, 16))
+    assert _series_chunk(hurst, 4, 16)[0] == 3
     chunked = series_path_ensemble(*args, **kwargs)
     assert chunked.tobytes() == whole.tobytes()
 
@@ -443,9 +473,9 @@ def test_series_ensemble_is_bitwise_invariant_to_the_chunk_budget(
     ],
 )
 def test_arrival_chunk_peaks_at_its_words(driver, arrivals, words):
-    # one chunk of words, converted in place: 16 B per arrival, half the
-    # _ARRIVAL_BYTES budget that pins the rows
-    rows = _chunk_rows(_ARRIVAL_BYTES * arrivals)
+    # one chunk of words, converted in place, next to one row's exponential
+    # words as drawn
+    rows = _arrival_rows(arrivals)
     tracemalloc.start()
     try:
         if driver == "lepage":
@@ -455,7 +485,7 @@ def test_arrival_chunk_peaks_at_its_words(driver, arrivals, words):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert 0.95 <= peak / (rows * 8 * words) <= 1.10
+    assert 0.95 <= peak / (rows * 8 * words + 8 * arrivals) <= 1.10
 
 
 @pytest.mark.parametrize("threads", [1, 2])
@@ -468,8 +498,8 @@ def test_lepage_samples_are_bitwise_invariant_to_the_chunk_budget(monkeypatch, t
         return samples.tobytes() + np.array(sweep[5]).tobytes()
 
     whole = draw()
-    monkeypatch.setattr(experiments, "_CHUNK_BYTES", 3 * _ARRIVAL_BYTES * 50)
-    assert _chunk_rows(_ARRIVAL_BYTES * 50) == 3
+    monkeypatch.setattr(experiments, "_CHUNK_BYTES", 3 * _ARRIVAL_BYTES * 50 + 8 * 50)
+    assert _arrival_rows(50) == 3
     assert draw() == whole
 
 
@@ -533,6 +563,34 @@ def test_run_chunks_allocates_one_set_per_concurrent_block_in_the_calling_thread
     assert 1 <= len(used) <= sets == min(threads, -(-total // 3))
 
 
+@pytest.mark.parametrize("threads", [1, 2])
+def test_run_chunks_starts_no_block_after_one_fails_and_raises_its_error(threads):
+    # every block raises: each thread starts one block, and no more are
+    # handed out, however many remain
+    lock = threading.Lock()
+    raised = []
+
+    def worker(start, rows, buf):
+        error = RuntimeError(f"block at row {start}")
+        with lock:
+            raised.append(error)
+        raise error
+
+    with pytest.raises(RuntimeError, match="block at row") as caught:
+        _run_chunks(worker, 10_000, 1, threads, [((1,), np.float64)])
+    assert 1 <= len(raised) <= threads
+    assert any(caught.value is error for error in raised)
+
+
+def test_run_chunks_keeps_row_order_when_blocks_finish_out_of_order():
+    def worker(start, rows, buf):
+        time.sleep(0.002 * (start % 3))  # later blocks often finish first
+        return np.arange(start, start + rows)
+
+    out = _run_chunks(worker, 40, 3, 3, [((3,), np.float64)])
+    assert out.tolist() == list(range(40))
+
+
 def test_run_chunks_sets_stay_apart_under_many_threads_and_frequent_switches(monkeypatch):
     # more threads than cores, many chunks each and a short switch interval:
     # a buffer set shared between running blocks would mix rows of two chunks
@@ -544,7 +602,7 @@ def test_run_chunks_sets_stay_apart_under_many_threads_and_frequent_switches(mon
         )
 
     whole = draw(1)
-    monkeypatch.setattr(experiments, "_CHUNK_BYTES", 3 * _ARRIVAL_BYTES * 50)
+    monkeypatch.setattr(experiments, "_CHUNK_BYTES", 3 * _ARRIVAL_BYTES * 50 + 8 * 50)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -581,38 +639,37 @@ def test_arrival_order_sum_is_bitwise_the_loop_and_turns_negative_zero_columns_p
     assert not np.signbit(out[0, 1]) and not np.signbit(out[1, 2])
 
 
-def test_ensembles_with_many_chunks_peak_at_one_chunk():
+@pytest.mark.parametrize("hurst, terms, points", [(0.7, 128, 128), (0.5, 64, 256)])
+def test_ensembles_with_many_chunks_peak_at_one_chunk(hurst, terms, points):
     # a buffer set kept per chunk, not per thread, would grow with the chunks
-    hurst, terms, points = 0.7, 128, 128
-    row_bytes = _series_row_bytes(hurst, terms, points)
-    rows = _chunk_rows(row_bytes)
+    rows, chunk_bytes = _series_chunk(hurst, terms, points)
     peak = _traced_peak(
         series_path_ensemble, 1.2, hurst, 4 * rows + 1, terms, 8, points, RandomStream(3),
         threads=1,
     )
-    assert peak <= 1.10 * rows * row_bytes
+    assert peak <= 1.10 * chunk_bytes
     arrivals = 1000
-    rows = _chunk_rows(_ARRIVAL_BYTES * arrivals)
+    rows = _arrival_rows(arrivals)
     peak = _traced_peak(
         lepage_marginal_samples, 1.2, arrivals, 4 * rows + 1, RandomStream(3), threads=1
     )
-    assert peak <= 1.10 * rows * 16 * arrivals
+    assert peak <= 1.10 * (rows * 16 * arrivals + 8 * arrivals)
 
 
 def test_ensembles_smaller_than_a_chunk_size_their_buffers_to_the_call():
-    hurst, terms, points = 0.7, 128, 128
-    row_bytes = _series_row_bytes(hurst, terms, points)
-    n_paths = _chunk_rows(row_bytes) // 2
+    hurst, terms, points = 0.5, 64, 256
+    n_paths = _series_chunk(hurst, terms, points)[0] // 2
     peak = _traced_peak(
         series_path_ensemble, 1.2, hurst, n_paths, terms, 8, points, RandomStream(3),
         threads=1,
     )
-    assert peak <= 1.10 * n_paths * row_bytes
+    row_bytes = _series_row_bytes(hurst, terms, points)
+    assert peak <= 1.10 * (n_paths * row_bytes + _series_draw_bytes(terms, points))
     arrivals, n_samples = 1000, 20
     peak = _traced_peak(
         lepage_marginal_samples, 1.2, arrivals, n_samples, RandomStream(3), threads=1
     )
-    assert peak <= 1.10 * n_samples * 16 * arrivals
+    assert peak <= 1.10 * (n_samples * 16 * arrivals + 8 * arrivals)
 
 
 def _traced_peak(driver, *args, **kwargs) -> int:
@@ -625,11 +682,11 @@ def _traced_peak(driver, *args, **kwargs) -> int:
 
 
 def test_chunk_drivers_default_to_as_many_threads_as_their_chunk_budget_allows(monkeypatch):
-    # each thread holds one 8 MB buffer set, so the default adds at most
-    # 32 MB: 5 threads, however many CPUs
+    # each thread holds one 2 MB buffer set, so the default adds at most
+    # 32 MB: 17 threads, however many CPUs
     monkeypatch.delenv("LTFSM_THREADS", raising=False)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)), raising=False)
-    assert resolve_threads(thread_bytes=_CHUNK_BYTES) == 5
+    assert resolve_threads(thread_bytes=_CHUNK_BYTES) == 17
     counts = []
     run_chunks = experiments._run_chunks
 
@@ -642,7 +699,7 @@ def test_chunk_drivers_default_to_as_many_threads_as_their_chunk_budget_allows(m
     lepage_marginal_samples(1.2, 30, 5, RandomStream(5))
     # the random-walk ensemble holds no chunk buffers and keeps the 32 MB rule
     rwrr_path_ensemble(1.2, 3, 10, RandomStream(5))
-    assert counts == [5, 5, 2]
+    assert counts == [17, 17, 2]
 
 
 # -- a replicate larger than physical memory
@@ -659,7 +716,7 @@ def test_a_replicate_larger_than_physical_memory_is_refused_before_any_substream
         series_path_ensemble(1.2, 0.7, 3, 4, 2, 16, RandomStream(5))
     with pytest.raises(ValueError, match="one replicate"):
         cf_linearity_experiment("series", 1.0, 0.5, 3, RandomStream(5), terms=4, bandwidth=2,
-                                points=64)
+                                points=128)
     # 16 B per arrival: the exponential word and the sign word
     monkeypatch.setattr(process, "_physical_bytes", lambda: 16 * 50 - 1)
     with pytest.raises(ValueError, match=r"one replicate \(50 arrivals\) .* GiB of this"):
@@ -668,6 +725,54 @@ def test_a_replicate_larger_than_physical_memory_is_refused_before_any_substream
         stable_marginal_check(1.2, 50, 5, RandomStream(5))
     with pytest.raises(ValueError, match=r"one replicate \(50 arrivals\)"):
         tail_moment_sweep(1.2, [5], 3, RandomStream(5), factor=10)
+
+
+@pytest.mark.parametrize(
+    "call, cell_bytes, one",
+    [
+        (lambda s: cf_linearity_experiment("series", 1.0, 0.5, 30, s, n_times=5, terms=2,
+                                           bandwidth=2, points=4), _CF_BYTES, "one replicate"),
+        (lambda s: cf_linearity_experiment("rwrr", 1.0, 0.5, 30, s, n_times=5, steps=10),
+         _CF_BYTES, "one walk"),
+        (lambda s: representation_cf_table(1.2, 0.5, 30, 2, 2, 4, (0.5, 1.0), s, grid_points=5),
+         _TABLE_BYTES, "one replicate"),
+    ],
+    ids=["cf-series", "cf-rwrr", "representation"],
+)
+def test_a_cf_statistic_larger_than_physical_memory_is_refused_before_any_substream(
+    monkeypatch, call, cell_bytes, one
+):
+    # 30 paths on 6 times: the statistic, not a replicate or the returned
+    # matrix, is the largest need
+    need = cell_bytes * 30 * 6
+    monkeypatch.setattr(process, "_physical_bytes", lambda: need)
+    call(RandomStream(5))
+    monkeypatch.setattr(process, "_physical_bytes", lambda: need - 1)
+    monkeypatch.setattr(experiments, "_substream_heads", _must_not_run)
+    with pytest.raises(ValueError, match=r"30 paths on 6 times .* GiB of this machine"):
+        call(RandomStream(5))
+    # a replicate too large is named first
+    monkeypatch.setattr(process, "_physical_bytes", lambda: 1)
+    with pytest.raises(ValueError, match=one):
+        call(RandomStream(5))
+
+
+@pytest.mark.parametrize("cell_bytes, call", [
+    (_CF_BYTES, lambda: cf_linearity_experiment("series", 1.0, 0.5, 4000, RandomStream(1),
+                                                n_times=20, terms=2, bandwidth=2, points=4,
+                                                threads=1)),
+    (_CF_BYTES, lambda: cf_linearity_experiment("rwrr", 1.0, 0.5, 4000, RandomStream(1),
+                                                n_times=20, steps=10, threads=1)),
+    (_TABLE_BYTES, lambda: representation_cf_table(1.2, 0.5, 4000, 2, 2, 4, (0.5, 1.0),
+                                                   RandomStream(1), grid_points=20,
+                                                   threads=1)),
+], ids=["cf-series", "cf-rwrr", "representation"])
+def test_the_cf_statistic_models_bound_the_measured_peak(monkeypatch, cell_bytes, call):
+    # small chunks, so that the ensembles and the statistic dominate
+    monkeypatch.setattr(experiments, "_CHUNK_BYTES", 65536)
+    call()  # the lazy imports and caches before the measurement
+    peak = _traced_peak(call)
+    assert 0.9 <= peak / (cell_bytes * 4000 * 21) <= 1.0
 
 
 @pytest.mark.parametrize(

@@ -289,7 +289,7 @@ def test_simulate_ltfsm_follows_the_documented_draw_order(density):
     idx = grid_index(m, cfg.horizon, cfg.grid_times)
     expect = np.zeros(len(idx))
     for n in range(params.P):
-        words = s.raw(2 * m)[None]
+        words = _term_words(cfg.hurst, s.raw(2 * m)[None])
         work = np.empty(_term_layout(cfg.hurst, m)[1])
         curve = _occupation_curves(
             cfg.hurst, m, cfg.horizon, params.k, words, locations[n], idx, work
@@ -298,6 +298,19 @@ def test_simulate_ltfsm_follows_the_documented_draw_order(density):
     expect[0] = 0.0
     path = simulate_ltfsm(cfg, params, RandomStream(61), density=density)
     assert np.array_equal(path.values, expect)
+
+
+def _term_words(hurst, blocks):
+    """A term's noise word slots (see ``_term_layout``) from rows of its
+    ``2 m``-word blocks.  At H = 1/2 the first ``m`` words follow slot 0,
+    which the kernel overwrites with the path's 0; it holds the largest word
+    here, whose uniform is exactly 1.0."""
+    if hurst != 0.5:
+        return blocks
+    m = blocks.shape[-1] // 2
+    words = np.full((len(blocks), m + 1), np.iinfo(np.uint64).max, np.uint64)
+    words[:, 1:] = blocks[:, :m]
+    return words
 
 
 def _draw_order_reference(cfg, params, stream, density):
@@ -315,7 +328,7 @@ def _draw_order_reference(cfg, params, stream, density):
         gamma = float(gammas[n])
         m = params.points_for(n + 1, gamma)
         idx = grid_index(m, cfg.horizon, cfg.grid_times)
-        words = stream.raw(2 * m)[None]
+        words = _term_words(cfg.hurst, stream.raw(2 * m)[None])
         work = np.empty(_term_layout(cfg.hurst, m)[1])
         curve = _occupation_curves(
             cfg.hurst, m, cfg.horizon, params.k, words, locations[n], idx, work
@@ -466,6 +479,22 @@ def test_path_bytes_bound_the_peak_of_many_small_terms(hurst, grid_points, threa
     assert peak <= _path_bytes(params.P, grid_points) + threads * _term_bytes(hurst, 4)
 
 
+@pytest.mark.parametrize("hurst", [0.5, 0.7])
+def test_per_term_bookkeeping_fits_under_the_heads_own_peak(hurst):
+    # sizes and coefficients in 8 B array entries, no per-term Python
+    # objects: the head's 64 B per term stays the peak at grid 1
+    cfg = SeriesConfig(alpha=1.2, hurst=hurst, grid_points=1, delta=0.1, delta_prime=0.2)
+    params = flat_params(2000, 2, 4)
+    simulate_ltfsm(cfg, params, RandomStream(1), threads=1)  # warm the caches
+    tracemalloc.start()
+    try:
+        simulate_ltfsm(cfg, params, RandomStream(2), threads=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 68 * params.P + 2**15  # and 32 KiB of fixed costs
+
+
 def test_the_memory_probe_reads_sysconf_or_gives_none(monkeypatch):
     memory = _physical_bytes()
     assert memory is None or (isinstance(memory, int) and memory > 0)
@@ -508,21 +537,25 @@ def test_occupation_curves_rows_are_the_per_path_occupation(hurst, rows):
     m, k, horizon = 48, 3, 1.7
     times = np.arange(11) * (horizon / 10)
     idx = grid_index(m, horizon, times)
-    words = RandomStream(rows).raw(rows * 2 * m).reshape(rows, 2 * m)
+    blocks = RandomStream(rows).raw(rows * 2 * m).reshape(rows, 2 * m)
     centers = RandomStream(rows + 100).gaussian(rows).reshape(rows, 1) * 0.3
     work = np.empty(rows * _term_layout(hurst, m)[1])
-    # the kernel converts its words in place (and at H != 1/2 overwrites them)
-    curves = _occupation_curves(hurst, m, horizon, k, words.copy(), centers, idx, work)
+    # the kernel works in the memory of its words (and at H != 1/2 of work)
+    words = _term_words(hurst, blocks.copy())
+    assert words.shape == (rows, _term_layout(hurst, m)[0])
+    curves = _occupation_curves(hurst, m, horizon, k, words, centers, idx, work)
     assert curves.shape == (rows, len(idx))
     stream = RandomStream(rows)  # row r's block is the r-th fBm path of that stream
     for r in range(rows):
         path = fbm_path(hurst, horizon, m, stream)
         expect = discretized_occupation(path, k, float(centers[r, 0]), times).values
         assert np.array_equal(curves[r], expect)
-    if hurst == 0.5:  # a term keeps only the first m words of its block
-        assert _term_layout(hurst, m)[0] == m
-        half = _occupation_curves(hurst, m, horizon, k, words[:, :m].copy(), centers, idx, work)
-        assert np.array_equal(half, curves)
+    if hurst == 0.5:  # the first m words after the path's 0 slot, no work array
+        assert _term_layout(hurst, m) == (m + 1, 0)
+        words = _term_words(hurst, blocks.copy())
+        words[:, 0] = 0  # whatever slot 0 holds
+        again = _occupation_curves(hurst, m, horizon, k, words, centers, idx, None)
+        assert again.tobytes() == curves.tobytes()
 
 
 # -- discrete baseline -----------------------------------------------------------------------

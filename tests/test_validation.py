@@ -100,6 +100,26 @@ def test_empirical_cf_shapes_and_domain():
         empirical_cf(np.zeros((2, 2, 2)), 1.0)
 
 
+@pytest.mark.parametrize("paths, times", [(2, 1), (257, 7), (3000, 20)])
+def test_empirical_cf_is_bitwise_the_var_formula_and_leaves_its_input(paths, times):
+    x = np.random.default_rng(paths).standard_cauchy((paths, times))
+    before = x.copy()
+    u, n = 0.7, paths
+    cos, sin = np.cos(u * x), np.sin(u * x)
+    re, im = cos.mean(axis=0), sin.mean(axis=0)
+    var_c = cos.var(axis=0, ddof=1) / n
+    var_s = sin.var(axis=0, ddof=1) / n
+    cov = ((cos - re) * (sin - im)).sum(axis=0) / (n - 1) / n
+    stderr = np.sqrt(
+        np.maximum(re**2 * var_c + im**2 * var_s + 2.0 * re * im * cov, 0.0)
+    ) / np.maximum(np.hypot(re, im), 1e-300)
+    est = empirical_cf(x, u)
+    assert [a.tobytes() for a in (est.re, est.im, est.stderr)] == [
+        a.tobytes() for a in (re, im, stderr)
+    ]
+    assert x.tobytes() == before.tobytes()
+
+
 # -- Kolmogorov-Smirnov -------------------------------------------------------------------
 
 
