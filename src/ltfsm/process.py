@@ -564,8 +564,7 @@ def _run_chunks(worker, total: int, chunk_rows: int, threads: int, layouts=()) -
                 errors.append(error)
 
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        for done in [pool.submit(run, buffers) for buffers in sets]:
-            done.result()
+        list(pool.map(run, sets))
     if errors:
         raise errors[0]
     return np.concatenate(results)

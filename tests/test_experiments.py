@@ -438,12 +438,9 @@ def test_chunk_rows_are_pinned_for_the_arrival_drivers_and_the_series():
 )
 def test_series_row_bytes_model_the_measured_chunk_peak(hurst, terms, points):
     rows, chunk_bytes = _series_chunk(hurst, terms, points)
-    tracemalloc.start()
-    try:
-        series_path_ensemble(1.2, hurst, rows, terms, 8, points, RandomStream(3), threads=1)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    peak = _traced_peak(
+        series_path_ensemble, 1.2, hurst, rows, terms, 8, points, RandomStream(3), threads=1
+    )
     assert 0.95 <= peak / chunk_bytes <= 1.10
 
 
@@ -673,6 +670,10 @@ def test_ensembles_smaller_than_a_chunk_size_their_buffers_to_the_call():
 
 
 def _traced_peak(driver, *args, **kwargs) -> int:
+    """The tracemalloc peak of a second call, so that lazy imports and
+    caches filled by the first (``scipy.special``, the embedding
+    coefficients) are not counted, whichever tests ran before."""
+    driver(*args, **kwargs)
     tracemalloc.start()
     try:
         driver(*args, **kwargs)
@@ -770,7 +771,6 @@ def test_a_cf_statistic_larger_than_physical_memory_is_refused_before_any_substr
 def test_the_cf_statistic_models_bound_the_measured_peak(monkeypatch, cell_bytes, call):
     # small chunks, so that the ensembles and the statistic dominate
     monkeypatch.setattr(experiments, "_CHUNK_BYTES", 65536)
-    call()  # the lazy imports and caches before the measurement
     peak = _traced_peak(call)
     assert 0.9 <= peak / (cell_bytes * 4000 * 21) <= 1.0
 
