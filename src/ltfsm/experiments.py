@@ -115,6 +115,11 @@ _ARRIVAL_BYTES = 16
 _CF_BYTES = 32
 _TABLE_BYTES = 40
 
+# LePage marginal check, per sample: the series' 8 B next to the oracle's
+# 16 B of uniforms and its transform's three float arrays
+# (``oracle._stable_from_uniforms``), the peak of the check.
+_MARGINAL_BYTES = 48
+
 
 def _chunk_rows(row_bytes: int, draw_bytes: int) -> int:
     """Rows per chunk for replicates of ``row_bytes`` peak working bytes, each
@@ -462,20 +467,31 @@ def stable_marginal_check(
 
     Series replicates run on ``stream.substream(0).substream(j)``; the oracle
     draws ``n_samples`` variates from ``stream.substream(1)``.  The scale fit
-    needs ``n_samples >= 2``, and the series, the oracle draws and the KS
-    test hold 112 B per sample, which must fit in physical memory; both are
-    checked before any draw.
+    needs ``n_samples >= 2``, and the check holds at most
+    ``_MARGINAL_BYTES`` per sample, which must fit in physical memory; both
+    are checked before any draw.  A series sample or an oracle draw that
+    leaves the float range (at a tiny ``alpha``) is refused with
+    ``ValueError`` before the fit.  The reference is scaled in place, and
+    the statistics hold no pooled temporaries (see
+    :func:`~ltfsm.validation.ks_distance`).
     """
     _check_counts(least=2, n_samples=n_samples)
     _check_arrivals(terms)  # one replicate too large is named first
-    _check_memory(f"{n_samples} samples against the oracle", 112 * n_samples,
+    _check_memory(f"{n_samples} samples against the oracle", _MARGINAL_BYTES * n_samples,
                   "lower the number of samples")
     series = lepage_marginal_samples(
         alpha, terms, n_samples, stream.substream(0), threads=threads
     )
     reference = np.asarray(sample_stable_oracle(alpha, stream.substream(1), n_samples))
+    for what, values in (("series samples", series), ("oracle draws", reference)):
+        if not np.isfinite(values).all():
+            raise ValueError(
+                f"the {what} are not finite: they leave the float range at "
+                f"alpha = {alpha:g}; raise alpha"
+            )
     scale = fit_scale_by_cf(series, alpha)
-    ks = ks_distance(series, scale * reference)
+    reference *= scale
+    ks = ks_distance(series, reference)
     return MarginalCheckResult(
         alpha=alpha,
         terms=terms,

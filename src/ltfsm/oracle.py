@@ -39,9 +39,26 @@ def sample_stable_oracle(alpha: float, stream, size: int | None = None):
 
 def _stable_from_uniforms(alpha: float, u: np.ndarray) -> np.ndarray:
     """The transform above on ``2n`` uniforms: ``n`` variates, the first half
-    of ``u`` giving the angles and the second half the exponentials."""
+    of ``u`` giving the angles and the second half the exponentials.
+
+    Leaves ``u`` as it is and works in three arrays of ``n`` floats: ``x``
+    (the first factor, then the result), ``w`` (the first factor's
+    denominator, then the exponentials) and ``angle`` (the angles, then the
+    second factor).  Each factor runs the ufuncs of the formula above in its
+    order, so the variates are bitwise those of the formula."""
     n = len(u) // 2
-    angle = np.pi * (u[:n] - 0.5)
-    w = -np.log(u[n:])
-    x = np.sin(alpha * angle) / np.cos(angle) ** (1.0 / alpha)
-    return x * (np.cos((1.0 - alpha) * angle) / w) ** ((1.0 - alpha) / alpha)
+    angle = u[:n] - 0.5
+    angle *= np.pi
+    x = np.multiply(alpha, angle)
+    np.sin(x, out=x)
+    w = np.cos(angle)
+    w **= 1.0 / alpha
+    x /= w
+    np.multiply(1.0 - alpha, angle, out=angle)
+    np.cos(angle, out=angle)
+    np.log(u[n:], out=w)
+    np.negative(w, out=w)
+    angle /= w
+    angle **= (1.0 - alpha) / alpha
+    x *= angle
+    return x

@@ -115,7 +115,6 @@ import math
 import os
 import threading
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -539,9 +538,12 @@ def _run_chunks(worker, total: int, chunk_rows: int, threads: int, layouts=()) -
     (``min(threads, blocks)``).  A thread keeps its set, passed whole as
     ``buffers``, and takes the next block in row order until none is left,
     so every later block reuses memory that is already faulted in, and no
-    two running blocks share a set.  Blocks are handed out one at a time:
-    after the first block that raises, no thread starts another, and that
-    error is raised once the running blocks have returned."""
+    two running blocks share a set.  Each set's thread is a plain
+    ``threading.Thread`` that the calling thread starts and joins, so no
+    executor (nor its ``concurrent.futures``, ``logging`` and ``queue``
+    imports) is loaded.  Blocks are handed out one at a time: after the
+    first block that raises, no thread starts another, and that error is
+    raised once the running blocks have returned."""
     starts = range(0, total, chunk_rows)
     threads = min(threads, len(starts))
     sets = [[np.empty(shape, dtype) for shape, dtype in layouts] for _ in range(threads)]
@@ -563,8 +565,11 @@ def _run_chunks(worker, total: int, chunk_rows: int, threads: int, layouts=()) -
             except BaseException as error:  # re-raised in the calling thread
                 errors.append(error)
 
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        list(pool.map(run, sets))
+    workers = [threading.Thread(target=run, args=(buffers,)) for buffers in sets]
+    for thread in workers:
+        thread.start()
+    for thread in workers:
+        thread.join()
     if errors:
         raise errors[0]
     return np.concatenate(results)
@@ -680,14 +685,16 @@ def _check_rwrr(alpha, steps, grid_points, horizon, n_paths=1) -> None:
 
 
 def _rwrr_row_bytes(steps: int) -> int:
-    """A bound on the peak working bytes of ``_rwrr_row``, 64 B per step.
+    """A bound on the peak working bytes of ``_rwrr_row``, 48 B per step.
 
     A walk that never turns visits one site per step and peaks there: 8 B
-    of positions per step and 56 B per site, its two words and the oracle
-    transform's float temporaries.  A walk visits at most ``steps + 1``
-    sites; a typical one visits about ``steps**(1/2)`` and peaks near 24 B
-    per step (positions, gathered rewards, partial sums)."""
-    return 64 * (steps + 1)
+    of positions per step and 40 B per site, its two words and the oracle
+    transform's three float arrays (after the transform, the rewards, the
+    gathered rewards and the partial sums hold as much).  A walk visits at
+    most ``steps + 1`` sites; a typical one visits about ``steps**(1/2)``
+    and peaks near 24 B per step (positions, gathered rewards, partial
+    sums)."""
+    return 48 * (steps + 1)
 
 
 def _rwrr_row(alpha, draw, steps, grid_points) -> np.ndarray:

@@ -562,6 +562,22 @@ def test_simulate_refuses_an_overflowing_series_coefficient(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize(
+    "terms, seed, what",
+    [(100, 1, "series samples"),  # an arrival Gamma_n**(-100) beyond the float range
+     (1, 3, "oracle draws")],  # a finite series, but a draw beyond it
+)
+def test_stable_check_refuses_samples_beyond_the_float_range(capsys, terms, seed, what):
+    args = ["stable-check", "--alpha", "0.01", "--seed", str(seed), "--samples", "1000",
+            "--terms", str(terms)]
+    with pytest.warns(RuntimeWarning):
+        assert main(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: the {what} are not finite")
+    assert "float range at alpha = 0.01" in err
+    assert "Traceback" not in err
+
+
 # -- string options and manifests ----------------------------------------------------
 
 

@@ -863,7 +863,7 @@ def test_a_replicate_that_fits_in_memory_or_an_unknown_size_runs(monkeypatch, me
         (lambda: lepage_marginal_samples(1.2, 10, 50000, RandomStream(1), threads=1),
          16 * 50000),
         (lambda: stable_marginal_check(1.2, 10, 50000, RandomStream(1), threads=1),
-         112 * 50000),
+         48 * 50000),
         (lambda: tail_moment_sweep(1.2, [1, 2], 50000, RandomStream(1), factor=2),
          24 * 50000),
     ],

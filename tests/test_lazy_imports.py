@@ -1,4 +1,5 @@
-"""Which entry points load ``scipy.special``, each in a fresh interpreter.
+"""Which entry points load ``scipy.special``, each in a fresh interpreter,
+and that the chunk threads load no executor.
 
 The LePage marginal path (``stable-check``, ``stable_marginal_check``) draws
 only uniforms, exponentials and signs, so it must run without the
@@ -62,6 +63,25 @@ def test_the_lepage_path_and_rejections_never_load_scipy_special(body, code):
     lines = _run(body)
     assert lines[-1] == "loaded=False"
     assert code is None or lines[-2] == code
+
+
+@pytest.mark.parametrize(
+    "body",
+    [
+        "import ltfsm",
+        _cli(["stable-check", "--alpha", "1.2", "--terms", "20", "--samples", "50",
+              "--seed", "3"]),
+        # one-row chunks on two threads
+        ("import ltfsm.experiments as ex\n"
+         "from ltfsm import RandomStream\n"
+         "ex._CHUNK_BYTES = 1\n"
+         "ex.stable_marginal_check(1.2, 20, 50, RandomStream(3), threads=2)"),
+    ],
+    ids=["import", "stable-check", "threaded-chunks"],
+)
+def test_the_chunk_threads_load_no_executor_and_no_logging(body):
+    lines = _run(body + "\nprint(sorted({'concurrent.futures', 'logging'} & set(sys.modules)))")
+    assert lines[-2] == "[]"
 
 
 def test_a_gaussian_draw_loads_scipy_special():

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from numpy.random import Philox
 
-from ltfsm.oracle import sample_stable_oracle
+from ltfsm.oracle import _stable_from_uniforms, sample_stable_oracle
 from ltfsm.streams import (
     RandomStream,
     _cursor,
@@ -270,6 +270,19 @@ def test_stable_oracle_is_continuous_at_alpha_one():
     # at alpha = 1 the variate is tan(U) exactly
     assert at == pytest.approx(np.tan(np.pi * (us - 0.5)), rel=1e-12)
     assert near == pytest.approx(at, rel=1e-6)
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5, 2.0])
+def test_stable_transform_is_bitwise_the_formula_and_leaves_its_uniforms(alpha):
+    u = RandomStream(16).uniform(2 * 1000)
+    before = u.copy()
+    x = _stable_from_uniforms(alpha, u)
+    assert u.tobytes() == before.tobytes()
+    angle = np.pi * (u[:1000] - 0.5)
+    w = -np.log(u[1000:])
+    formula = np.sin(alpha * angle) / np.cos(angle) ** (1.0 / alpha)
+    formula = formula * (np.cos((1.0 - alpha) * angle) / w) ** ((1.0 - alpha) / alpha)
+    assert x.tobytes() == formula.tobytes()
 
 
 def test_stable_oracle_is_symmetric():

@@ -12,6 +12,7 @@ from ltfsm import (
     holder_exponent_estimate,
     ks_distance,
     linreg_r2,
+    validation,
 )
 from ltfsm.oracle import sample_stable_oracle
 from ltfsm.streams import RandomStream
@@ -148,6 +149,39 @@ def test_ks_distance_shrinks_for_equal_laws():
     assert ks_distance(a, b) < 0.05
 
 
+def _pooled_ks(a, b) -> float:
+    """The KS statistic over the pooled sample, both CDFs evaluated at every
+    point of both samples."""
+    a = np.sort(np.asarray(a, dtype=float).ravel())
+    b = np.sort(np.asarray(b, dtype=float).ravel())
+    pooled = np.concatenate([a, b])
+    cdf_a = np.searchsorted(a, pooled, side="right") / len(a)
+    cdf_b = np.searchsorted(b, pooled, side="right") / len(b)
+    return float(np.max(np.abs(cdf_a - cdf_b)))
+
+
+_BLOCK = validation._KS_BLOCK
+
+
+@pytest.mark.parametrize(
+    "a, b",
+    [
+        ([1.0, 1.0, 1.0, 2.0, 2.0, 3.0], [2.0, 2.0, 2.0, 4.0]),  # ties within and across
+        (np.round(RandomStream(5).gaussian(300), 1), np.round(RandomStream(6).gaussian(517), 1)),
+        ([-np.inf, 0.0, 1.0, np.inf, np.inf], [-np.inf, -np.inf, 0.5, 2.0]),
+        ([0.25], RandomStream(7).gaussian(1000)),  # unequal sizes
+        (np.round(RandomStream(8).gaussian(3 * _BLOCK + 5), 2),
+         np.round(RandomStream(9).gaussian(_BLOCK + 1), 2)),  # above one block
+    ],
+    ids=["ties", "rounded", "inf", "unequal", "blocks"],
+)
+@pytest.mark.parametrize("block", [_BLOCK, 3])
+def test_ks_distance_is_bitwise_the_pooled_formula(monkeypatch, a, b, block):
+    monkeypatch.setattr(validation, "_KS_BLOCK", block)
+    for x, y in ((a, b), (b, a)):
+        assert ks_distance(x, y).hex() == _pooled_ks(x, y).hex()
+
+
 # -- scale fitting -----------------------------------------------------------------------
 
 
@@ -156,6 +190,29 @@ def test_fit_scale_recovers_a_known_scaling():
     assert abs(fit_scale_by_cf(x, 1.2) - 2.0) < 0.1
     g = math.sqrt(2.0) * RandomStream(13).gaussian(100000)
     assert abs(fit_scale_by_cf(g, 2.0) - 1.0) < 0.05
+
+
+def _list_fit(samples, alpha: float) -> float:
+    """``fit_scale_by_cf`` with one fresh ``u * x`` per cosine and sine."""
+    x = np.asarray(samples, dtype=float).ravel()
+    base = float(np.median(np.abs(x)))
+    u_grid = np.array([0.2, 0.4, 0.6, 0.8, 1.0]) / base
+    mods = np.array(
+        [float(np.hypot(np.cos(u * x).mean(), np.sin(u * x).mean())) for u in u_grid]
+    )
+    usable = (mods < 1.0 - 1e-12) & (mods > 1e-12)
+    y = np.log(-np.log(mods[usable]))
+    z = alpha * np.log(u_grid[usable])
+    return float(np.exp(np.mean(y - z) / alpha))
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 1.2, 2.0])
+@pytest.mark.parametrize("size", [2, 1001, 40000])  # even and odd medians
+def test_fit_scale_is_bitwise_the_list_form_and_leaves_its_input(alpha, size):
+    x = 3.0 * sample_stable_oracle(alpha, RandomStream(size), size)
+    before = x.copy()
+    assert fit_scale_by_cf(x, alpha).hex() == _list_fit(x, alpha).hex()
+    assert x.tobytes() == before.tobytes()
 
 
 def test_fit_scale_domain():
