@@ -16,15 +16,19 @@ a manifest is itself a valid ``--config`` file, so
 
 reproduces a run byte-for-byte.
 
-Each command's option schema is the one place its inputs are checked.  A row
-``flag: (type, default, least)`` gives the value's type, its default
-(``REQUIRED`` when a flag or the config file must supply it, ``None`` when it
-may stay unset) and, for a count, the smallest value accepted (``None`` for no
-bound).  A float must be finite unless it equals an infinite default: only
-``bounds --P`` has one, ``inf`` for the supremum over block lengths.  A string
-must read back unchanged from a manifest.  Checks that state a policy or a
+Each command's option schema is the one place its inputs are checked and
+the one place that names where they go.  A row ``flag: (type, default,
+least, keyword)`` gives the value's type, its default (``REQUIRED`` when a
+flag or the config file must supply it, ``None`` when it may stay unset),
+for a count the smallest value accepted (``None`` for no bound), and the
+keyword of the library call the value goes to (``None`` for a flag the CLI
+keeps for itself: ``seed``, ``out``, ``threshold``, ``density`` and
+``bounds --p``/``--volK``).  A float must be finite unless it equals an
+infinite default: only ``bounds --P`` has one, ``inf`` for the supremum
+over block lengths.  A string must read back unchanged from a manifest.  Checks that state a policy or a
 reason (``validate-cf`` needs alpha = 1 and a nonzero ``--u``, ``bounds``
-pairs ``--p`` with ``--volK``) stay in the handlers.
+pairs ``--p`` with ``--volK``) stay in the handlers; :func:`_keywords` turns
+the resolved values into a handler's library call.
 
 A handler returns ``(exit code, report lines, CSV or None)`` and writes
 nothing; :func:`_run` then writes the CSV, or otherwise the report, to
@@ -38,6 +42,8 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+
+import numpy as np
 
 from . import __version__
 from .fbm import EmbeddingError
@@ -62,62 +68,62 @@ _MANIFEST_KEYS = ("command", "version", "output")
 REQUIRED = object()
 
 _SIMULATE_SCHEMA = {
-    "alpha": (float, REQUIRED, None),
-    "hurst": (float, REQUIRED, None),
-    "epsilon": (float, REQUIRED, None),
-    "seed": (int, REQUIRED, None),
-    "eta": (float, 1.5, None),
-    "T": (float, 1.0, None),
-    "grid": (int, 200, None),
-    "q": (float, 2.5, None),
-    "p": (float, 2.0, None),
-    "delta": (float, 0.4, None),
-    "delta-prime": (float, 0.25, None),
-    "beta": (float, 0.0, None),
-    "cp": (float, 1.0, None),
-    "ck": (float, 1.0, None),
-    "max-points": (int, 262144, None),
-    "density": (str, "laplace", None),
-    "out": (str, "ltfsm_path.csv", None),
+    "alpha": (float, REQUIRED, None, "alpha"),
+    "hurst": (float, REQUIRED, None, "hurst"),
+    "epsilon": (float, REQUIRED, None, "epsilon"),
+    "seed": (int, REQUIRED, None, None),
+    "eta": (float, 1.5, None, "eta"),
+    "T": (float, 1.0, None, "horizon"),
+    "grid": (int, 200, None, "grid_points"),
+    "q": (float, 2.5, None, "q"),
+    "p": (float, 2.0, None, "p"),
+    "delta": (float, 0.4, None, "delta"),
+    "delta-prime": (float, 0.25, None, "delta_prime"),
+    "beta": (float, 0.0, None, "beta"),
+    "cp": (float, 1.0, None, "c_p"),
+    "ck": (float, 1.0, None, "c_k"),
+    "max-points": (int, 262144, None, "max_points"),
+    "density": (str, "laplace", None, None),
+    "out": (str, "ltfsm_path.csv", None, None),
 }
 
 _BOUNDS_SCHEMA = {
-    "alpha": (float, REQUIRED, None),
-    "q": (float, REQUIRED, None),
-    "N": (int, REQUIRED, None),
-    "P": (float, math.inf, None),
-    "beta": (float, 0.0, None),
-    "Mq": (float, 1.0, None),
-    "Mqk": (float, 1.0, None),
-    "p": (float, None, None),
-    "volK": (float, None, None),
-    "out": (str, None, None),
+    "alpha": (float, REQUIRED, None, "alpha"),
+    "q": (float, REQUIRED, None, "q"),
+    "N": (int, REQUIRED, None, "N"),
+    "P": (float, math.inf, None, "P"),
+    "beta": (float, 0.0, None, "beta"),
+    "Mq": (float, 1.0, None, "moment_q"),
+    "Mqk": (float, 1.0, None, "moment_qk"),
+    "p": (float, None, None, None),
+    "volK": (float, None, None, None),
+    "out": (str, None, None, None),
 }
 
 _VALIDATE_CF_SCHEMA = {
-    "alpha": (float, REQUIRED, None),
-    "hurst": (float, REQUIRED, None),
-    "paths": (int, 10000, 2),
-    "seed": (int, REQUIRED, None),
-    "method": (str, "series", None),
-    "u": (float, 1.0, None),
-    "times": (int, 20, 3),
-    "T": (float, 1.0, None),
-    "terms": (int, 64, 1),
-    "bandwidth": (int, 16, 1),
-    "points": (int, 256, 1),
-    "steps": (int, 10000, 1),
-    "threshold": (float, None, None),
-    "out": (str, "cf_linearity.csv", None),
+    "alpha": (float, REQUIRED, None, "alpha"),
+    "hurst": (float, REQUIRED, None, "hurst"),
+    "paths": (int, 10000, 2, "n_paths"),
+    "seed": (int, REQUIRED, None, None),
+    "method": (str, "series", None, "method"),
+    "u": (float, 1.0, None, "u"),
+    "times": (int, 20, 3, "n_times"),
+    "T": (float, 1.0, None, "horizon"),
+    "terms": (int, 64, 1, "terms"),
+    "bandwidth": (int, 16, 1, "bandwidth"),
+    "points": (int, 256, 1, "points"),
+    "steps": (int, 10000, 1, "steps"),
+    "threshold": (float, None, None, None),
+    "out": (str, "cf_linearity.csv", None, None),
 }
 
 _STABLE_CHECK_SCHEMA = {
-    "alpha": (float, REQUIRED, None),
-    "terms": (int, 10000, 1),
-    "samples": (int, 10000, 2),
-    "seed": (int, REQUIRED, None),
-    "threshold": (float, 0.02, None),
-    "out": (str, None, None),
+    "alpha": (float, REQUIRED, None, "alpha"),
+    "terms": (int, 10000, 1, "terms"),
+    "samples": (int, 10000, 2, "n_samples"),
+    "seed": (int, REQUIRED, None, None),
+    "threshold": (float, 0.02, None, None),
+    "out": (str, None, None, None),
 }
 
 
@@ -136,7 +142,7 @@ def _resolve(args: argparse.Namespace, schema: dict, command: str) -> dict:
         if unknown:
             raise ConfigError(f"unknown config keys: {', '.join(sorted(unknown))}")
     resolved = {}
-    for flag, (typ, default, least) in schema.items():
+    for flag, (typ, default, least, _keyword) in schema.items():
         value = getattr(args, flag.replace("-", "_"))
         if value is None and flag in file_values:
             value = typ(file_values[flag])
@@ -156,29 +162,22 @@ def _resolve(args: argparse.Namespace, schema: dict, command: str) -> dict:
     return resolved
 
 
+def _keywords(vals: dict, schema: dict) -> dict:
+    """The library keyword arguments of the resolved ``vals``: each row's
+    value under its keyword, skipping the rows whose keyword is ``None``."""
+    return {keyword: vals[flag] for flag, (*_, keyword) in schema.items() if keyword}
+
+
 # -- subcommand handlers -------------------------------------------------------
 
 
 def _cmd_simulate(vals: dict):
-    config = SeriesConfig(
-        alpha=vals["alpha"],
-        hurst=vals["hurst"],
-        epsilon=vals["epsilon"],
-        horizon=vals["T"],
-        grid_points=vals["grid"],
-        eta=vals["eta"],
-        q=vals["q"],
-        p=vals["p"],
-        delta=vals["delta"],
-        delta_prime=vals["delta-prime"],
-        beta=vals["beta"],
-        c_p=vals["cp"],
-        c_k=vals["ck"],
-        max_points=vals["max-points"],
-    )
+    config = SeriesConfig(**_keywords(vals, _SIMULATE_SCHEMA))
     params = tune(config)
-    stream = RandomStream(vals["seed"])
-    path = simulate_ltfsm(config, params, stream, density=vals["density"])
+    # an overflow is refused by name just below, so numpy need not warn of it
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        path = simulate_ltfsm(config, params, RandomStream(vals["seed"]),
+                              density=vals["density"])
     if not all(map(math.isfinite, path.values)):
         raise ValueError(
             "the simulated path is not finite: its series coefficients overflow "
@@ -201,50 +200,22 @@ def _cmd_simulate(vals: dict):
 
 
 def _cmd_bounds(vals: dict):
-    report = build_bound_report(
-        N=vals["N"],
-        q=vals["q"],
-        alpha=vals["alpha"],
-        moment_q=vals["Mq"],
-        moment_qk=vals["Mqk"],
-        P=vals["P"],
-        beta=vals["beta"],
-    )
-    lines = [
-        ("N", float(vals["N"])),
-        ("P", float(vals["P"])),
-        ("beta", vals["beta"]),
-    ]
+    report = build_bound_report(**_keywords(vals, _BOUNDS_SCHEMA))
+    N, P, q, alpha, beta = (vals[key] for key in ("N", "P", "q", "alpha", "beta"))
+    p, vol = vals["p"], vals["volK"]
+    lines = [("N", float(N)), ("P", float(P)), ("beta", beta)]
     lines += list(report.as_dict().items())
-    if (vals["p"] is None) != (vals["volK"] is None):
+    if (p is None) != (vol is None):
         raise ConfigError("the L^p bounds need both --p and --volK")
-    if vals["p"] is not None:
-        lines.append(("p", vals["p"]))
-        lines.append(("volK", vals["volK"]))
-        lines.append(("H_N_q", bound_H_nq(vals["N"], vals["q"], vals["alpha"])))
-        lines.append(
-            (
-                "truncation_bound_lp",
-                truncation_bound_lp(
-                    vals["N"], vals["q"], vals["alpha"], vals["Mq"], vals["p"], vals["volK"]
-                ),
-            )
-        )
-        lines.append(
-            (
-                "approximation_bound_lp",
-                approximation_bound_lp(
-                    vals["N"],
-                    vals["P"],
-                    vals["q"],
-                    vals["alpha"],
-                    vals["beta"],
-                    vals["Mqk"],
-                    vals["p"],
-                    vals["volK"],
-                ),
-            )
-        )
+    if p is not None:
+        lines += [
+            ("p", p),
+            ("volK", vol),
+            ("H_N_q", bound_H_nq(N, q, alpha)),
+            ("truncation_bound_lp", truncation_bound_lp(N, q, alpha, vals["Mq"], p, vol)),
+            ("approximation_bound_lp",
+             approximation_bound_lp(N, P, q, alpha, beta, vals["Mqk"], p, vol)),
+        ]
     return 0, lines, None
 
 
@@ -266,18 +237,7 @@ def _cmd_validate_cf(vals: dict):
         # the manifest records the method's default threshold
         vals["threshold"] = 0.99 if vals["method"] == "series" else 0.95
     result = cf_linearity_experiment(
-        method=vals["method"],
-        alpha=vals["alpha"],
-        hurst=vals["hurst"],
-        n_paths=vals["paths"],
-        stream=RandomStream(vals["seed"]),
-        u=vals["u"],
-        n_times=vals["times"],
-        horizon=vals["T"],
-        terms=vals["terms"],
-        bandwidth=vals["bandwidth"],
-        points=vals["points"],
-        steps=vals["steps"],
+        stream=RandomStream(vals["seed"]), **_keywords(vals, _VALIDATE_CF_SCHEMA)
     )
     passed = result.r_squared >= vals["threshold"]
     lines = [
@@ -304,10 +264,7 @@ def _cmd_stable_check(vals: dict):
             "stable laws below the Gaussian index"
         )
     result = stable_marginal_check(
-        alpha=vals["alpha"],
-        terms=vals["terms"],
-        n_samples=vals["samples"],
-        stream=RandomStream(vals["seed"]),
+        stream=RandomStream(vals["seed"]), **_keywords(vals, _STABLE_CHECK_SCHEMA)
     )
     passed = result.ks <= vals["threshold"]
     lines = [
@@ -375,7 +332,7 @@ def main(argv=None) -> int:
     for name, (help_text, schema, _handler) in _COMMANDS.items():
         command = sub.add_parser(name, help=help_text)
         command.add_argument("--config", default=None, help="flat key = value file")
-        for flag, (typ, _default, _least) in schema.items():
+        for flag, (typ, _default, _least, _keyword) in schema.items():
             command.add_argument(f"--{flag}", type=typ, default=None)
     args = parser.parse_args(argv)
     if args.command is None:

@@ -471,18 +471,20 @@ def stable_marginal_check(
     ``_MARGINAL_BYTES`` per sample, which must fit in physical memory; both
     are checked before any draw.  A series sample or an oracle draw that
     leaves the float range (at a tiny ``alpha``) is refused with
-    ``ValueError`` before the fit.  The reference is scaled in place, and
-    the statistics hold no pooled temporaries (see
+    ``ValueError`` before the fit; numpy's floating-point warnings are
+    silenced for the two draws, on every chunk thread too.  The reference
+    is scaled in place, and the statistics hold no pooled temporaries (see
     :func:`~ltfsm.validation.ks_distance`).
     """
     _check_counts(least=2, n_samples=n_samples)
     _check_arrivals(terms)  # one replicate too large is named first
     _check_memory(f"{n_samples} samples against the oracle", _MARGINAL_BYTES * n_samples,
                   "lower the number of samples")
-    series = lepage_marginal_samples(
-        alpha, terms, n_samples, stream.substream(0), threads=threads
-    )
-    reference = np.asarray(sample_stable_oracle(alpha, stream.substream(1), n_samples))
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # refused below
+        series = lepage_marginal_samples(
+            alpha, terms, n_samples, stream.substream(0), threads=threads
+        )
+        reference = np.asarray(sample_stable_oracle(alpha, stream.substream(1), n_samples))
     for what, values in (("series samples", series), ("oracle draws", reference)):
         if not np.isfinite(values).all():
             raise ValueError(

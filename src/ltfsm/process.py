@@ -55,7 +55,9 @@ it.  Before any block runs, the calling thread makes one buffer set, in the
 caller's layouts, per worker thread (``min(threads, blocks)``).  Each thread
 keeps its set and takes the next block until none is left or a block has
 failed, so later blocks reuse memory that is already faulted in, and a
-failure stops the run after at most the blocks already running.
+failure stops the run after at most the blocks already running; so does an
+interrupt of the calling thread while it waits.  Each thread runs in a copy
+of the caller's context, so a caller's ``np.errstate`` holds on every thread.
 
 Given the head, the terms are independent, and the stream is counter-based,
 so :func:`simulate_ltfsm` runs one block of consecutive terms per thread
@@ -111,6 +113,7 @@ one ``cumsum``, one fancy index).
 
 from __future__ import annotations
 
+import contextvars
 import math
 import os
 import threading
@@ -541,9 +544,14 @@ def _run_chunks(worker, total: int, chunk_rows: int, threads: int, layouts=()) -
     two running blocks share a set.  Each set's thread is a plain
     ``threading.Thread`` that the calling thread starts and joins, so no
     executor (nor its ``concurrent.futures``, ``logging`` and ``queue``
-    imports) is loaded.  Blocks are handed out one at a time: after the
-    first block that raises, no thread starts another, and that error is
-    raised once the running blocks have returned."""
+    imports) is loaded.  Each thread runs in its own copy of the caller's
+    context, so a caller's ``np.errstate`` holds in every block, as it does
+    on the one-thread path, which runs the blocks inline.  Blocks are
+    handed out one at a time: after the first block that raises, no thread
+    starts another, and that error is raised once the running blocks have
+    returned.  An error in the calling thread while it waits (a
+    ``KeyboardInterrupt``) stops the hand-out the same way and is raised at
+    once; the running blocks finish on their own."""
     starts = range(0, total, chunk_rows)
     threads = min(threads, len(starts))
     sets = [[np.empty(shape, dtype) for shape, dtype in layouts] for _ in range(threads)]
@@ -565,11 +573,17 @@ def _run_chunks(worker, total: int, chunk_rows: int, threads: int, layouts=()) -
             except BaseException as error:  # re-raised in the calling thread
                 errors.append(error)
 
-    workers = [threading.Thread(target=run, args=(buffers,)) for buffers in sets]
+    # one copy of the caller's context per thread: two cannot enter one
+    workers = [threading.Thread(target=contextvars.copy_context().run, args=(run, buffers))
+               for buffers in sets]
     for thread in workers:
         thread.start()
-    for thread in workers:
-        thread.join()
+    try:
+        for thread in workers:
+            thread.join()
+    except BaseException as error:  # an interrupt while waiting: start no more blocks
+        errors.append(error)
+        raise
     if errors:
         raise errors[0]
     return np.concatenate(results)

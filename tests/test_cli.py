@@ -1,6 +1,7 @@
 """Unit tests for the command line interface."""
 
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -493,7 +494,7 @@ BASE_ARGS = {
 NON_FINITE_CASES = [
     (name, flag, value)
     for name, (_help, schema, _handler) in _COMMANDS.items()
-    for flag, (typ, _default, _least) in schema.items()
+    for flag, (typ, _default, _least, _keyword) in schema.items()
     if typ is float
     for value in ("nan", "inf")
 ]
@@ -541,8 +542,10 @@ def test_simulate_refuses_to_write_a_non_finite_path(tmp_path, capsys):
     out = tmp_path / "nf.csv"
     args = ["simulate", "--alpha", "0.01", "--hurst", "0.5", "--epsilon", "0.9",
             "--max-points", "64", "--grid", "10", "--seed", "6", "--out", str(out)]
-    with pytest.warns(RuntimeWarning):
+    with pytest.warns(RuntimeWarning) as record:
         assert main(args) == 2
+    # numpy's overflow warnings are silenced; only the cap warnings remain
+    assert all(str(w.message).startswith("tuned per-term grid size") for w in record)
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "not finite" in err
     assert "Traceback" not in err
@@ -554,28 +557,38 @@ def test_simulate_refuses_an_overflowing_series_coefficient(tmp_path, capsys):
     out = tmp_path / "nf.csv"
     args = ["simulate", "--alpha", "0.01", "--hurst", "0.5", "--epsilon", "0.9",
             "--max-points", "64", "--grid", "10", "--seed", "1715", "--out", str(out)]
-    with pytest.warns(RuntimeWarning):
+    with pytest.warns(RuntimeWarning) as record:
         assert main(args) == 2
+    # numpy's overflow warnings are silenced; only the cap warnings remain
+    assert all(str(w.message).startswith("tuned per-term grid size") for w in record)
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "not finite" in err
     assert "Traceback" not in err
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("threads", ["1", "2"])
 @pytest.mark.parametrize(
     "terms, seed, what",
     [(100, 1, "series samples"),  # an arrival Gamma_n**(-100) beyond the float range
      (1, 3, "oracle draws")],  # a finite series, but a draw beyond it
 )
-def test_stable_check_refuses_samples_beyond_the_float_range(capsys, terms, seed, what):
+def test_stable_check_refuses_samples_beyond_the_float_range(
+    capsys, monkeypatch, threads, terms, seed, what
+):
+    # small chunks, so the series runs in at least 2 blocks, on chunk threads too
+    monkeypatch.setattr(experiments, "_CHUNK_BYTES", 8_000)
+    monkeypatch.setenv("LTFSM_THREADS", threads)
     args = ["stable-check", "--alpha", "0.01", "--seed", str(seed), "--samples", "1000",
             "--terms", str(terms)]
-    with pytest.warns(RuntimeWarning):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         assert main(args) == 2
-    err = capsys.readouterr().err
-    assert err.startswith(f"error: the {what} are not finite")
-    assert "float range at alpha = 0.01" in err
-    assert "Traceback" not in err
+    assert caught == []
+    assert capsys.readouterr().err == (
+        f"error: the {what} are not finite: they leave the float range at "
+        "alpha = 0.01; raise alpha\n"
+    )
 
 
 # -- string options and manifests ----------------------------------------------------

@@ -579,6 +579,44 @@ def test_run_chunks_starts_no_block_after_one_fails_and_raises_its_error(threads
     assert any(caught.value is error for error in raised)
 
 
+@pytest.mark.parametrize("threads", [1, 2])
+def test_run_chunks_runs_every_block_in_the_callers_errstate(threads):
+    def worker(start, rows, buf):
+        buf[:rows] = 1e300
+        return buf[:rows] * buf[:rows]  # overflows
+
+    with np.errstate(over="raise"), pytest.raises(FloatingPointError, match="overflow"):
+        _run_chunks(worker, 8, 2, threads, [((2,), np.float64)])
+
+
+def test_run_chunks_stops_the_hand_out_when_an_interrupt_ends_the_wait(monkeypatch):
+    # both threads hold in their first block until the interrupt has
+    # propagated; then no thread may take another of the 50 blocks
+    release, lock, started, workers = threading.Event(), threading.Lock(), [], []
+    join, start = threading.Thread.join, threading.Thread.start
+
+    def worker(start, rows, buf):
+        with lock:
+            started.append(start)
+        release.wait(5.0)
+        return np.zeros(rows)
+
+    def interrupted_join(thread, timeout=None):
+        monkeypatch.setattr(threading.Thread, "join", join)  # once only
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(threading.Thread, "join", interrupted_join)
+    monkeypatch.setattr(threading.Thread, "start", lambda t: workers.append(t) or start(t))
+    with pytest.raises(KeyboardInterrupt):
+        _run_chunks(worker, 50, 1, 2, [((1,), np.float64)])
+    release.set()
+    for thread in workers:
+        join(thread, 5.0)
+        assert not thread.is_alive()
+    assert len(workers) == 2
+    assert 0 <= len(started) <= 2
+
+
 def test_run_chunks_keeps_row_order_when_blocks_finish_out_of_order():
     def worker(start, rows, buf):
         time.sleep(0.002 * (start % 3))  # later blocks often finish first
