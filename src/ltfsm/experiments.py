@@ -4,26 +4,28 @@ Replicate ``j`` of every driver works exclusively from ``stream.substream(j)``
 and consumes raw words in exactly the order documented for the corresponding
 single-path operation, so results are independent of the worker count
 (parallelism only distributes whole replicates) and of chunk sizes: every
-driver reduces its replicates only after ``_run_chunks`` has put them back
-together.
+driver reduces its replicates only after ``_run_chunks`` has filled the
+whole result.
 
-Every driver hands its chunk worker to ``_run_chunks`` (shared with
-:func:`ltfsm.process.simulate_ltfsm`), the only code that allocates chunk
-memory: the calling thread makes one buffer set per worker thread, and each
-thread takes chunks one at a time, each chunk using the leading rows of the
-thread's set.  Chunk sizes follow from one byte budget, ``_CHUNK_BYTES``
+Every driver hands its chunk worker and its result array, allocated once,
+to ``_run_chunks`` (shared with :func:`ltfsm.process.simulate_ltfsm`), the
+only code that allocates chunk memory: the calling thread makes one buffer
+set per worker thread, and each thread takes chunks one at a time, each
+chunk using the leading rows of the thread's set and writing its rows of the
+result in place.  Chunk sizes follow from one byte budget, ``_CHUNK_BYTES``
 (2 MB): each driver has a pure model of the peak working bytes of one
-replicate (``_series_row_bytes``, ``_ARRIVAL_BYTES`` per arrival) and of
-one replicate's raw draw, the ``random_raw`` result that a row is copied
-from, and a set holds as many replicates as fit next to one such draw
-(``_chunk_rows``), or the whole call if that is smaller.  A replicate that
-alone needs more than physical memory is refused with ``ValueError`` before
-any substream is drawn, and so is a returned array that does (16 B per
-value: the chunk results and their concatenation), an empirical-CF
-statistic that does (``_CF_BYTES``, ``_TABLE_BYTES``), and a protocol whose
-statistic cannot be formed: a zero or non-finite CF frequency, fewer than 3
-CF times, fewer than 2 paths or samples, or an empty tail sweep or frequency
-list.  Chunks run on ``threads=`` workers, else ``LTFSM_THREADS``, else the
+replicate (``_series_row_bytes``, ``_ARRIVAL_BYTES`` per arrival), of one
+replicate's raw draw, the ``random_raw`` result that a row is copied from,
+and of what a replicate forms once its draws are freed (the series' curves),
+and a set holds as many replicates as fit next to the larger of one such
+draw and the rows' curves (``_chunk_rows``), or the whole call if that is
+smaller.  A replicate that alone needs more than physical memory is refused
+with ``ValueError`` before any substream is drawn, and so is a returned
+array that does (8 B per value), an empirical-CF statistic that does
+(``_CF_BYTES``, ``_TABLE_BYTES``), and a protocol whose statistic cannot be
+formed: a zero or non-finite CF frequency, fewer than 3 CF times, fewer
+than 2 paths or samples, or an empty tail sweep or frequency list.  Chunks
+run on ``threads=`` workers, else ``LTFSM_THREADS``, else the
 CPUs, but no more than add 32 MB of buffers to the first
 (:func:`resolve_threads`; at most 17 for the series and LePage drivers);
 outputs are bitwise identical for any thread count.
@@ -67,6 +69,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -121,17 +124,20 @@ _TABLE_BYTES = 40
 _MARGINAL_BYTES = 48
 
 
-def _chunk_rows(row_bytes: int, draw_bytes: int) -> int:
+def _chunk_rows(row_bytes: int, draw_bytes: int, curve_bytes: int = 0) -> int:
     """Rows per chunk for replicates of ``row_bytes`` peak working bytes, each
-    copied from a raw draw of at most ``draw_bytes``: as many as
-    ``_CHUNK_BYTES`` holds next to one such draw, and at least 1."""
-    return max(1, (_CHUNK_BYTES - draw_bytes) // row_bytes)
+    copied from a raw draw of at most ``draw_bytes`` and forming curves of
+    ``curve_bytes`` once the draws are freed: as many as ``_CHUNK_BYTES``
+    holds next to the larger of one draw and the rows' curves, and at least
+    1."""
+    return max(1, min((_CHUNK_BYTES - draw_bytes) // row_bytes,
+                      _CHUNK_BYTES // (row_bytes + curve_bytes)))
 
 
-def _check_paths(n_paths: int, grid_points: int, cell_bytes: int = 16) -> None:
+def _check_paths(n_paths: int, grid_points: int, cell_bytes: int = 8) -> None:
     """Refuse ``n_paths`` rows on ``grid_points + 1`` times that need more
-    than physical memory at ``cell_bytes`` per cell: by default 16 B, a
-    returned matrix's chunk results and their concatenation."""
+    than physical memory at ``cell_bytes`` per cell: by default 8 B, the
+    returned matrix, which the chunks fill in place."""
     _check_memory(f"{n_paths} paths on {grid_points + 1} times",
                   cell_bytes * n_paths * (grid_points + 1), "lower the paths or the grid points")
 
@@ -146,10 +152,12 @@ def _series_row_bytes(hurst: float, terms: int, points: int) -> int:
     converted in place and live throughout, next to the occupation kernel's
     work array: none at H = 1/2, where the path is built in the noise slots,
     the complex half spectrum otherwise (the inverse FFT runs into the
-    noise); see ``_term_layout``.  A replicate's raw draw, ``2 * points``
-    words per term, comes on top of the chunk (see :func:`_chunk_rows`).
+    noise); see ``_term_layout``.  The head's three float arrays and the
+    coefficient and its temporary add 40 B per term.  A replicate's raw
+    draw, ``2 * points`` words per term, or later its curves, ``grid_points
+    + 1`` floats per term, come on top of the chunk (see :func:`_chunk_rows`).
     """
-    return 8 * terms * (3 + sum(_term_layout(hurst, points)))
+    return 8 * terms * (8 + sum(_term_layout(hurst, points)))
 
 
 def _check_series(alpha, hurst, n_paths, terms, bandwidth, points, horizon, grid_points,
@@ -201,7 +209,7 @@ def series_path_ensemble(
     kept, floats = _term_layout(hurst, m)
     lead = _noise_lead(hurst)
 
-    chunk_rows = _chunk_rows(row_bytes, 8 * p * 2 * m)
+    chunk_rows = _chunk_rows(row_bytes, 8 * p * 2 * m, 8 * p * len(idx))
     size = min(chunk_rows, n_paths)
     layouts = [
         ((size, 3 * p), np.uint64),
@@ -209,7 +217,8 @@ def series_path_ensemble(
         ((size, p * floats), np.float64),
     ]
 
-    def worker(start: int, rows: int, head, noise, work) -> np.ndarray:
+    def worker(start: int, out: np.ndarray, head, noise, work) -> None:
+        rows = len(out)
         head, noise, work = head[:rows], noise[:rows], work[:rows]
         for r, bitgen in enumerate(_substream_heads(stream, start, rows)):
             head[r] = bitgen.random_raw(3 * p)
@@ -219,11 +228,10 @@ def series_path_ensemble(
             hurst, m, horizon, bandwidth, noise.reshape(rows * p, kept),
             locations.reshape(rows * p, 1), idx, work.reshape(-1),
         ).reshape(rows, p, len(idx))
-        out = _arrival_order_sum(gammas ** (-1.0 / alpha) * weights, curves)
+        _arrival_order_sum(gammas ** (-1.0 / alpha) * weights, curves, out)
         out[:, 0] = 0.0
-        return out
 
-    return _run_chunks(worker, n_paths, chunk_rows, threads, layouts)
+    return _run_chunks(worker, np.empty((n_paths, len(idx))), chunk_rows, threads, layouts)
 
 
 def rwrr_path_ensemble(
@@ -245,15 +253,13 @@ def rwrr_path_ensemble(
     _check_paths(n_paths, grid_points)
     threads = resolve_threads(threads)
 
-    def worker(start: int, rows: int) -> np.ndarray:
-        out = np.empty((rows, grid_points + 1))
-        for r, bitgen in enumerate(_substream_heads(stream, start, rows)):
+    def worker(start: int, out: np.ndarray) -> None:
+        for r, bitgen in enumerate(_substream_heads(stream, start, len(out))):
             out[r] = _rwrr_row(alpha, bitgen.random_raw, steps, grid_points)
-        return out
 
     # rows run one at a time, so memory does not grow with the chunk: 512 rows
     # is a unit of work per thread, not a memory budget
-    return _run_chunks(worker, n_paths, 512, threads)
+    return _run_chunks(worker, np.empty((n_paths, grid_points + 1)), 512, threads)
 
 
 # -- characteristic-function linearity ------------------------------------------
@@ -312,32 +318,12 @@ def cf_linearity_experiment(
     if method == "series":
         _check_series(alpha, hurst, n_paths, terms, bandwidth, points, horizon, n_times,
                       "laplace")
+        ensemble = partial(series_path_ensemble, alpha, hurst, n_paths, terms, bandwidth, points)
     else:
         _check_rwrr(alpha, steps, n_times, horizon, n_paths)
+        ensemble = partial(rwrr_path_ensemble, alpha, n_paths, steps)
     _check_paths(n_paths, n_times, _CF_BYTES)
-    if method == "series":
-        values = series_path_ensemble(
-            alpha,
-            hurst,
-            n_paths,
-            terms,
-            bandwidth,
-            points,
-            stream,
-            horizon=horizon,
-            grid_points=n_times,
-            threads=threads,
-        )
-    else:
-        values = rwrr_path_ensemble(
-            alpha,
-            n_paths,
-            steps,
-            stream,
-            horizon=horizon,
-            grid_points=n_times,
-            threads=threads,
-        )
+    values = ensemble(stream, horizon=horizon, grid_points=n_times, threads=threads)
     times = np.arange(1, n_times + 1) * (horizon / n_times)
     est = empirical_cf(values[:, 1:], u)
     modulus = np.maximum(est.modulus, 1e-300)
@@ -368,11 +354,11 @@ _SIGN_BIT = np.uint64(1 << 63)
 
 
 def _signed_arrival_sums(
-    exp: np.ndarray, signs: np.ndarray, skip: int, alpha: float
-) -> np.ndarray:
+    exp: np.ndarray, signs: np.ndarray, skip: int, alpha: float, out: np.ndarray
+) -> None:
     """Row sums of ``Gamma_n**(-1/alpha) * eps_n`` over ``n = skip + 1 ..
-    arrivals``, from a chunk's exponential and sign word blocks (see
-    :func:`_arrival_sums`); both are overwritten.
+    arrivals`` into ``out``, from a chunk's exponential and sign word blocks
+    (see :func:`_arrival_sums`); both are overwritten.
 
     The exponential words become uniforms, arrivals and powers in their own
     memory.  Bitwise equal to converting every word to a uniform and
@@ -391,7 +377,7 @@ def _signed_arrival_sums(
     signs &= _SIGN_BIT
     bits = x.view(np.uint64)
     bits ^= signs
-    return np.sum(x, axis=1)
+    np.sum(x, axis=1, out=out)
 
 
 def _check_arrivals(arrivals: int) -> None:
@@ -414,14 +400,14 @@ def _arrival_sums(
     size = min(chunk_rows, count)
     layouts = [((size, arrivals), np.uint64), ((size, signs), np.uint64)]
 
-    def worker(start: int, rows: int, exp, sgn) -> np.ndarray:
-        exp, sgn = exp[:rows], sgn[:rows]
-        for r, bitgen in enumerate(_substream_heads(stream, start, rows)):
+    def worker(start: int, out: np.ndarray, exp, sgn) -> None:
+        exp, sgn = exp[: len(out)], sgn[: len(out)]
+        for r, bitgen in enumerate(_substream_heads(stream, start, len(out))):
             exp[r] = bitgen.random_raw(arrivals)
             sgn[r] = bitgen.random_raw(signs)
-        return _signed_arrival_sums(exp, sgn, skip, alpha)
+        _signed_arrival_sums(exp, sgn, skip, alpha, out)
 
-    return _run_chunks(worker, count, chunk_rows, threads, layouts)
+    return _run_chunks(worker, np.empty(count), chunk_rows, threads, layouts)
 
 
 def lepage_marginal_samples(
@@ -440,7 +426,7 @@ def lepage_marginal_samples(
         raise ValueError("alpha must lie in (0, 2)")
     _check_counts(terms=terms, n_samples=n_samples)
     _check_arrivals(terms)
-    _check_memory(f"{n_samples} samples", 16 * n_samples, "lower the number of samples")
+    _check_memory(f"{n_samples} samples", 8 * n_samples, "lower the number of samples")
     threads = resolve_threads(threads, _CHUNK_BYTES)
     return _arrival_sums(alpha, terms, 0, n_samples, stream, threads)
 
@@ -535,9 +521,8 @@ def tail_moment_sweep(
     if len(set(n_values)) < len(n_values):
         raise ValueError("n_values must not repeat")
     _check_arrivals(factor * max(n_values))  # before the first sweep draws
-    # 24 B per replicate: a sweep's chunk results and their concatenation,
-    # next to the previous sweep's squares
-    _check_memory(f"{replicates} replicates", 24 * replicates,
+    # 16 B per replicate: a sweep's sums next to the previous sweep's squares
+    _check_memory(f"{replicates} replicates", 16 * replicates,
                   "lower the number of replicates")
     out: dict[int, tuple[float, float]] = {}
     for i, n_low in enumerate(n_values):

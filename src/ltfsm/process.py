@@ -51,28 +51,30 @@ H = 1/2, where the path is built in the words' own memory).  Every memory
 model, both drivers' buffer layouts and the per-term draw read it.
 
 Chunk memory has one rule: ``_run_chunks`` is the only code that allocates
-it.  Before any block runs, the calling thread makes one buffer set, in the
-caller's layouts, per worker thread (``min(threads, blocks)``).  Each thread
-keeps its set and takes the next block until none is left or a block has
-failed, so later blocks reuse memory that is already faulted in, and a
-failure stops the run after at most the blocks already running; so does an
-interrupt of the calling thread while it waits.  Each thread runs in a copy
-of the caller's context, so a caller's ``np.errstate`` holds on every thread.
+it.  The caller allocates the result once; each block's worker fills its
+rows of it in place.  Before any block runs, the calling thread makes one
+buffer set, in the caller's layouts, per worker thread (``min(threads,
+blocks)``).  Each thread keeps its set and takes the next block until none
+is left or a block has failed, so later blocks reuse memory that is already
+faulted in, and a failure stops the run after at most the blocks already
+running; so does an interrupt of the calling thread while it waits.  Each
+thread runs in a copy of the caller's context, so a caller's ``np.errstate``
+holds on every thread.
 
 Given the head, the terms are independent, and the stream is counter-based,
-so :func:`simulate_ltfsm` runs one block of consecutive terms per thread
-(``threads=``, else ``LTFSM_THREADS``, else the CPUs this process may use,
-at most as many as add 32 MB of working memory to the first; see
-:func:`resolve_threads`), each on a (noise words, work) set sized at the
-largest ``m``.  The calling thread first works out every term's ``m`` into
-an ``int64`` array (so the cap warnings fire there, in term order) and the
-embedding coefficients of every distinct ``m``.  A worker counts, in exact
-Python ints, the word offset of each of its terms' noise blocks (``3 P +
-sum_{j<n} 2 m_j`` from the path's first word), seats one Philox there
-(:func:`ltfsm.streams._seek`) and draws the words the term keeps.  Each
-thread peaks near ``64 m`` bytes at H != 1/2 (``16 m`` at H = 1/2;
-``_term_bytes``), and the head and the curves need at most
-``P (128 + 16 (grid_points + 1))`` bytes (``_path_bytes``).  Two runs are
+so :func:`simulate_ltfsm` hands out its terms one at a time (to ``threads=``,
+else ``LTFSM_THREADS``, else the CPUs this process may use, at most as many
+as add 32 MB of working memory to the first; see :func:`resolve_threads`),
+each thread on a (noise words, work) set sized at the largest ``m``.  The
+calling thread first works out every term's ``m`` into an ``int64`` array
+(so the cap warnings fire there, in term order), their running total, and
+the embedding coefficients of every distinct ``m``.  A term's noise block
+starts ``2 sum_{j<n} m_j`` words past the head's end; the worker adds that
+end as a Python int, so the offset is exact at any stream position, seats
+its thread's Philox there (:func:`ltfsm.streams._seek`) and draws the words
+the term keeps.  Each thread peaks near ``64 m`` bytes at H != 1/2 (``16 m`` at
+H = 1/2; ``_term_bytes``), and the head and the curves need at most
+``P (128 + 8 (grid_points + 1))`` bytes (``_path_bytes``).  Two runs are
 refused with ``ValueError`` (``_check_memory``; no check where
 ``os.sysconf`` cannot tell the size): one whose head and curves together
 need more than the machine's physical memory, before the head is drawn (at
@@ -390,13 +392,11 @@ def _path_bytes(terms: int, grid_points: int) -> int:
     """A bound on the working bytes of :func:`simulate_ltfsm` besides its
     term buffers: 128 B per term for the head (its three words, the three
     arrays ``_series_head`` makes from them, their transients, and each
-    term's size and coefficient, 8 B each in arrays), and the curves,
-    ``8 (grid_points + 1)`` B per term, counted twice because
-    ``_run_chunks`` concatenates the blocks.  At P = 2 000 and 20 000,
-    m = 4, grid 1, the path peaked at 64 B per term (75 B at P = 2 000 with
-    the fixed costs), the head's own peak; per-term Python lists of sizes,
-    offsets and coefficients had made it 130 B."""
-    return terms * (128 + 16 * (grid_points + 1))
+    term's size, running total and coefficient, 8 B each in arrays), and the
+    curves, ``8 (grid_points + 1)`` B per term, which the terms fill in
+    place.  At P = 2 000, m = 4, grid 1, the path peaked at 82 B per term
+    with the fixed costs; at grid 200, 8.4 B per curve value."""
+    return terms * (128 + 8 * (grid_points + 1))
 
 
 def _physical_bytes() -> int | None:
@@ -457,17 +457,17 @@ def _occupation_curves(hurst, m, horizon, bandwidth, words, centers, idx, work):
     return sampled
 
 
-def _arrival_order_sum(coef: np.ndarray, curves: np.ndarray) -> np.ndarray:
-    """``sum_n coef[:, n] * curves[:, n, :]`` in increasing-arrival order,
-    bitwise the loop ``out = zeros; out += coef[:, n:n+1] * curves[:, n, :]``,
-    as a fresh C-ordered array; ``curves`` is overwritten.
+def _arrival_order_sum(coef: np.ndarray, curves: np.ndarray, out: np.ndarray) -> None:
+    """``out[:] = sum_n coef[:, n] * curves[:, n, :]`` in increasing-arrival
+    order, bitwise the loop ``out = zeros; out += coef[:, n:n+1] * curves[:,
+    n, :]``; ``curves`` is overwritten.
 
     ``cumsum`` adds the terms one by one, as the loop does; ``+ 0.0`` turns
     a column whose every term is -0.0 into +0.0, as the sum from zeros does.
     """
     curves *= coef[:, :, None]
     np.cumsum(curves, axis=1, out=curves)
-    return np.add(curves[:, -1, :], 0.0, out=np.empty((len(curves), curves.shape[2])))
+    np.add(curves[:, -1, :], 0.0, out=out)
 
 
 # density name -> (uniform -> location transform, importance weight): the only
@@ -530,10 +530,11 @@ def resolve_threads(threads: int | None = None, thread_bytes: int = _THREAD_BYTE
     return max(1, min(cpus, 1 + _THREAD_BYTES // thread_bytes))
 
 
-def _run_chunks(worker, total: int, chunk_rows: int, threads: int, layouts=()) -> np.ndarray:
-    """``worker(start, rows, *buffers)`` on consecutive blocks of at most
-    ``chunk_rows`` of ``total`` rows, on ``threads`` workers; the results
-    concatenated in row order.
+def _run_chunks(worker, out: np.ndarray, chunk_rows: int, threads: int, layouts=()) -> np.ndarray:
+    """``worker(start, out[start : start + chunk_rows], *buffers)`` on
+    consecutive blocks of at most ``chunk_rows`` rows of ``out``, on
+    ``threads`` workers; returns ``out``, which each worker fills in the
+    view it is handed, so the result is allocated once, by the caller.
 
     The only place that allocates chunk memory: before any block runs, the
     calling thread makes one set of ``np.empty(shape, dtype)`` buffers, one
@@ -552,24 +553,25 @@ def _run_chunks(worker, total: int, chunk_rows: int, threads: int, layouts=()) -
     returned.  An error in the calling thread while it waits (a
     ``KeyboardInterrupt``) stops the hand-out the same way and is raised at
     once; the running blocks finish on their own."""
-    starts = range(0, total, chunk_rows)
+    starts = range(0, len(out), chunk_rows)
     threads = min(threads, len(starts))
     sets = [[np.empty(shape, dtype) for shape, dtype in layouts] for _ in range(threads)]
     if threads == 1:
-        return np.concatenate([worker(s, min(chunk_rows, total - s), *sets[0]) for s in starts])
-    results = [None] * len(starts)
-    blocks = iter(range(len(starts)))
+        for s in starts:
+            worker(s, out[s : s + chunk_rows], *sets[0])
+        return out
+    blocks = iter(starts)
     lock = threading.Lock()
     errors = []  # ``list.append`` is atomic
 
     def run(buffers) -> None:
         while not errors:
             with lock:
-                i = next(blocks, None)
-            if i is None:
+                s = next(blocks, None)
+            if s is None:
                 return
             try:
-                results[i] = worker(starts[i], min(chunk_rows, total - starts[i]), *buffers)
+                worker(s, out[s : s + chunk_rows], *buffers)
             except BaseException as error:  # re-raised in the calling thread
                 errors.append(error)
 
@@ -586,7 +588,7 @@ def _run_chunks(worker, total: int, chunk_rows: int, threads: int, layouts=()) -
         raise
     if errors:
         raise errors[0]
-    return np.concatenate(results)
+    return out
 
 
 def simulate_ltfsm(
@@ -600,11 +602,11 @@ def simulate_ltfsm(
     (``density="laplace"``) or Gaussian (``"gaussian"``) locations; the two
     forms agree in law.
 
-    The terms run on ``threads`` workers (see :func:`resolve_threads`), one
-    block of consecutive terms each; the path is bitwise the same for any
-    count, and ``stream`` is left just past the last noise block.  The value
-    at t = 0 is exactly 0 (the grid's first point overrides the i = 0
-    rectangle of the occupation sums).
+    The terms run on ``threads`` workers (see :func:`resolve_threads`), which
+    take them one at a time; the path is bitwise the same for any count, and
+    ``stream`` is left just past the last noise block.  The value at t = 0
+    is exactly 0 (the grid's first point overrides the i = 0 rectangle of
+    the occupation sums).
     """
     _check_density(density)
     requested = _requested_threads(threads)
@@ -632,32 +634,34 @@ def simulate_ltfsm(
             _embedding_coefficients(hurst, m)
     threads = resolve_threads(requested, term_bytes)
     lead = _noise_lead(hurst)
+    # the running total of the points in int64: the noise block of term
+    # ``n`` (0-based) starts ``2 (ends[n] - points[n])`` words past the head
+    ends = np.cumsum(points)
+    # one Philox per thread, seated anew at each term: making one costs about
+    # as much as a term at small m
+    seats = threading.local()
 
-    def worker(start: int, count: int, words: np.ndarray, work: np.ndarray) -> np.ndarray:
-        bitgen = Philox(key=0)
-        curves = np.empty((count, len(times)))
-        # exact Python ints: the word offset of term ``start``'s noise block
-        offset = head_end + 2 * sum(map(int, points[:start]))
-        for n in range(start, start + count):
-            m = int(points[n])
-            kept = _term_layout(hurst, m)[0]
-            _seek(bitgen, key, offset)
-            offset += 2 * m
-            words[lead:kept] = bitgen.random_raw(kept - lead)
-            idx = grid_index(m, horizon, times)
-            curves[n - start] = _occupation_curves(
-                hurst, m, horizon, k, words[None, :kept], locations[n], idx, work
-            )[0]
-        return curves
+    def worker(n: int, out: np.ndarray, words: np.ndarray, work: np.ndarray) -> None:
+        m = int(points[n])
+        kept = _term_layout(hurst, m)[0]
+        if not hasattr(seats, "bitgen"):
+            seats.bitgen = Philox(key=0)
+        _seek(seats.bitgen, key, head_end + 2 * (int(ends[n]) - m))
+        words[lead:kept] = seats.bitgen.random_raw(kept - lead)
+        idx = grid_index(m, horizon, times)
+        out[:] = _occupation_curves(hurst, m, horizon, k, words[None, :kept], locations[n],
+                                    idx, work)
 
-    # one (noise words, work) set per thread, sized at the largest term
+    # one term per block; one (noise words, work) set per thread, sized at the
+    # largest term
     layouts = list(zip(_term_layout(hurst, largest), (np.uint64, np.float64)))
-    curves = _run_chunks(worker, params.P, -(-params.P // threads), threads, layouts)
-    _seek(stream._bitgen, key, head_end + 2 * sum(map(int, points)))
+    curves = _run_chunks(worker, np.empty((params.P, len(times))), 1, threads, layouts)
+    _seek(stream._bitgen, key, head_end + 2 * int(ends[-1]))
     curves *= weights[:, None]
     coef = np.fromiter((_power(float(gamma), -1.0 / alpha) for gamma in gammas),
                        np.float64, params.P)
-    total = _arrival_order_sum(coef[None], curves[None])[0]
+    total = np.empty(len(times))
+    _arrival_order_sum(coef[None], curves[None], total[None])
     total[0] = 0.0
     return SamplePath(times=times, values=total)
 

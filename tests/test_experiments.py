@@ -404,13 +404,20 @@ def _series_draw_bytes(terms, points):
     return 8 * terms * 2 * points
 
 
-def _series_chunk(hurst, terms, points):
-    """Rows per series chunk and the bytes that chunk models: its rows and
-    one replicate's raw draw."""
-    row_bytes = _series_row_bytes(hurst, terms, points)
-    draw = _series_draw_bytes(terms, points)
-    rows = _chunk_rows(row_bytes, draw)
-    return rows, rows * row_bytes + draw
+def _series_bytes(hurst, terms, points, grid_points, rows):
+    """The bytes that a series chunk of ``rows`` rows models: its rows, next
+    to the larger of one replicate's raw draw and the rows' curves."""
+    curves = rows * 8 * terms * (grid_points + 1)
+    return rows * _series_row_bytes(hurst, terms, points) + max(
+        _series_draw_bytes(terms, points), curves
+    )
+
+
+def _series_chunk(hurst, terms, points, grid_points=20):
+    """Rows per series chunk and the bytes that chunk models."""
+    rows = _chunk_rows(_series_row_bytes(hurst, terms, points),
+                       _series_draw_bytes(terms, points), 8 * terms * (grid_points + 1))
+    return rows, _series_bytes(hurst, terms, points, grid_points, rows)
 
 
 def _arrival_rows(arrivals):
@@ -421,25 +428,35 @@ def _arrival_rows(arrivals):
 
 def test_chunk_rows_are_pinned_for_the_arrival_drivers_and_the_series():
     # the rows pin the drivers' memory, not their bits: 16 B per arrival
-    # and, for the series, each term's noise slots, in the 2 MB budget next
-    # to one row's raw draw
+    # and, for the series, each term's noise slots and head floats, in the
+    # 2 MB budget next to one row's raw draw or the rows' curves
     assert _ARRIVAL_BYTES == 16 and _CHUNK_BYTES == 2_000_000
     pins = {1: 124_999, 7: 17_856, 1000: 124, 2000: 62, 2560: 48, 124_999: 1, 125_000: 1}
     assert {n: _arrival_rows(n) for n in pins} == pins
     assert _arrival_rows(500_000) == 1  # a draw larger than the budget
-    assert _series_chunk(0.5, 64, 256)[0] == 13
+    assert _series_chunk(0.5, 64, 256)[0] == 12
     assert _series_chunk(0.5, 64, 512)[0] == 5
     assert _series_chunk(0.7, 128, 128)[0] == 3
     assert _series_chunk(0.3, 16, 1024)[0] == 3
 
 
 @pytest.mark.parametrize(
-    "hurst, terms, points", [(0.7, 128, 128), (0.5, 64, 256), (0.3, 16, 1024)]
+    "hurst, terms, points, grid_points",
+    [
+        (0.7, 128, 128, 20),
+        (0.5, 64, 256, 20),
+        (0.3, 16, 1024, 20),
+        # small terms or a large grid: the curves outweigh the raw draw
+        (0.5, 64, 4, 20),
+        (0.5, 64, 4, 200),
+        (0.7, 64, 16, 200),
+    ],
 )
-def test_series_row_bytes_model_the_measured_chunk_peak(hurst, terms, points):
-    rows, chunk_bytes = _series_chunk(hurst, terms, points)
+def test_series_row_bytes_model_the_measured_chunk_peak(hurst, terms, points, grid_points):
+    rows, chunk_bytes = _series_chunk(hurst, terms, points, grid_points)
     peak = _traced_peak(
-        series_path_ensemble, 1.2, hurst, rows, terms, 8, points, RandomStream(3), threads=1
+        series_path_ensemble, 1.2, hurst, rows, terms, 8, points, RandomStream(3),
+        grid_points=grid_points, threads=1,
     )
     assert 0.95 <= peak / chunk_bytes <= 1.10
 
@@ -453,10 +470,8 @@ def test_series_ensemble_is_bitwise_invariant_to_the_chunk_budget(
     args = (1.2, hurst, 8, 4, 2, 16, RandomStream(61))
     kwargs = dict(grid_points=6, density=density, threads=threads)
     whole = series_path_ensemble(*args, **kwargs)
-    row_bytes = _series_row_bytes(hurst, 4, 16)
-    monkeypatch.setattr(experiments, "_CHUNK_BYTES",
-                        3 * row_bytes + _series_draw_bytes(4, 16))
-    assert _series_chunk(hurst, 4, 16)[0] == 3
+    monkeypatch.setattr(experiments, "_CHUNK_BYTES", _series_bytes(hurst, 4, 16, 6, 3))
+    assert _series_chunk(hurst, 4, 16, 6)[0] == 3
     chunked = series_path_ensemble(*args, **kwargs)
     assert chunked.tobytes() == whole.tobytes()
 
@@ -506,18 +521,19 @@ def test_lepage_samples_are_bitwise_invariant_to_the_chunk_budget(monkeypatch, t
 def test_run_chunks_reuses_one_buffer_set_across_blocks():
     seen = []
 
-    def worker(start, rows, head, work):
+    def worker(start, out, head, work):
         seen.append((head, work))
         # a block of fewer rows takes the leading rows, C-contiguous, so words
         # still convert to uniforms in place
-        head, work = head[:rows], work[:rows]
+        head, work = head[: len(out)], work[: len(out)]
         assert head.flags.c_contiguous and work.flags.c_contiguous
         assert head.__array_interface__["data"] == seen[0][0].__array_interface__["data"]
         head[:] = start
-        return head[:, 0].astype(np.int64)
+        out[:] = head[:, 0]
 
     layouts = [((5, 3), np.uint64), ((5, 2, 4), np.float64)]
-    out = _run_chunks(worker, 12, 5, 1, layouts)
+    out = np.zeros(12, np.int64)
+    assert _run_chunks(worker, out, 5, 1, layouts) is out  # filled in place
     assert out.tolist() == [0] * 5 + [5] * 5 + [10] * 2
     head, work = seen[0]
     assert head.shape == (5, 3) and head.dtype == np.uint64
@@ -525,7 +541,7 @@ def test_run_chunks_reuses_one_buffer_set_across_blocks():
     assert all(h is head and w is work for h, w in seen)
     # another call gets its own set
     again = []
-    _run_chunks(lambda start, rows, h, w: again.append(h) or np.empty(rows), 5, 5, 1, layouts)
+    _run_chunks(lambda start, out, h, w: again.append(h), np.empty(5), 5, 1, layouts)
     assert not np.shares_memory(again[0], head)
 
 
@@ -545,7 +561,7 @@ def test_run_chunks_allocates_one_set_per_concurrent_block_in_the_calling_thread
     lock = threading.Lock()
     busy, used = set(), {}
 
-    def worker(start, rows, buf):
+    def worker(start, out, buf):
         with lock:
             assert id(buf) not in busy  # no two running blocks share a set
             busy.add(id(buf))
@@ -553,9 +569,8 @@ def test_run_chunks_allocates_one_set_per_concurrent_block_in_the_calling_thread
         time.sleep(0.001)
         with lock:
             busy.remove(id(buf))
-        return np.full(rows, start)
 
-    _run_chunks(worker, total, 3, threads, [((3,), np.float64)])
+    _run_chunks(worker, np.zeros(total), 3, threads, [((3,), np.float64)])
     assert allocations == [caller] * sets
     assert 1 <= len(used) <= sets == min(threads, -(-total // 3))
 
@@ -567,26 +582,26 @@ def test_run_chunks_starts_no_block_after_one_fails_and_raises_its_error(threads
     lock = threading.Lock()
     raised = []
 
-    def worker(start, rows, buf):
+    def worker(start, out, buf):
         error = RuntimeError(f"block at row {start}")
         with lock:
             raised.append(error)
         raise error
 
     with pytest.raises(RuntimeError, match="block at row") as caught:
-        _run_chunks(worker, 10_000, 1, threads, [((1,), np.float64)])
+        _run_chunks(worker, np.empty(10_000), 1, threads, [((1,), np.float64)])
     assert 1 <= len(raised) <= threads
     assert any(caught.value is error for error in raised)
 
 
 @pytest.mark.parametrize("threads", [1, 2])
 def test_run_chunks_runs_every_block_in_the_callers_errstate(threads):
-    def worker(start, rows, buf):
-        buf[:rows] = 1e300
-        return buf[:rows] * buf[:rows]  # overflows
+    def worker(start, out, buf):
+        buf[:] = 1e300
+        np.multiply(buf, buf, out=out)  # overflows
 
     with np.errstate(over="raise"), pytest.raises(FloatingPointError, match="overflow"):
-        _run_chunks(worker, 8, 2, threads, [((2,), np.float64)])
+        _run_chunks(worker, np.empty(8), 2, threads, [((2,), np.float64)])
 
 
 def test_run_chunks_stops_the_hand_out_when_an_interrupt_ends_the_wait(monkeypatch):
@@ -595,11 +610,10 @@ def test_run_chunks_stops_the_hand_out_when_an_interrupt_ends_the_wait(monkeypat
     release, lock, started, workers = threading.Event(), threading.Lock(), [], []
     join, start = threading.Thread.join, threading.Thread.start
 
-    def worker(start, rows, buf):
+    def worker(start, out, buf):
         with lock:
             started.append(start)
         release.wait(5.0)
-        return np.zeros(rows)
 
     def interrupted_join(thread, timeout=None):
         monkeypatch.setattr(threading.Thread, "join", join)  # once only
@@ -608,7 +622,7 @@ def test_run_chunks_stops_the_hand_out_when_an_interrupt_ends_the_wait(monkeypat
     monkeypatch.setattr(threading.Thread, "join", interrupted_join)
     monkeypatch.setattr(threading.Thread, "start", lambda t: workers.append(t) or start(t))
     with pytest.raises(KeyboardInterrupt):
-        _run_chunks(worker, 50, 1, 2, [((1,), np.float64)])
+        _run_chunks(worker, np.empty(50), 1, 2, [((1,), np.float64)])
     release.set()
     for thread in workers:
         join(thread, 5.0)
@@ -618,11 +632,11 @@ def test_run_chunks_stops_the_hand_out_when_an_interrupt_ends_the_wait(monkeypat
 
 
 def test_run_chunks_keeps_row_order_when_blocks_finish_out_of_order():
-    def worker(start, rows, buf):
+    def worker(start, out, buf):
         time.sleep(0.002 * (start % 3))  # later blocks often finish first
-        return np.arange(start, start + rows)
+        out[:] = np.arange(start, start + len(out))
 
-    out = _run_chunks(worker, 40, 3, 3, [((3,), np.float64)])
+    out = _run_chunks(worker, np.empty(40, np.int64), 3, 3, [((3,), np.float64)])
     assert out.tolist() == list(range(40))
 
 
@@ -668,8 +682,8 @@ def test_arrival_order_sum_is_bitwise_the_loop_and_turns_negative_zero_columns_p
     curves[2, :, 3] = 0.0
     curves[2, 1:, 3] = -0.0
     expected = _loop_arrival_order_sum(coef, curves.copy())
-    out = _arrival_order_sum(coef, curves)
-    assert out.flags.c_contiguous and not np.shares_memory(out, curves)
+    out = np.empty((rows, columns))
+    _arrival_order_sum(coef, curves, out)
     assert out.tobytes() == expected.tobytes()
     assert not np.signbit(out[0, 1]) and not np.signbit(out[1, 2])
 
@@ -729,9 +743,9 @@ def test_chunk_drivers_default_to_as_many_threads_as_their_chunk_budget_allows(m
     counts = []
     run_chunks = experiments._run_chunks
 
-    def recording(worker, total, chunk_rows, threads, layouts=()):
+    def recording(worker, out, chunk_rows, threads, layouts=()):
         counts.append(threads)
-        return run_chunks(worker, total, chunk_rows, threads, layouts)
+        return run_chunks(worker, out, chunk_rows, threads, layouts)
 
     monkeypatch.setattr(experiments, "_run_chunks", recording)
     series_path_ensemble(1.2, 0.7, 3, 4, 2, 16, RandomStream(5), grid_points=4)
@@ -880,7 +894,7 @@ def test_a_replicate_that_fits_in_memory_or_an_unknown_size_runs(monkeypatch, me
     expect = (series_path_ensemble(1.2, 0.7, 3, 4, 2, 16, RandomStream(5)),
               lepage_marginal_samples(1.2, 50, 5, RandomStream(5)))
     # the replicate, then the returned array, of each call
-    probes = iter([_series_row_bytes(0.7, 4, 16), 16 * 3 * 21, 16 * 50, 16 * 5])
+    probes = iter([_series_row_bytes(0.7, 4, 16), 8 * 3 * 21, 16 * 50, 8 * 5])
     monkeypatch.setattr(process, "_physical_bytes",
                         lambda: next(probes) if memory == "exact" else None)
     got = (series_path_ensemble(1.2, 0.7, 3, 4, 2, 16, RandomStream(5)),
@@ -895,15 +909,15 @@ def test_a_replicate_that_fits_in_memory_or_an_unknown_size_runs(monkeypatch, me
     "call, need",
     [
         (lambda: series_path_ensemble(1.2, 0.5, 3000, 2, 2, 4, RandomStream(1), threads=1),
-         16 * 3000 * 21),
+         8 * 3000 * 21),
         (lambda: rwrr_path_ensemble(1.2, 3000, 10, RandomStream(1), threads=1),
-         16 * 3000 * 21),
+         8 * 3000 * 21),
         (lambda: lepage_marginal_samples(1.2, 10, 50000, RandomStream(1), threads=1),
-         16 * 50000),
+         8 * 50000),
         (lambda: stable_marginal_check(1.2, 10, 50000, RandomStream(1), threads=1),
          48 * 50000),
         (lambda: tail_moment_sweep(1.2, [1, 2], 50000, RandomStream(1), factor=2),
-         24 * 50000),
+         16 * 50000),
     ],
     ids=["series", "rwrr", "lepage", "marginal", "sweep"],
 )

@@ -3,6 +3,7 @@
 import math
 import os
 import pickle
+import threading
 import tracemalloc
 import warnings
 
@@ -342,17 +343,24 @@ def _draw_order_reference(cfg, params, stream, density):
 _CAPPED = TuningParams(P=7, N=3, k=3, k_power=40.0, head_exp=1.5, tail_exp=0.3, max_points=96)
 
 
+@pytest.mark.parametrize("drawn", [0, 5], ids=["fresh", "part-used"])
 @pytest.mark.parametrize("threads", [1, 2, 3])
 @pytest.mark.parametrize("density", ["laplace", "gaussian"])
 @pytest.mark.parametrize("hurst", [0.3, 0.5, 0.7])
 @pytest.mark.parametrize("params", [flat_params(5, 2, 24), _CAPPED], ids=["flat", "capped"])
-def test_threaded_terms_are_bitwise_the_draw_order_reference(params, hurst, density, threads):
+def test_threaded_terms_are_bitwise_the_draw_order_reference(
+    params, hurst, density, threads, drawn
+):
+    # from a part-used stream the head ends off a multiple of 4 words, inside
+    # one Philox block
     cfg = SeriesConfig(alpha=1.3, hurst=hurst, grid_points=9, delta=0.1, delta_prime=0.2)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)  # the cap warnings
         reference = RandomStream(61)
+        reference.raw(drawn)
         expect = _draw_order_reference(cfg, params, reference, density)
         stream = RandomStream(61)
+        stream.raw(drawn)
         path = simulate_ltfsm(cfg, params, stream, density=density, threads=threads)
     assert path.values.tobytes() == expect.tobytes()
     # the stream is left where the sequential loop leaves it
@@ -406,9 +414,9 @@ def test_the_default_thread_count_bounds_the_tuned_path_memory(monkeypatch):
     assert resolve_threads(None, _term_bytes(0.7, 2**18)) == 2
     counts = []
 
-    def spy(worker, total, chunk_rows, threads, layouts):
+    def spy(worker, out, chunk_rows, threads, layouts):
         counts.append(threads)
-        return _run_chunks(worker, total, chunk_rows, threads, layouts)
+        return _run_chunks(worker, out, chunk_rows, threads, layouts)
 
     monkeypatch.setattr(process, "_run_chunks", spy)
     monkeypatch.setattr(process, "_THREAD_BYTES", 2 * _term_bytes(0.7, 24))
@@ -417,6 +425,38 @@ def test_the_default_thread_count_bounds_the_tuned_path_memory(monkeypatch):
     path = simulate_ltfsm(cfg, params, RandomStream(61))
     assert counts == [3]
     assert np.array_equal(path.values, simulate_ltfsm(cfg, params, RandomStream(61), threads=1).values)
+
+
+def test_an_interrupt_while_waiting_starts_no_further_term(monkeypatch):
+    # both threads hold in their first term until the interrupt has
+    # propagated; then neither may start another of the 50 terms
+    release, entered, started, workers = threading.Event(), threading.Semaphore(0), [], []
+    join, start = threading.Thread.join, threading.Thread.start
+    curves = process._occupation_curves
+
+    def held(*args):
+        started.append(threading.get_ident())  # ``list.append`` is atomic
+        entered.release()
+        release.wait(5.0)
+        return curves(*args)
+
+    def interrupted_join(thread, timeout=None):
+        monkeypatch.setattr(threading.Thread, "join", join)  # once only
+        assert entered.acquire(timeout=5.0) and entered.acquire(timeout=5.0)
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(process, "_occupation_curves", held)
+    monkeypatch.setattr(threading.Thread, "join", interrupted_join)
+    monkeypatch.setattr(threading.Thread, "start", lambda t: workers.append(t) or start(t))
+    cfg = SeriesConfig(alpha=1.3, hurst=0.7, grid_points=9, delta=0.1, delta_prime=0.2)
+    with pytest.raises(KeyboardInterrupt):
+        simulate_ltfsm(cfg, flat_params(50, 2, 24), RandomStream(61), threads=2)
+    release.set()
+    for thread in workers:
+        join(thread, 5.0)
+        assert not thread.is_alive()
+    assert len(workers) == 2
+    assert len(started) == 2
 
 
 def _must_not_run(*args, **kwargs):
