@@ -19,14 +19,15 @@ replicate's raw draw, the ``random_raw`` result that a row is copied from,
 and of what a replicate forms once its draws are freed (the series' curves),
 and a set holds as many replicates as fit next to the larger of one such
 draw and the rows' curves (``_chunk_rows``), or the whole call if that is
-smaller.  A replicate that alone needs more than physical memory is refused
-with ``ValueError`` before any substream is drawn, and so is a returned
-array that does (8 B per value), an empirical-CF statistic that does
-(``_CF_BYTES``, ``_TABLE_BYTES``), and a protocol whose statistic cannot be
-formed: a zero or non-finite CF frequency, fewer than 3 CF times, fewer
-than 2 paths or samples, or an empty tail sweep or frequency list.  Chunks
-run on ``threads=`` workers, else ``LTFSM_THREADS``, else the
-CPUs, but no more than add 32 MB of buffers to the first
+smaller.  A replicate that alone needs more than physical memory (for the
+series, a one-row chunk) is refused with ``ValueError`` before any
+substream is drawn, and so is a returned array that does (8 B per value),
+an empirical-CF statistic that does (``_CF_BYTES``, ``_TABLE_BYTES``), and
+a protocol whose statistic cannot be formed: a zero or non-finite CF
+frequency, fewer than 3 CF times or times whose line fit leaves the float
+range, fewer than 2 paths or samples, or an empty tail sweep or frequency
+list.  Chunks run on ``threads=`` workers, else ``LTFSM_THREADS``, else
+the CPUs, but no more than add 32 MB of buffers to the first
 (:func:`resolve_threads`; at most 17 for the series and LePage drivers);
 outputs are bitwise identical for any thread count.
 
@@ -90,7 +91,9 @@ from .process import (
     resolve_threads,
 )
 from .streams import RandomStream, _substream_heads, _uniform_in_place
-from .validation import CfEstimate, empirical_cf, fit_scale_by_cf, ks_distance, linreg_r2
+from .validation import (
+    CfEstimate, _sum_of_squares, empirical_cf, fit_scale_by_cf, ks_distance, linreg_r2,
+)
 
 __all__ = [
     "series_path_ensemble",
@@ -161,10 +164,11 @@ def _series_row_bytes(hurst: float, terms: int, points: int) -> int:
 
 
 def _check_series(alpha, hurst, n_paths, terms, bandwidth, points, horizon, grid_points,
-                  density) -> int:
+                  density) -> tuple[int, int, int]:
     """Reject, by name, series-ensemble arguments out of range, and a
-    replicate that alone needs more than physical memory; return the
-    replicate's bytes (``_series_row_bytes``)."""
+    replicate that alone needs more than physical memory: a one-row chunk,
+    its working bytes next to the larger of its raw draw and its curves.
+    Return those three sizes, the arguments of :func:`_chunk_rows`."""
     if not 0.0 < alpha < 2.0:
         raise ValueError("alpha must lie in (0, 2)")
     _check_hurst(hurst)
@@ -173,9 +177,10 @@ def _check_series(alpha, hurst, n_paths, terms, bandwidth, points, horizon, grid
     _check_counts(n_paths=n_paths, terms=terms, points=points, grid_points=grid_points)
     _check_bandwidth(bandwidth)
     row_bytes = _series_row_bytes(hurst, terms, points)
-    _check_memory(f"one replicate ({terms} terms of {points} points)", row_bytes,
-                  "lower terms or points")
-    return row_bytes
+    draw_bytes, curve_bytes = 16 * terms * points, 8 * terms * (grid_points + 1)
+    _check_memory(f"one replicate ({terms} terms of {points} points)",
+                  row_bytes + max(draw_bytes, curve_bytes), "lower terms, points or grid points")
+    return row_bytes, draw_bytes, curve_bytes
 
 
 def series_path_ensemble(
@@ -199,8 +204,8 @@ def series_path_ensemble(
     variates, then ``terms`` blocks of ``2 * points`` normals (fBm noise) --
     the same order as :func:`ltfsm.process.simulate_ltfsm`.
     """
-    row_bytes = _check_series(alpha, hurst, n_paths, terms, bandwidth, points, horizon,
-                              grid_points, density)
+    sizes = _check_series(alpha, hurst, n_paths, terms, bandwidth, points, horizon,
+                          grid_points, density)
     _check_paths(n_paths, grid_points)
     threads = resolve_threads(threads, _CHUNK_BYTES)
     m = points
@@ -209,7 +214,7 @@ def series_path_ensemble(
     kept, floats = _term_layout(hurst, m)
     lead = _noise_lead(hurst)
 
-    chunk_rows = _chunk_rows(row_bytes, 8 * p * 2 * m, 8 * p * len(idx))
+    chunk_rows = _chunk_rows(*sizes)
     size = min(chunk_rows, n_paths)
     layouts = [
         ((size, 3 * p), np.uint64),
@@ -306,9 +311,10 @@ def cf_linearity_experiment(
     ``u`` must be finite and nonzero (at u = 0 every log-modulus is exactly
     0, and the fit tests nothing), ``n_paths`` at least 2 (the empirical CF)
     and ``n_times`` at least 3 (a line through two points has no residual,
-    so R^2 = 1); one replicate, then the ensemble and its statistic
-    (``_CF_BYTES`` per path and time), must fit in physical memory.  All
-    are checked before any draw.
+    so R^2 = 1); the fit's sum of squares of the times must be finite (a
+    horizon above about ``1e154`` is refused); one replicate, then the
+    ensemble and its statistic (``_CF_BYTES`` per path and time), must fit
+    in physical memory.  All are checked before any draw.
     """
     if method not in ("series", "rwrr"):
         raise ValueError("method must be 'series' or 'rwrr'")
@@ -322,9 +328,10 @@ def cf_linearity_experiment(
     else:
         _check_rwrr(alpha, steps, n_times, horizon, n_paths)
         ensemble = partial(rwrr_path_ensemble, alpha, n_paths, steps)
+    times = np.arange(1, n_times + 1) * (horizon / n_times)
+    _sum_of_squares(times - times.mean(), f"the {n_times} CF times on (0, {horizon:g}]")
     _check_paths(n_paths, n_times, _CF_BYTES)
     values = ensemble(stream, horizon=horizon, grid_points=n_times, threads=threads)
-    times = np.arange(1, n_times + 1) * (horizon / n_times)
     est = empirical_cf(values[:, 1:], u)
     modulus = np.maximum(est.modulus, 1e-300)
     log_modulus = np.log(modulus)

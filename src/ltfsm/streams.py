@@ -57,18 +57,34 @@ raw words may therefore apply signs by XOR-ing the complement of each sign
 word's top bit into the float's sign bit, bitwise equal to
 ``x * uniform_to_rademacher(raw_to_uniform(w))``.
 
-Start-up: :func:`uniform_to_gaussian` imports ``scipy.special.ndtri`` on its
-first call, not at module import.  The LePage marginal path draws only
-uniforms, exponentials and signs, and the ``scipy.special`` import costs
-about 26 MiB of resident memory and a quarter of a second, so ``import
-ltfsm``, ``ltfsm --help``, ``stable-check`` and the option checks of every
-command run without it.  The first Gaussian draw loads it (the first
-Gamma-function bound too, see :mod:`ltfsm.shotnoise`); the import lock makes
-a first call from several threads at once safe.
+Start-up: the normals (``ndtri``) and the Gamma-function bounds of
+:mod:`ltfsm.shotnoise` (``gammaln``) take SciPy's compiled ufuncs from
+:func:`_special_ufunc`, the only code that reaches ``scipy.special``, at
+their first call, not at module import.  The loader imports the compiled
+module ``scipy.special._ufuncs`` and its compiled siblings (3.8 MiB of
+resident memory, 0.02 s) without executing the ``scipy.special`` package,
+whose ``__init__`` adds about 14 MiB and 0.25 s more through an array-API
+layer (``numpy.f2py``, ``numpy.testing``, ``unittest``,
+``concurrent.futures``, ``logging`` and more) that ltfsm never uses.  The
+ufuncs are the very objects the package re-exports, so a later ``import
+scipy.special`` gives the same ones, and the variates are bitwise those of
+the package import.  The LePage marginal path draws only uniforms,
+exponentials and signs, so ``import ltfsm``, ``ltfsm --help``,
+``stable-check`` and the option checks of every command load neither.  A
+lock makes a first call from several threads at once safe.  Two limits:
+during the first load (about 20 ms) ``sys.modules`` holds the package's
+unexecuted module object, so a first ``import scipy.special`` made then by
+another thread, not through this loader, would see that empty module; and
+a later package import lacks four private compiled submodules as
+attributes (``_gufuncs`` for one), which stay importable by name.
 """
 
 from __future__ import annotations
 
+import importlib
+import importlib.util
+import sys
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -86,6 +102,39 @@ __all__ = [
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
+
+# the module that holds SciPy's special-function ufuncs, once loaded
+_ufuncs = None
+_ufuncs_lock = threading.Lock()
+
+
+def _special_ufunc(name: str):
+    """The ufunc ``scipy.special.<name>``, from the package when it is
+    already imported, else from its compiled module loaded without running
+    the package (see the module docstring); the package import is the
+    fallback for a SciPy whose compiled module needs the package's code."""
+    global _ufuncs
+    if _ufuncs is None:
+        with _ufuncs_lock:
+            if _ufuncs is None:
+                _ufuncs = _load_ufuncs()
+    return getattr(_ufuncs, name)
+
+
+def _load_ufuncs():
+    if "scipy.special" in sys.modules:
+        return importlib.import_module("scipy.special")
+    try:
+        # the package's module object, unexecuted, stands in for the parent
+        # of its compiled submodule while that is imported
+        package = importlib.util.module_from_spec(importlib.util.find_spec("scipy.special"))
+        sys.modules["scipy.special"] = package
+        try:
+            return importlib.import_module("scipy.special._ufuncs")
+        finally:
+            del sys.modules["scipy.special"]
+    except ImportError:
+        return importlib.import_module("scipy.special")
 
 
 def _splitmix64(z: int) -> int:
@@ -145,9 +194,7 @@ def uniform_to_exponential(u: np.ndarray) -> np.ndarray:
 def uniform_to_gaussian(u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Standard normal via the inverse CDF (into ``out`` when given, which
     may be ``u`` itself)."""
-    from scipy.special import ndtri  # loaded at the first draw; see the module docstring
-
-    return ndtri(u, out=out)
+    return _special_ufunc("ndtri")(u, out=out)
 
 
 def uniform_to_laplace_half(u: np.ndarray) -> np.ndarray:

@@ -7,6 +7,7 @@ variance 2 has sigma = 1 at alpha = 2).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,11 +76,23 @@ def empirical_cf(samples: np.ndarray, u: float) -> CfEstimate:
     return CfEstimate(u=float(u), re=re, im=im, stderr=stderr)
 
 
+def _sum_of_squares(v: np.ndarray, name: str) -> float:
+    """``sum(v**2)``; ``ValueError`` naming ``name`` when it leaves the float
+    range, where a line fit would report a slope of 0 and R^2 = 1."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = float(np.sum(v**2))
+    if not math.isfinite(total):
+        raise ValueError(f"the sum of squares of {name} leaves the float range")
+    return total
+
+
 def linreg_r2(x, y) -> tuple[float, float, float]:
     """Ordinary least squares of y on x: (slope, intercept, r_squared).
 
-    Conventions: constant ``x`` is a domain error; constant ``y`` gives
-    r_squared = 1 when the residuals vanish, else 0.
+    Conventions: constant ``x`` is a domain error, and so is a sum of
+    squares that is not finite (``x`` or ``y`` spread over more than about
+    ``1e154``); constant ``y`` gives r_squared = 1 when the residuals
+    vanish, else 0.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -87,15 +100,15 @@ def linreg_r2(x, y) -> tuple[float, float, float]:
         raise ValueError("x and y must be equal-length 1-d arrays, length >= 2")
     xm = x.mean()
     ym = y.mean()
-    sxx = float(np.sum((x - xm) ** 2))
+    sxx = _sum_of_squares(x - xm, "x")
     if sxx == 0.0:
         raise ValueError("x must not be constant")
     sxy = float(np.sum((x - xm) * (y - ym)))
     slope = sxy / sxx
     intercept = ym - slope * xm
     residuals = y - (slope * x + intercept)
-    ss_res = float(np.sum(residuals**2))
-    ss_tot = float(np.sum((y - ym) ** 2))
+    ss_res = _sum_of_squares(residuals, "the residuals")
+    ss_tot = _sum_of_squares(y - ym, "y")
     if ss_tot == 0.0:
         r2 = 1.0 if ss_res == 0.0 else 0.0
     else:

@@ -319,6 +319,23 @@ def test_validate_cf_refuses_a_walk_larger_than_physical_memory_before_writing(
     assert list(tmp_path.iterdir()) == []  # no CSV and no manifest
 
 
+def test_validate_cf_refuses_times_whose_fit_overflows_before_any_draw(
+    tmp_path, capsys, monkeypatch
+):
+    def must_not_draw(*args, **kwargs):
+        raise AssertionError("drew a substream before refusing the time grid")
+
+    monkeypatch.setattr(experiments, "_substream_heads", must_not_draw)
+    out = tmp_path / "cf.csv"
+    assert main(["validate-cf", "--method", "series", "--alpha", "1", "--hurst", "0.5",
+                 "--paths", "2", "--times", "3", "--terms", "1", "--points", "1",
+                 "--seed", "1", "--T", "1e155", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "the 3 CF times on (0, 1e+155] leaves the float range" in err
+    assert "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []  # no CSV and no manifest
+
+
 def test_validate_cf_rwrr_method(tmp_path, capsys):
     out = tmp_path / "cfr.csv"
     code = main(["validate-cf", "--alpha", "1", "--hurst", "0.5", "--seed", "7",

@@ -889,12 +889,31 @@ def test_a_walk_that_fits_in_memory_or_an_unknown_size_runs(monkeypatch, memory)
     assert [a.tobytes() for a in got] == [a.tobytes() for a in expect]
 
 
+def test_a_series_replicate_is_checked_as_a_one_row_chunk(monkeypatch):
+    # the replicate's working bytes fit, but not next to its curves: 64 terms
+    # on 201 grid times, more than its raw draw of 2 * 4 words per term
+    row_bytes = _series_row_bytes(0.5, 64, 4)
+    assert row_bytes == 6656
+    need = row_bytes + max(16 * 64 * 4, 8 * 64 * 201)
+    call = (1.2, 0.5, 1, 64, 2, 4)
+    expect = series_path_ensemble(*call, RandomStream(1), grid_points=200, threads=1)
+    monkeypatch.setattr(process, "_physical_bytes", lambda: need)
+    got = series_path_ensemble(*call, RandomStream(1), grid_points=200, threads=1)
+    assert got.tobytes() == expect.tobytes()
+    monkeypatch.setattr(experiments, "_substream_heads", _must_not_run)
+    for memory in (row_bytes, need - 1):
+        monkeypatch.setattr(process, "_physical_bytes", lambda: memory)
+        with pytest.raises(ValueError, match=r"one replicate \(64 terms of 4 points\)"):
+            series_path_ensemble(*call, RandomStream(1), grid_points=200, threads=1)
+
+
 @pytest.mark.parametrize("memory", ["exact", "unknown"])
 def test_a_replicate_that_fits_in_memory_or_an_unknown_size_runs(monkeypatch, memory):
     expect = (series_path_ensemble(1.2, 0.7, 3, 4, 2, 16, RandomStream(5)),
               lepage_marginal_samples(1.2, 50, 5, RandomStream(5)))
-    # the replicate, then the returned array, of each call
-    probes = iter([_series_row_bytes(0.7, 4, 16), 8 * 3 * 21, 16 * 50, 8 * 5])
+    # the replicate (for the series a one-row chunk: its raw draw, 16 * 4 *
+    # 16 B, outweighs its curves), then the returned array, of each call
+    probes = iter([_series_row_bytes(0.7, 4, 16) + 16 * 4 * 16, 8 * 3 * 21, 16 * 50, 8 * 5])
     monkeypatch.setattr(process, "_physical_bytes",
                         lambda: next(probes) if memory == "exact" else None)
     got = (series_path_ensemble(1.2, 0.7, 3, 4, 2, 16, RandomStream(5)),

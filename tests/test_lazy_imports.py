@@ -1,10 +1,15 @@
-"""Which entry points load ``scipy.special``, each in a fresh interpreter,
-and that the chunk threads load no executor.
+"""Which entry points load SciPy's special functions, and how, each in a
+fresh interpreter, and that the chunk threads load no executor.
 
 The LePage marginal path (``stable-check``, ``stable_marginal_check``) draws
-only uniforms, exponentials and signs, so it must run without the
-``scipy.special`` import; the Gaussian draws and the Gamma-ratio bounds load
-it at first use.
+only uniforms, exponentials and signs, so it must run without them.  The
+Gaussian draws and the Gamma-ratio bounds load, at first use, only the
+compiled ufunc module ``scipy.special._ufuncs`` through
+``ltfsm.streams._special_ufunc``: never the ``scipy.special`` package, whose
+``__init__`` loads an array-API layer, ``concurrent.futures`` and
+``logging``.  The loader's ufuncs are the package's own objects, it takes
+them from the package when that is already imported, and it falls back to
+the package import when the lean route raises ``ImportError``.
 """
 
 import os
@@ -76,8 +81,14 @@ def test_the_lepage_path_and_rejections_never_load_scipy_special(body, code):
          "from ltfsm import RandomStream\n"
          "ex._CHUNK_BYTES = 1\n"
          "ex.stable_marginal_check(1.2, 20, 50, RandomStream(3), threads=2)"),
+        # the same, drawing Gaussians
+        ("import ltfsm.experiments as ex\n"
+         "from ltfsm import RandomStream\n"
+         "ex._CHUNK_BYTES = 1\n"
+         "ex.series_path_ensemble(1.2, 0.7, 4, 3, 2, 8, RandomStream(5), grid_points=4, "
+         "threads=2)"),
     ],
-    ids=["import", "stable-check", "threaded-chunks"],
+    ids=["import", "stable-check", "threaded-chunks", "threaded-series-chunks"],
 )
 def test_the_chunk_threads_load_no_executor_and_no_logging(body):
     lines = _run(body + "\nprint(sorted({'concurrent.futures', 'logging'} & set(sys.modules)))")
@@ -90,13 +101,14 @@ def test_a_gaussian_draw_loads_scipy_special():
         "print(f\"before={'scipy.special' in sys.modules}\")\n"
         "series_path_ensemble(1.2, 0.7, 2, 3, 2, 8, RandomStream(5), grid_points=4)"
     )
-    assert lines[-2:] == ["before=False", "loaded=True"]
+    # only the compiled ufuncs: the package stays unloaded
+    assert lines[-2:] == ["before=False", "loaded=False"]
 
 
 def test_the_first_import_from_pool_threads_gives_the_one_thread_bits():
     # one-row chunks, so that the first Gaussian draws run on the two pool
-    # threads at once and both reach the import; a short switch interval
-    # interleaves them inside it
+    # threads at once and both reach the loader; a short switch interval
+    # interleaves them inside its lock
     lines = _run(
         "sys.setswitchinterval(1e-6)\n"
         "import ltfsm.experiments as ex\n"
@@ -108,4 +120,73 @@ def test_the_first_import_from_pool_threads_gives_the_one_thread_bits():
         "one = ex.series_path_ensemble(*args, RandomStream(9), grid_points=4, threads=1)\n"
         "print(f'equal={two.tobytes() == one.tobytes()}')"
     )
-    assert lines[-3:] == ["before=False", "equal=True", "loaded=True"]
+    assert lines[-3:] == ["before=False", "equal=True", "loaded=False"]
+
+
+_DRAW = ("from ltfsm import RandomStream, series_path_ensemble\n"
+         "import hashlib\n"
+         "paths = series_path_ensemble(1.2, 0.7, 3, 3, 2, 8, RandomStream(5), grid_points=4)\n"
+         "print(hashlib.sha256(paths.tobytes()).hexdigest())")
+
+
+@pytest.mark.parametrize(
+    "body",
+    [
+        _DRAW,
+        "from ltfsm import bound_H_nq\nbound_H_nq(5, 2.0, 1.2)",
+        "from ltfsm import bound_B_q\nbound_B_q(3.0)",
+    ],
+    ids=["gaussian-draw", "bound_H_nq", "bound_B_q"],
+)
+def test_a_draw_or_a_bound_loads_only_the_compiled_ufuncs(body):
+    lines = _run(body + "\nprint([name in sys.modules for name in "
+                 "('scipy._lib._array_api', 'scipy.special._ufuncs')])")
+    assert lines[-2:] == ["[False, True]", "loaded=False"]
+
+
+def test_a_later_package_import_gives_the_loaders_ufuncs():
+    lines = _run(
+        _DRAW + "\n"
+        "from ltfsm import bound_B_q\n"
+        "bound_B_q(3.0)\n"
+        "from ltfsm.streams import _special_ufunc\n"
+        "import scipy.special\n"
+        "print([getattr(scipy.special, name) is _special_ufunc(name)\n"
+        "       for name in ('ndtri', 'gammaln')])\n"
+        "print(float(scipy.special.ndtri(0.975)))"
+    )
+    assert lines[-3:-1] == ["[True, True]", "1.959963984540054"]
+    assert lines[-1] == "loaded=True"
+
+
+def test_an_imported_package_is_used_and_never_swapped():
+    lines = _run(
+        "import importlib.util\n"
+        "import scipy.special as package\n"
+        "def no_lean_route(spec):\n"
+        "    raise AssertionError('built a stand-in for the imported package')\n"
+        "importlib.util.module_from_spec = no_lean_route\n"
+        + _DRAW + "\n"
+        "from ltfsm.streams import _special_ufunc\n"
+        "print([sys.modules['scipy.special'] is package,\n"
+        "       _special_ufunc('ndtri') is package.ndtri])"
+    )
+    assert lines[-2:] == ["[True, True]", "loaded=True"]
+
+
+def test_a_failing_lean_route_falls_back_to_the_package_with_the_same_bits():
+    lean = _run(_DRAW)
+    fallback = _run(
+        "import importlib\n"
+        "import_module = importlib.import_module\n"
+        "def no_lean_route(name, package=None):\n"
+        "    if name == 'scipy.special._ufuncs':\n"
+        "        raise ImportError('the compiled module needs the package')\n"
+        "    return import_module(name, package)\n"
+        "importlib.import_module = no_lean_route\n"
+        + _DRAW + "\n"
+        "print(hasattr(sys.modules['scipy.special'], 'ndtri'))"
+    )
+    assert lean[-1] == "loaded=False"
+    assert fallback[-2:] == ["True", "loaded=True"]
+    assert fallback[-3] == lean[-2]

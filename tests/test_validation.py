@@ -57,6 +57,20 @@ def test_linreg_domain():
         linreg_r2([1.0, 2.0], [1.0, 2.0, 3.0])
 
 
+@pytest.mark.parametrize(
+    "x, y, name",
+    [
+        ([0.0, 1e155, 2e155], [0.0, 1.0, 2.0], "x"),
+        ([0.0, 1.0, 2.0], [0.0, 1e155, 2e155], "y"),
+        ([0.0, 1.0, np.nan], [0.0, 1.0, 2.0], "x"),
+    ],
+    ids=["x-overflows", "y-overflows", "nan"],
+)
+def test_linreg_refuses_a_sum_of_squares_that_is_not_finite(x, y, name):
+    with pytest.raises(ValueError, match=f"sum of squares of {name} leaves the float range"):
+        linreg_r2(x, y)
+
+
 # -- empirical characteristic function --------------------------------------------------
 
 
