@@ -314,7 +314,10 @@ def cf_linearity_experiment(
     so R^2 = 1); the fit's sum of squares of the times must be finite (a
     horizon above about ``1e154`` is refused); one replicate, then the
     ensemble and its statistic (``_CF_BYTES`` per path and time), must fit
-    in physical memory.  All are checked before any draw.
+    in physical memory.  All are checked before any draw.  A log-modulus
+    that comes out equal at every time (all paths 0, say with one term on
+    one point) is refused after the draw: its fit would read R^2 = 1 and
+    test nothing.
     """
     if method not in ("series", "rwrr"):
         raise ValueError("method must be 'series' or 'rwrr'")
@@ -335,6 +338,11 @@ def cf_linearity_experiment(
     est = empirical_cf(values[:, 1:], u)
     modulus = np.maximum(est.modulus, 1e-300)
     log_modulus = np.log(modulus)
+    if np.all(log_modulus == log_modulus[0]):
+        raise ValueError(
+            f"the CF log-modulus is {log_modulus[0]:g} at all {n_times} times (as when "
+            "every path is 0), so the line fit has nothing to test"
+        )
     stderr = est.stderr / modulus
     slope, intercept, r2 = linreg_r2(times, log_modulus)
     return CfLinearityResult(

@@ -95,10 +95,29 @@ def increment_autocovariance(hurst: float, lags, spacing: float = 1.0):
     _check_hurst(hurst)
     _check_spacing(spacing)
     j = np.abs(np.asarray(lags, dtype=float))
-    h2 = 2.0 * hurst
-    c = 0.5 * ((j + 1.0) ** h2 - 2.0 * j**h2 + np.abs(j - 1.0) ** h2)
-    c = c * spacing**h2
+    c = _autocovariance_into(hurst, j, np.empty_like(j))
+    c *= spacing ** (2.0 * hurst)
     return c if c.ndim else float(c)
+
+
+def _autocovariance_into(hurst: float, j: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``0.5 ((j + 1)**2H - 2 j**2H + |j - 1|**2H)``, the unit-spacing
+    autocovariance at the nonnegative float lags ``j``, written into
+    ``out`` (returned) with one temporary; ``j`` is overwritten.  The terms
+    are formed and summed in the order of that expression, so the result is
+    bitwise the out-of-place one."""
+    h2 = 2.0 * hurst
+    np.add(j, 1.0, out=out)
+    out **= h2
+    far = np.subtract(j, 1.0, out=np.empty_like(out))
+    np.abs(far, out=far)
+    far **= h2
+    j **= h2
+    j *= 2.0
+    out -= j
+    out += far
+    out *= 0.5
+    return out
 
 
 @lru_cache(maxsize=64)
@@ -113,20 +132,32 @@ def _embedding_coefficients(hurst: float, points: int):
     ``a`` of length ``m + 1`` holds ``a_0 = sqrt(lambda_0 / L)``,
     ``a_m = sqrt(lambda_m / L)`` and ``a_j = sqrt(lambda_j / (2 L))`` in
     between.
+
+    Buffers: the autocovariance is written into the first ``m + 1``
+    entries of one ``2 m`` row buffer (besides it, only the lags and one
+    temporary of that length), and the mirror is copied in place.  The row
+    is dropped once its ``rfft`` is formed, and the complex spectrum once
+    its clipped real part is; the divide and the ``sqrt`` run in the memory
+    of that part, which is returned.  So at most two of the row, the
+    spectrum and the coefficients are alive at once.
     """
     m = points
-    c = increment_autocovariance(hurst, np.arange(m + 1))
-    row = np.concatenate([c, c[m - 1 : 0 : -1]])
-    lam = np.fft.rfft(row).real
+    length = 2 * m
+    row = np.empty(length)
+    _autocovariance_into(hurst, np.arange(m + 1, dtype=float), row[: m + 1])
+    row[m + 1 :] = row[m - 1 : 0 : -1]
+    spectrum = np.fft.rfft(row)
+    del row
+    lam = spectrum.real
     tol = _EIG_RTOL * float(lam.max(initial=0.0))
     if lam.min() < -tol:
         return None
-    lam = np.clip(lam, 0.0, None)
-    length = 2 * m
-    coef = np.sqrt(lam / (2.0 * length))
-    coef[0] = np.sqrt(lam[0] / length)
-    coef[m] = np.sqrt(lam[m] / length)
-    return coef
+    coef = np.clip(lam, 0.0, None)
+    del spectrum, lam
+    ends = coef[0] / length, coef[m] / length
+    coef /= 2.0 * length
+    coef[0], coef[m] = ends
+    return np.sqrt(coef, out=coef)
 
 
 def fgn_from_noise(

@@ -123,12 +123,12 @@ import warnings
 from dataclasses import dataclass, fields
 
 import numpy as np
-from numpy.random import Philox
 
 from . import oracle
 from .fbm import _check_counts, _check_horizon, _embedding_coefficients, _fgn_into
 from .localtime import _check_bandwidth, _phi_k_in_place, grid_index
 from .streams import (
+    Philox,
     _cursor,
     _seek,
     _uniform_in_place,

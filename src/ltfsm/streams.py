@@ -57,26 +57,40 @@ raw words may therefore apply signs by XOR-ing the complement of each sign
 word's top bit into the float's sign bit, bitwise equal to
 ``x * uniform_to_rademacher(raw_to_uniform(w))``.
 
-Start-up: the normals (``ndtri``) and the Gamma-function bounds of
-:mod:`ltfsm.shotnoise` (``gammaln``) take SciPy's compiled ufuncs from
-:func:`_special_ufunc`, the only code that reaches ``scipy.special``, at
-their first call, not at module import.  The loader imports the compiled
-module ``scipy.special._ufuncs`` and its compiled siblings (3.8 MiB of
-resident memory, 0.02 s) without executing the ``scipy.special`` package,
-whose ``__init__`` adds about 14 MiB and 0.25 s more through an array-API
-layer (``numpy.f2py``, ``numpy.testing``, ``unittest``,
-``concurrent.futures``, ``logging`` and more) that ltfsm never uses.  The
-ufuncs are the very objects the package re-exports, so a later ``import
-scipy.special`` gives the same ones, and the variates are bitwise those of
-the package import.  The LePage marginal path draws only uniforms,
-exponentials and signs, so ``import ltfsm``, ``ltfsm --help``,
-``stable-check`` and the option checks of every command load neither.  A
-lock makes a first call from several threads at once safe.  Two limits:
-during the first load (about 20 ms) ``sys.modules`` holds the package's
-unexecuted module object, so a first ``import scipy.special`` made then by
-another thread, not through this loader, would see that empty module; and
-a later package import lacks four private compiled submodules as
-attributes (``_gufuncs`` for one), which stay importable by name.
+Start-up: two compiled modules are imported without running the package
+around them, by :func:`_import_compiled`, the only code that reaches either
+package.  ``Philox`` comes from ``numpy.random._philox`` (with
+``numpy.random.bit_generator`` and ``_common``, which it needs), at module
+import: the ``numpy.random`` package would also load ``mtrand``,
+``Generator``, PCG64, MT19937, SFC64 and the bounded-integer tables, about
+1.5 MiB of resident memory that ltfsm never uses.  The normals (``ndtri``)
+and the Gamma-function bounds of :mod:`ltfsm.shotnoise` (``gammaln``) take
+SciPy's compiled ufuncs from :func:`_special_ufunc` at their first call,
+not at module import: the compiled module ``scipy.special._ufuncs`` and its
+compiled siblings (3.8 MiB, 0.02 s), without the ``scipy.special``
+package, whose ``__init__`` adds about 14 MiB and 0.25 s more through an
+array-API layer (``numpy.f2py``, ``numpy.testing``, ``unittest``,
+``concurrent.futures``, ``logging`` and more).  The LePage marginal path
+draws only uniforms, exponentials and signs, so ``import ltfsm``, ``ltfsm
+--help``, ``stable-check`` and the option checks of every command load no
+SciPy ufunc.  A lock makes a first ufunc call from several threads at once
+safe.
+
+While a leaf is imported, the parent's unexecuted module object stands in
+for the package in ``sys.modules``.  A package already imported is used
+as it is, and the plain import is the fallback for a leaf that raises
+``ImportError`` without its package's code.  The classes and ufuncs are
+the very objects the packages re-export (``numpy.random.Philox is
+Philox``, ``scipy.special.ndtri is _special_ufunc("ndtri")`` after a later
+package import), so every variate is bitwise that of the package import.
+Two limits: during a first load (about 20 ms for SciPy; the ``Philox``
+load runs under the import of this module) ``sys.modules`` holds the
+unexecuted stand-in, so a first import of that package made then by
+another thread, not through this loader, would see an empty module; and a
+later package import lacks, as attributes, the submodules loaded here
+before it ran (``numpy.random.bit_generator`` and ``_philox``; four
+private compiled submodules of ``scipy.special``, ``_gufuncs`` for one),
+which stay importable by name.
 """
 
 from __future__ import annotations
@@ -88,7 +102,6 @@ import threading
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.random import Philox
 
 __all__ = [
     "RandomStream",
@@ -103,38 +116,44 @@ __all__ = [
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 
+
+def _import_compiled(name: str):
+    """The compiled leaf module ``name`` (``numpy.random._philox``,
+    ``scipy.special._ufuncs``), imported without running its parent package
+    (see the module docstring): the parent's unexecuted module object stands
+    in for it while the leaf is imported.  A parent already imported is used
+    as it is, and the plain import is the fallback for a leaf that needs its
+    package's code."""
+    parent = name.rpartition(".")[0]
+    if parent in sys.modules:
+        return importlib.import_module(name)
+    try:
+        sys.modules[parent] = importlib.util.module_from_spec(importlib.util.find_spec(parent))
+        try:
+            return importlib.import_module(name)
+        finally:
+            del sys.modules[parent]
+    except ImportError:
+        return importlib.import_module(name)
+
+
+Philox = _import_compiled("numpy.random._philox").Philox
+
 # the module that holds SciPy's special-function ufuncs, once loaded
 _ufuncs = None
 _ufuncs_lock = threading.Lock()
 
 
 def _special_ufunc(name: str):
-    """The ufunc ``scipy.special.<name>``, from the package when it is
-    already imported, else from its compiled module loaded without running
-    the package (see the module docstring); the package import is the
-    fallback for a SciPy whose compiled module needs the package's code."""
+    """The ufunc ``scipy.special.<name>``, loaded at its first call by
+    :func:`_import_compiled`; a lock makes a first call from several threads
+    at once safe."""
     global _ufuncs
     if _ufuncs is None:
         with _ufuncs_lock:
             if _ufuncs is None:
-                _ufuncs = _load_ufuncs()
+                _ufuncs = _import_compiled("scipy.special._ufuncs")
     return getattr(_ufuncs, name)
-
-
-def _load_ufuncs():
-    if "scipy.special" in sys.modules:
-        return importlib.import_module("scipy.special")
-    try:
-        # the package's module object, unexecuted, stands in for the parent
-        # of its compiled submodule while that is imported
-        package = importlib.util.module_from_spec(importlib.util.find_spec("scipy.special"))
-        sys.modules["scipy.special"] = package
-        try:
-            return importlib.import_module("scipy.special._ufuncs")
-        finally:
-            del sys.modules["scipy.special"]
-    except ImportError:
-        return importlib.import_module("scipy.special")
 
 
 def _splitmix64(z: int) -> int:

@@ -336,6 +336,18 @@ def test_validate_cf_refuses_times_whose_fit_overflows_before_any_draw(
     assert list(tmp_path.iterdir()) == []  # no CSV and no manifest
 
 
+@pytest.mark.parametrize("u", ["1", "1e300"])
+def test_validate_cf_refuses_a_fit_that_tests_nothing(tmp_path, capsys, u):
+    out = tmp_path / "cf.csv"
+    assert main(["validate-cf", "--alpha", "1", "--hurst", "0.5", "--paths", "2",
+                 "--times", "3", "--terms", "1", "--points", "1", "--seed", "1",
+                 "--u", u, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert "log-modulus is 0 at all 3 times" in captured.err
+    assert "Traceback" not in captured.err and "status" not in captured.out
+    assert list(tmp_path.iterdir()) == []  # no CSV and no manifest
+
+
 def test_validate_cf_rwrr_method(tmp_path, capsys):
     out = tmp_path / "cfr.csv"
     code = main(["validate-cf", "--alpha", "1", "--hurst", "0.5", "--seed", "7",

@@ -206,6 +206,15 @@ def test_cf_linearity_experiment_structure_and_determinism():
         cf_linearity_experiment("walk", 1.0, 0.5, 10, RandomStream(1))
 
 
+@pytest.mark.parametrize("u", [1.0, 1e300])
+def test_a_log_modulus_equal_at_every_time_is_refused(u):
+    # one term on one point: every path is exactly 0, so every log-modulus
+    # is 0 and the fit would read R^2 = 1
+    with pytest.raises(ValueError, match="log-modulus is 0 at all 3 times"):
+        cf_linearity_experiment("series", 1.0, 0.5, 2, RandomStream(1), u=u, n_times=3,
+                                terms=1, points=1)
+
+
 def test_cf_linearity_experiment_rwrr_method():
     res = cf_linearity_experiment(
         "rwrr", 1.0, 0.5, 100, RandomStream(9), n_times=5, steps=400

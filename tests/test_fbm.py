@@ -206,6 +206,53 @@ def test_spacing_must_be_finite_and_positive(hurst, spacing):
         increment_autocovariance(hurst, np.arange(4), spacing)
 
 
+def _reference_autocovariance(hurst, lags, spacing=1.0):
+    """The increment autocovariance as first written, out of place."""
+    j = np.abs(np.asarray(lags, dtype=float))
+    h2 = 2.0 * hurst
+    return 0.5 * ((j + 1.0) ** h2 - 2.0 * j**h2 + np.abs(j - 1.0) ** h2) * spacing**h2
+
+
+def _reference_coefficients(hurst, m):
+    """The coefficients as first written: the autocovariance, its mirror
+    concatenated, and the divide and ``sqrt`` out of place."""
+    c = _reference_autocovariance(hurst, np.arange(m + 1))
+    row = np.concatenate([c, c[m - 1 : 0 : -1]])
+    lam = np.fft.rfft(row).real
+    tol = fbm_module._EIG_RTOL * float(lam.max(initial=0.0))
+    if lam.min() < -tol:
+        return None
+    lam = np.clip(lam, 0.0, None)
+    length = 2 * m
+    coef = np.sqrt(lam / (2.0 * length))
+    coef[0] = np.sqrt(lam[0] / length)
+    coef[m] = np.sqrt(lam[m] / length)
+    return coef
+
+
+@pytest.mark.parametrize("m", [1, 2, 7, 1000, 4096, 65537])
+@pytest.mark.parametrize("hurst", [0.05, 0.3, 0.45, 0.55, 0.7, 0.97])
+def test_embedding_coefficients_are_bitwise_the_reference(hurst, m):
+    coef = fbm_module._embedding_coefficients.__wrapped__(hurst, m)
+    assert coef.tobytes() == _reference_coefficients(hurst, m).tobytes()
+
+
+@pytest.mark.parametrize(
+    ("lags", "spacing"),
+    [(np.arange(-3, 40), 1.0), (np.arange(6.0).reshape(2, 3) / 4, 0.3), (2, 7.0)],
+)
+def test_increment_autocovariance_is_bitwise_the_reference(lags, spacing):
+    got = increment_autocovariance(0.7, lags, spacing)
+    want = _reference_autocovariance(0.7, lags, spacing)
+    assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+    assert np.shape(got) == np.shape(want)
+
+
+def test_a_non_definite_embedding_has_no_coefficients():
+    assert _reference_coefficients(0.999, 262_144) is None
+    assert fbm_module._embedding_coefficients.__wrapped__(0.999, 262_144) is None
+
+
 def test_non_definite_embeddings_fail_loudly(monkeypatch):
     monkeypatch.setattr(fbm_module, "_embedding_coefficients", lambda h, p: None)
     with pytest.raises(EmbeddingError):

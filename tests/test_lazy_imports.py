@@ -1,15 +1,20 @@
-"""Which entry points load SciPy's special functions, and how, each in a
-fresh interpreter, and that the chunk threads load no executor.
+"""Which entry points load what of NumPy's random package and SciPy's
+special functions, and how, each in a fresh interpreter, and that the chunk
+threads load no executor.
 
-The LePage marginal path (``stable-check``, ``stable_marginal_check``) draws
-only uniforms, exponentials and signs, so it must run without them.  The
+``ltfsm.streams._import_compiled`` imports a compiled leaf module without
+running its package.  ``Philox`` comes from ``numpy.random._philox`` at
+``import ltfsm``, never the ``numpy.random`` package (``mtrand``,
+``Generator`` and the other bit generators).  The LePage marginal path
+(``stable-check``, ``stable_marginal_check``) draws only uniforms,
+exponentials and signs, so it must run without SciPy's ufuncs.  The
 Gaussian draws and the Gamma-ratio bounds load, at first use, only the
 compiled ufunc module ``scipy.special._ufuncs`` through
 ``ltfsm.streams._special_ufunc``: never the ``scipy.special`` package, whose
 ``__init__`` loads an array-API layer, ``concurrent.futures`` and
-``logging``.  The loader's ufuncs are the package's own objects, it takes
-them from the package when that is already imported, and it falls back to
-the package import when the lean route raises ``ImportError``.
+``logging``.  The loaded objects are the packages' own, the loader takes
+them from a package that is already imported, and it falls back to the
+package import when the lean route raises ``ImportError``.
 """
 
 import os
@@ -95,6 +100,25 @@ def test_the_chunk_threads_load_no_executor_and_no_logging(body):
     assert lines[-2] == "[]"
 
 
+_NUMPY_RANDOM = ("numpy.random._philox", "numpy.random", "numpy.random.mtrand",
+                 "numpy.random._generator", "numpy.random._pickle")
+
+
+@pytest.mark.parametrize(
+    "body",
+    [
+        "import ltfsm",
+        _cli(["stable-check", "--alpha", "1.2", "--terms", "20", "--samples", "50",
+              "--seed", "3"]),
+        "from ltfsm import RandomStream\nRandomStream(5).gaussian(8)",
+    ],
+    ids=["import", "stable-check", "gaussian-draw"],
+)
+def test_ltfsm_loads_only_philox_from_numpy_random(body):
+    lines = _run(body + f"\nprint([name in sys.modules for name in {_NUMPY_RANDOM!r}])")
+    assert lines[-2] == "[True, False, False, False, False]"
+
+
 def test_a_gaussian_draw_loads_scipy_special():
     lines = _run(
         "from ltfsm import RandomStream, series_path_ensemble\n"
@@ -174,19 +198,65 @@ def test_an_imported_package_is_used_and_never_swapped():
     assert lines[-2:] == ["[True, True]", "loaded=True"]
 
 
-def test_a_failing_lean_route_falls_back_to_the_package_with_the_same_bits():
-    lean = _run(_DRAW)
-    fallback = _run(
-        "import importlib\n"
+def test_a_later_numpy_random_import_gives_the_loaders_philox():
+    lines = _run(
+        "import ltfsm\n"
+        "import numpy.random\n"
+        "print(numpy.random.Philox is ltfsm.streams.Philox)\n"
+        "print(float(numpy.random.default_rng(1).random()))\n"
+        "print(int(numpy.random.Generator(numpy.random.Philox(7)).integers(1000)) "
+        "== int(numpy.random.Generator(ltfsm.streams.Philox(7)).integers(1000)))"
+    )
+    assert lines[-4:-1] == ["True", "0.5118216247002567", "True"]
+
+
+def test_an_imported_numpy_random_is_used_and_never_swapped():
+    lines = _run(
+        "import importlib.util\n"
+        "import numpy.random as package\n"
+        "module_from_spec = importlib.util.module_from_spec\n"
+        "def no_lean_route(spec):\n"
+        "    if spec.name == 'numpy.random':\n"
+        "        raise AssertionError('built a stand-in for the imported package')\n"
+        "    return module_from_spec(spec)\n"
+        "importlib.util.module_from_spec = no_lean_route\n"
+        + _DRAW + "\n"
+        "from ltfsm.streams import Philox\n"
+        "print([sys.modules['numpy.random'] is package, Philox is package.Philox])"
+    )
+    assert lines[-2:] == ["[True, True]", "loaded=False"]
+
+
+def _failing_lean_route(parent: str) -> str:
+    """A prelude under which importing a leaf of ``parent`` raises
+    ``ImportError`` while the loader's stand-in for ``parent`` is in place,
+    as for a compiled module that needs its package's code."""
+    return (
+        "import importlib, importlib.util\n"
+        "stand_ins = []\n"
+        "module_from_spec = importlib.util.module_from_spec\n"
+        "def remembered(spec):\n"
+        "    stand_ins.append(module_from_spec(spec))\n"
+        "    return stand_ins[-1]\n"
         "import_module = importlib.import_module\n"
         "def no_lean_route(name, package=None):\n"
-        "    if name == 'scipy.special._ufuncs':\n"
+        f"    if any(sys.modules.get({parent!r}) is s for s in stand_ins):\n"
         "        raise ImportError('the compiled module needs the package')\n"
         "    return import_module(name, package)\n"
+        "importlib.util.module_from_spec = remembered\n"
         "importlib.import_module = no_lean_route\n"
-        + _DRAW + "\n"
-        "print(hasattr(sys.modules['scipy.special'], 'ndtri'))"
+    )
+
+
+@pytest.mark.parametrize(
+    ("parent", "export"), [("scipy.special", "ndtri"), ("numpy.random", "Philox")]
+)
+def test_a_failing_lean_route_falls_back_to_the_package_with_the_same_bits(parent, export):
+    lean = _run(_DRAW)
+    fallback = _run(
+        _failing_lean_route(parent) + _DRAW + "\n"
+        f"print(hasattr(sys.modules[{parent!r}], {export!r}))"
     )
     assert lean[-1] == "loaded=False"
-    assert fallback[-2:] == ["True", "loaded=True"]
+    assert fallback[-2:] == ["True", f"loaded={parent == 'scipy.special'}"]
     assert fallback[-3] == lean[-2]
