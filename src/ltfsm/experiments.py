@@ -10,18 +10,20 @@ whole result.
 Every driver hands its chunk worker and its result array, allocated once,
 to ``_run_chunks`` (shared with :func:`ltfsm.process.simulate_ltfsm`), the
 only code that allocates chunk memory: the calling thread makes one buffer
-set per worker thread, and each thread takes chunks one at a time, each
-chunk using the leading rows of the thread's set and writing its rows of the
-result in place.  Chunk sizes follow from one byte budget, ``_CHUNK_BYTES``
-(2 MB): each driver has a pure model of the peak working bytes of one
-replicate (``_series_row_bytes``, ``_ARRIVAL_BYTES`` per arrival), of one
+set (a ``Philox`` and the driver's arrays) per worker thread, and each
+thread takes chunks one at a time, each chunk using the leading rows of the
+thread's set and writing its rows of the result in place.  Chunk sizes
+follow from one byte budget, ``_CHUNK_BYTES`` (2 MB): each driver has a
+pure model of the peak working bytes of one replicate
+(``_series_row_bytes``, ``_ARRIVAL_BYTES`` per arrival), of one
 replicate's raw draw, the ``random_raw`` result that a row is copied from,
 and of what a replicate forms once its draws are freed (the series' curves),
 and a set holds as many replicates as fit next to the larger of one such
 draw and the rows' curves (``_chunk_rows``), or the whole call if that is
 smaller.  A replicate that alone needs more than physical memory (for the
 series, a one-row chunk) is refused with ``ValueError`` before any
-substream is drawn, and so is a returned array that does (8 B per value),
+substream is drawn, and so are the sets of all the threads that together
+do (``_run_chunks``), a returned array that does (8 B per value),
 an empirical-CF statistic that does (``_CF_BYTES``, ``_TABLE_BYTES``), and
 a protocol whose statistic cannot be formed: a zero or non-finite CF
 frequency, fewer than 3 CF times or times whose line fit leaves the float
@@ -31,12 +33,13 @@ the CPUs, but no more than add 32 MB of buffers to the first
 (:func:`resolve_threads`; at most 17 for the series and LePage drivers);
 outputs are bitwise identical for any thread count.
 
-A chunk of replicates draws its rows from one reused Philox (see
-:func:`ltfsm.streams._substream_heads`) instead of building one
-:class:`~ltfsm.streams.RandomStream` per replicate.  Every chunk worker only
-seats substreams and draws raw words; the kernels convert them.  The series
-ensemble copies each row's words into its chunk's ``uint64`` head and noise
-buffers (the noise word slots of each term, by ``ltfsm.process._term_layout``,
+A chunk of replicates draws its rows from its thread's one Philox, seated
+at each row's substream head (see :func:`ltfsm.streams._substream_heads`),
+instead of building one :class:`~ltfsm.streams.RandomStream` per
+replicate.  Every chunk worker only seats substreams and draws raw words;
+the kernels convert them.  The series ensemble copies each row's words
+into its chunk's ``uint64`` head and noise buffers (the noise word slots
+of each term, by ``ltfsm.process._term_layout``,
 which also sizes the work array: none at H = 1/2, where the path is built in
 the noise slots).  The head kernel ``_series_head`` and the occupation
 kernel ``_occupation_curves`` turn those words into uniforms and normals in
@@ -222,10 +225,10 @@ def series_path_ensemble(
         ((size, p * floats), np.float64),
     ]
 
-    def worker(start: int, out: np.ndarray, head, noise, work) -> None:
+    def worker(start: int, out: np.ndarray, bitgen, head, noise, work) -> None:
         rows = len(out)
         head, noise, work = head[:rows], noise[:rows], work[:rows]
-        for r, bitgen in enumerate(_substream_heads(stream, start, rows)):
+        for r, bitgen in enumerate(_substream_heads(bitgen, stream, start, rows)):
             head[r] = bitgen.random_raw(3 * p)
             noise[r, :, lead:] = bitgen.random_raw(p * 2 * m).reshape(p, 2 * m)[:, : kept - lead]
         gammas, locations, weights = _series_head(head, alpha, density)
@@ -252,14 +255,14 @@ def rwrr_path_ensemble(
 
     Row ``j`` is bitwise ``simulate_rwrr_baseline(alpha, steps, grid_points,
     stream.substream(j), horizon).values``: both run the row kernel
-    ``_rwrr_row``, here on the raw words of one reused Philox per chunk.
+    ``_rwrr_row``, here on the raw words of its chunk thread's Philox.
     """
     _check_rwrr(alpha, steps, grid_points, horizon, n_paths)
     _check_paths(n_paths, grid_points)
     threads = resolve_threads(threads)
 
-    def worker(start: int, out: np.ndarray) -> None:
-        for r, bitgen in enumerate(_substream_heads(stream, start, len(out))):
+    def worker(start: int, out: np.ndarray, bitgen) -> None:
+        for r, bitgen in enumerate(_substream_heads(bitgen, stream, start, len(out))):
             out[r] = _rwrr_row(alpha, bitgen.random_raw, steps, grid_points)
 
     # rows run one at a time, so memory does not grow with the chunk: 512 rows
@@ -415,9 +418,9 @@ def _arrival_sums(
     size = min(chunk_rows, count)
     layouts = [((size, arrivals), np.uint64), ((size, signs), np.uint64)]
 
-    def worker(start: int, out: np.ndarray, exp, sgn) -> None:
+    def worker(start: int, out: np.ndarray, bitgen, exp, sgn) -> None:
         exp, sgn = exp[: len(out)], sgn[: len(out)]
-        for r, bitgen in enumerate(_substream_heads(stream, start, len(out))):
+        for r, bitgen in enumerate(_substream_heads(bitgen, stream, start, len(out))):
             exp[r] = bitgen.random_raw(arrivals)
             sgn[r] = bitgen.random_raw(signs)
         _signed_arrival_sums(exp, sgn, skip, alpha, out)

@@ -95,15 +95,18 @@ def discretized_occupation(
 ) -> OccupationCurve:
     """Rectangle-sum occupation functional of ``path`` at level ``x``.
 
-    ``eval_times`` must lie within ``[0, horizon]``.  The result values are
-    nonnegative and nondecreasing when ``eval_times`` is increasing.
+    ``x`` must be finite and ``eval_times`` must lie within ``[0,
+    horizon]``.  The result values are nonnegative and nondecreasing when
+    ``eval_times`` is increasing.
     """
     _check_bandwidth(k)
+    if not np.isfinite(x):
+        raise ValueError("level x must be finite")
     t = np.asarray(eval_times, dtype=float)
     if t.ndim != 1 or len(t) == 0:
         raise ValueError("eval_times must be a nonempty 1-d array")
-    if t.min() < 0.0 or t.max() > path.horizon * (1.0 + 1e-12):
-        raise ValueError("eval_times must lie within [0, horizon]")
+    if not (t.min() >= 0.0 and t.max() <= path.horizon * (1.0 + 1e-12)):  # NaN fails too
+        raise ValueError("eval_times must be finite and lie within [0, horizon]")
     m = path.points
     weights = kernel_phi_k(k, path.values - x)
     prefix = np.cumsum(weights) * (path.horizon / m)

@@ -53,13 +53,15 @@ model, both drivers' buffer layouts and the per-term draw read it.
 Chunk memory has one rule: ``_run_chunks`` is the only code that allocates
 it.  The caller allocates the result once; each block's worker fills its
 rows of it in place.  Before any block runs, the calling thread makes one
-buffer set, in the caller's layouts, per worker thread (``min(threads,
-blocks)``).  Each thread keeps its set and takes the next block until none
-is left or a block has failed, so later blocks reuse memory that is already
-faulted in, and a failure stops the run after at most the blocks already
-running; so does an interrupt of the calling thread while it waits.  Each
-thread runs in a copy of the caller's context, so a caller's ``np.errstate``
-holds on every thread.
+buffer set per worker thread (``min(threads, blocks)``): a ``Philox`` and
+arrays in the caller's layouts, refused with ``ValueError`` when all the
+sets together need more than physical memory.  Every block runs on a started
+thread, at any count; each thread keeps its set and takes the next block
+until none is left or a block has failed, so later blocks reuse memory that
+is already faulted in, and a failure stops the run after at most the blocks
+already running; so does an interrupt of the calling thread while it waits.
+Each thread runs in a copy of the caller's context, so a caller's
+``np.errstate`` holds on every thread.
 
 Given the head, the terms are independent, and the stream is counter-based,
 so :func:`simulate_ltfsm` hands out its terms one at a time (to ``threads=``,
@@ -71,7 +73,7 @@ calling thread first works out every term's ``m`` into an ``int64`` array
 the embedding coefficients of every distinct ``m``.  A term's noise block
 starts ``2 sum_{j<n} m_j`` words past the head's end; the worker adds that
 end as a Python int, so the offset is exact at any stream position, seats
-its thread's Philox there (:func:`ltfsm.streams._seek`) and draws the words
+its set's Philox there (:func:`ltfsm.streams._seek`) and draws the words
 the term keeps.  Each thread peaks near ``64 m`` bytes at H != 1/2 (``16 m`` at
 H = 1/2; ``_term_bytes``), and the head and the curves need at most
 ``P (128 + 8 (grid_points + 1))`` bytes (``_path_bytes``).  Two runs are
@@ -531,35 +533,39 @@ def resolve_threads(threads: int | None = None, thread_bytes: int = _THREAD_BYTE
 
 
 def _run_chunks(worker, out: np.ndarray, chunk_rows: int, threads: int, layouts=()) -> np.ndarray:
-    """``worker(start, out[start : start + chunk_rows], *buffers)`` on
+    """``worker(start, out[start : start + chunk_rows], bitgen, *arrays)`` on
     consecutive blocks of at most ``chunk_rows`` rows of ``out``, on
     ``threads`` workers; returns ``out``, which each worker fills in the
     view it is handed, so the result is allocated once, by the caller.
 
     The only place that allocates chunk memory: before any block runs, the
-    calling thread makes one set of ``np.empty(shape, dtype)`` buffers, one
-    per ``(shape, dtype)`` in ``layouts``, for each worker thread
-    (``min(threads, blocks)``).  A thread keeps its set, passed whole as
-    ``buffers``, and takes the next block in row order until none is left,
-    so every later block reuses memory that is already faulted in, and no
-    two running blocks share a set.  Each set's thread is a plain
-    ``threading.Thread`` that the calling thread starts and joins, so no
-    executor (nor its ``concurrent.futures``, ``logging`` and ``queue``
-    imports) is loaded.  Each thread runs in its own copy of the caller's
-    context, so a caller's ``np.errstate`` holds in every block, as it does
-    on the one-thread path, which runs the blocks inline.  Blocks are
-    handed out one at a time: after the first block that raises, no thread
-    starts another, and that error is raised once the running blocks have
-    returned.  An error in the calling thread while it waits (a
-    ``KeyboardInterrupt``) stops the hand-out the same way and is raised at
-    once; the running blocks finish on their own."""
+    calling thread makes one buffer set for each worker thread
+    (``min(threads, blocks)``): a ``Philox`` for the block to seat, and
+    ``np.empty(shape, dtype)`` arrays, one per ``(shape, dtype)`` in
+    ``layouts``.  Sets that together need more than physical memory are
+    refused with ``ValueError`` before any is made (``_check_memory``), at
+    any thread count, explicit or not.  A thread keeps its set, passed whole
+    after the block's rows, and takes the next block in row order until none
+    is left, so every later block reuses memory that is already faulted in,
+    and no two running blocks share a set.  Every block runs on a plain
+    ``threading.Thread`` that the calling thread starts and joins, at one
+    thread too (a block run in the calling thread faulted its temporaries
+    back in from the main heap at every block), so no executor (nor its
+    ``concurrent.futures``, ``logging`` and ``queue`` imports) is loaded.
+    Each thread runs in its own copy of the caller's context, so a caller's
+    ``np.errstate`` holds in every block.  Blocks are handed out one at a
+    time: after the first block that raises, no thread starts another, and
+    that error is raised once the running blocks have returned.  An error in
+    the calling thread while it waits (a ``KeyboardInterrupt``) stops the
+    hand-out the same way and is raised at once; the running blocks finish
+    on their own."""
     starts = range(0, len(out), chunk_rows)
     threads = min(threads, len(starts))
-    sets = [[np.empty(shape, dtype) for shape, dtype in layouts] for _ in range(threads)]
-    if threads == 1:
-        for s in starts:
-            worker(s, out[s : s + chunk_rows], *sets[0])
-        return out
+    set_bytes = sum(int(np.prod(shape)) * np.dtype(dtype).itemsize for shape, dtype in layouts)
+    _check_memory(f"one buffer set per thread (threads = {threads})", threads * set_bytes,
+                  "lower the thread count (threads= or LTFSM_THREADS)")
+    sets = [(Philox(key=0), *(np.empty(shape, dtype) for shape, dtype in layouts))
+            for _ in range(threads)]
     blocks = iter(starts)
     lock = threading.Lock()
     errors = []  # ``list.append`` is atomic
@@ -637,17 +643,12 @@ def simulate_ltfsm(
     # the running total of the points in int64: the noise block of term
     # ``n`` (0-based) starts ``2 (ends[n] - points[n])`` words past the head
     ends = np.cumsum(points)
-    # one Philox per thread, seated anew at each term: making one costs about
-    # as much as a term at small m
-    seats = threading.local()
 
-    def worker(n: int, out: np.ndarray, words: np.ndarray, work: np.ndarray) -> None:
+    def worker(n: int, out: np.ndarray, bitgen, words: np.ndarray, work: np.ndarray) -> None:
         m = int(points[n])
         kept = _term_layout(hurst, m)[0]
-        if not hasattr(seats, "bitgen"):
-            seats.bitgen = Philox(key=0)
-        _seek(seats.bitgen, key, head_end + 2 * (int(ends[n]) - m))
-        words[lead:kept] = seats.bitgen.random_raw(kept - lead)
+        _seek(bitgen, key, head_end + 2 * (int(ends[n]) - m))
+        words[lead:kept] = bitgen.random_raw(kept - lead)
         idx = grid_index(m, horizon, times)
         out[:] = _occupation_curves(hurst, m, horizon, k, words[None, :kept], locations[n],
                                     idx, work)

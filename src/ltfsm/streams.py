@@ -26,13 +26,14 @@ into several yields the identical sequence, so higher layers may document draw
 are the single source of the transforms; batched drivers apply them to raw
 blocks and get bitwise the same variates as the stream methods.
 
-Batched substream rows: :func:`_substream_heads` yields one reused Philox at
-the head of each of many consecutive child substreams in turn.  Philox is
-counter-based, so a child stream is nothing but a key with the counter at 0;
-resetting the key, counter and output buffer of one bit generator gives the
-same words as building ``stream.substream(j)``, without the OS-entropy pull
-that every ``Philox`` construction makes (``_philox_key`` defines the key
-layout for both).  The child ids of a whole chunk come from one vectorized
+Batched substream rows: :func:`_substream_heads` seats the caller's Philox
+(one per chunk thread, made by ``ltfsm.process._run_chunks``) at the head of
+each of many consecutive child substreams in turn.  Philox is counter-based,
+so a child stream is nothing but a key with the counter at 0; resetting the
+key, counter and output buffer of one bit generator gives the same words as
+building ``stream.substream(j)``, without the OS-entropy pull that every
+``Philox`` construction makes (``_philox_key`` defines the key layout for
+both).  The child ids of a whole chunk come from one vectorized
 ``uint64`` SplitMix64 pass (:func:`_mix64` stays the scalar reference, used by
 :meth:`RandomStream.substream`), and each reset assigns a state of plain
 Python ints, which the bit generator reads faster than numpy arrays.
@@ -350,11 +351,11 @@ def _seek(bitgen: Philox, key: list[int], offset: int) -> Philox:
     return bitgen
 
 
-def _substream_heads(stream: RandomStream, start: int, rows: int):
-    """Iterator that yields one ``Philox`` ``rows`` times, each time at the
-    head of ``stream.substream(start + r)``: its raw words are those of that
-    substream, and a row may draw any number of them in any number of calls."""
-    bitgen = Philox(key=0)
+def _substream_heads(bitgen: Philox, stream: RandomStream, start: int, rows: int):
+    """Iterator that yields ``bitgen`` ``rows`` times, each time seated at
+    the head of ``stream.substream(start + r)``: its raw words are those of
+    that substream, and a row may draw any number of them in any number of
+    calls."""
     # assigning the head state with a new key restarts the generator at the
     # head of that substream
     key = list(_philox_key(stream.seed, 0))

@@ -8,6 +8,7 @@ import pytest
 
 from ltfsm import SeriesConfig, experiments, flat_params, process, simulate_ltfsm, tune
 from ltfsm.cli import _COMMANDS, main
+from ltfsm.process import _term_bytes
 from ltfsm.streams import RandomStream
 
 SIM_ARGS = [
@@ -177,6 +178,21 @@ def test_simulate_refuses_a_term_larger_than_physical_memory_before_writing(
     assert code == 2
     err = capsys.readouterr().err
     assert "the largest term (m = 128)" in err and "GiB of this machine" in err
+    assert list(tmp_path.iterdir()) == []  # no CSV and no manifest
+
+
+def test_simulate_refuses_thread_buffers_larger_than_physical_memory_before_writing(
+    tmp_path, capsys, monkeypatch
+):
+    # the largest term of SIM_ARGS fits, but not its 3 terms' buffer sets on
+    # 3 threads (LTFSM_THREADS=4, one term per block)
+    monkeypatch.setenv("LTFSM_THREADS", "4")
+    monkeypatch.setattr(process, "_physical_bytes", lambda: _term_bytes(0.5, 128))
+    code, out = _simulate(tmp_path, "threads.csv")
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "one buffer set per thread (threads = 3)" in err and "LTFSM_THREADS" in err
+    assert "Traceback" not in err
     assert list(tmp_path.iterdir()) == []  # no CSV and no manifest
 
 

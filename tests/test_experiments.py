@@ -33,6 +33,7 @@ from ltfsm.experiments import (
 )
 from ltfsm.process import _arrival_order_sum, _run_chunks, _rwrr_row_bytes, resolve_threads
 from ltfsm.streams import (
+    Philox,
     RandomStream,
     raw_to_uniform,
     uniform_to_exponential,
@@ -530,13 +531,13 @@ def test_lepage_samples_are_bitwise_invariant_to_the_chunk_budget(monkeypatch, t
 def test_run_chunks_reuses_one_buffer_set_across_blocks():
     seen = []
 
-    def worker(start, out, head, work):
-        seen.append((head, work))
+    def worker(start, out, bitgen, head, work):
+        seen.append((bitgen, head, work))
         # a block of fewer rows takes the leading rows, C-contiguous, so words
         # still convert to uniforms in place
         head, work = head[: len(out)], work[: len(out)]
         assert head.flags.c_contiguous and work.flags.c_contiguous
-        assert head.__array_interface__["data"] == seen[0][0].__array_interface__["data"]
+        assert head.__array_interface__["data"] == seen[0][1].__array_interface__["data"]
         head[:] = start
         out[:] = head[:, 0]
 
@@ -544,14 +545,26 @@ def test_run_chunks_reuses_one_buffer_set_across_blocks():
     out = np.zeros(12, np.int64)
     assert _run_chunks(worker, out, 5, 1, layouts) is out  # filled in place
     assert out.tolist() == [0] * 5 + [5] * 5 + [10] * 2
-    head, work = seen[0]
+    bitgen, head, work = seen[0]
+    assert isinstance(bitgen, Philox)
     assert head.shape == (5, 3) and head.dtype == np.uint64
     assert work.shape == (5, 2, 4) and work.dtype == np.float64
-    assert all(h is head and w is work for h, w in seen)
+    assert all(b is bitgen and h is head and w is work for b, h, w in seen)
     # another call gets its own set
     again = []
-    _run_chunks(lambda start, out, h, w: again.append(h), np.empty(5), 5, 1, layouts)
-    assert not np.shares_memory(again[0], head)
+    _run_chunks(lambda start, out, b, h, w: again.append((b, h)), np.empty(5), 5, 1, layouts)
+    assert again[0][0] is not bitgen and not np.shares_memory(again[0][1], head)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_run_chunks_runs_every_block_off_the_calling_thread(threads):
+    # at one thread too: run on the calling thread, a block's temporaries
+    # were faulted back in from the main heap at every block
+    ran = []
+    _run_chunks(lambda start, out, bitgen: ran.append(threading.get_ident()), np.empty(6), 1,
+                threads)
+    assert len(ran) == 6 and threading.get_ident() not in ran
+    assert len(set(ran)) <= threads
 
 
 @pytest.mark.parametrize("threads, total, sets", [(1, 12, 1), (2, 12, 2), (3, 6, 2), (6, 40, 6)])
@@ -562,15 +575,22 @@ def test_run_chunks_allocates_one_set_per_concurrent_block_in_the_calling_thread
     allocations = []
     empty = np.empty
 
-    def recording_empty(*args, **kwargs):
-        allocations.append(threading.get_ident())
-        return empty(*args, **kwargs)
+    def recording_empty(shape, *args, **kwargs):
+        if shape == (3,):  # the layout's, not those inside Philox
+            allocations.append(threading.get_ident())
+        return empty(shape, *args, **kwargs)
 
+    def recording_philox(*args, **kwargs):
+        bitgens.append(threading.get_ident())
+        return philox(*args, **kwargs)
+
+    bitgens, philox = [], process.Philox
     monkeypatch.setattr(np, "empty", recording_empty)
+    monkeypatch.setattr(process, "Philox", recording_philox)
     lock = threading.Lock()
     busy, used = set(), {}
 
-    def worker(start, out, buf):
+    def worker(start, out, bitgen, buf):
         with lock:
             assert id(buf) not in busy  # no two running blocks share a set
             busy.add(id(buf))
@@ -580,7 +600,7 @@ def test_run_chunks_allocates_one_set_per_concurrent_block_in_the_calling_thread
             busy.remove(id(buf))
 
     _run_chunks(worker, np.zeros(total), 3, threads, [((3,), np.float64)])
-    assert allocations == [caller] * sets
+    assert allocations == bitgens == [caller] * sets
     assert 1 <= len(used) <= sets == min(threads, -(-total // 3))
 
 
@@ -591,7 +611,7 @@ def test_run_chunks_starts_no_block_after_one_fails_and_raises_its_error(threads
     lock = threading.Lock()
     raised = []
 
-    def worker(start, out, buf):
+    def worker(start, out, bitgen, buf):
         error = RuntimeError(f"block at row {start}")
         with lock:
             raised.append(error)
@@ -605,7 +625,7 @@ def test_run_chunks_starts_no_block_after_one_fails_and_raises_its_error(threads
 
 @pytest.mark.parametrize("threads", [1, 2])
 def test_run_chunks_runs_every_block_in_the_callers_errstate(threads):
-    def worker(start, out, buf):
+    def worker(start, out, bitgen, buf):
         buf[:] = 1e300
         np.multiply(buf, buf, out=out)  # overflows
 
@@ -613,13 +633,14 @@ def test_run_chunks_runs_every_block_in_the_callers_errstate(threads):
         _run_chunks(worker, np.empty(8), 2, threads, [((2,), np.float64)])
 
 
-def test_run_chunks_stops_the_hand_out_when_an_interrupt_ends_the_wait(monkeypatch):
-    # both threads hold in their first block until the interrupt has
+@pytest.mark.parametrize("threads", [1, 2])
+def test_run_chunks_stops_the_hand_out_when_an_interrupt_ends_the_wait(monkeypatch, threads):
+    # every thread holds in its first block until the interrupt has
     # propagated; then no thread may take another of the 50 blocks
     release, lock, started, workers = threading.Event(), threading.Lock(), [], []
     join, start = threading.Thread.join, threading.Thread.start
 
-    def worker(start, out, buf):
+    def worker(start, out, bitgen, buf):
         with lock:
             started.append(start)
         release.wait(5.0)
@@ -631,17 +652,17 @@ def test_run_chunks_stops_the_hand_out_when_an_interrupt_ends_the_wait(monkeypat
     monkeypatch.setattr(threading.Thread, "join", interrupted_join)
     monkeypatch.setattr(threading.Thread, "start", lambda t: workers.append(t) or start(t))
     with pytest.raises(KeyboardInterrupt):
-        _run_chunks(worker, np.empty(50), 1, 2, [((1,), np.float64)])
+        _run_chunks(worker, np.empty(50), 1, threads, [((1,), np.float64)])
     release.set()
     for thread in workers:
         join(thread, 5.0)
         assert not thread.is_alive()
-    assert len(workers) == 2
-    assert 0 <= len(started) <= 2
+    assert len(workers) == threads
+    assert 0 <= len(started) <= threads
 
 
 def test_run_chunks_keeps_row_order_when_blocks_finish_out_of_order():
-    def worker(start, out, buf):
+    def worker(start, out, bitgen, buf):
         time.sleep(0.002 * (start % 3))  # later blocks often finish first
         out[:] = np.arange(start, start + len(out))
 
@@ -916,13 +937,37 @@ def test_a_series_replicate_is_checked_as_a_one_row_chunk(monkeypatch):
             series_path_ensemble(*call, RandomStream(1), grid_points=200, threads=1)
 
 
+@pytest.mark.parametrize(
+    "call, memory",
+    [
+        # 12.6 MB for one replicate, as a one-row chunk with its raw draw;
+        # four one-row sets of 8.4 MB
+        (lambda: series_path_ensemble(1.2, 0.7, 8, 64, 8, 4096, RandomStream(1), threads=4),
+         18 * 2**20),
+        # 1.6 MB for one replicate; four one-row sets of 1.6 MB
+        (lambda: lepage_marginal_samples(1.2, 100_000, 4, RandomStream(1), threads=4),
+         2 * _ARRIVAL_BYTES * 100_000),
+    ],
+    ids=["series", "lepage"],
+)
+def test_every_threads_buffer_set_counts_in_the_memory_refusal(monkeypatch, call, memory):
+    monkeypatch.setattr(process, "_physical_bytes", lambda: memory)
+    monkeypatch.setattr(experiments, "_substream_heads", _must_not_run)
+    monkeypatch.setattr(threading.Thread, "start", _must_not_run)
+    with pytest.raises(ValueError, match=r"one buffer set per thread \(threads = 4\)"):
+        call()
+
+
 @pytest.mark.parametrize("memory", ["exact", "unknown"])
 def test_a_replicate_that_fits_in_memory_or_an_unknown_size_runs(monkeypatch, memory):
     expect = (series_path_ensemble(1.2, 0.7, 3, 4, 2, 16, RandomStream(5)),
               lepage_marginal_samples(1.2, 50, 5, RandomStream(5)))
     # the replicate (for the series a one-row chunk: its raw draw, 16 * 4 *
-    # 16 B, outweighs its curves), then the returned array, of each call
-    probes = iter([_series_row_bytes(0.7, 4, 16) + 16 * 4 * 16, 8 * 3 * 21, 16 * 50, 8 * 5])
+    # 16 B, outweighs its curves), the returned array, then the one buffer
+    # set (one chunk, so one thread: 3 rows of 4 terms, each 3 head words, 32
+    # noise words and 34 work floats), of each call
+    probes = iter([_series_row_bytes(0.7, 4, 16) + 16 * 4 * 16, 8 * 3 * 21, 3 * 8 * 4 * 69,
+                   16 * 50, 8 * 5, 5 * 16 * 50])
     monkeypatch.setattr(process, "_physical_bytes",
                         lambda: next(probes) if memory == "exact" else None)
     got = (series_path_ensemble(1.2, 0.7, 3, 4, 2, 16, RandomStream(5)),

@@ -95,6 +95,23 @@ def test_eval_times_are_validated():
         discretized_occupation(path, 2, 0.0, np.array([[0.5]]))
 
 
+@pytest.mark.parametrize(
+    "x, times, name",
+    [
+        (0.0, [0.0, 0.5, math.nan], "eval_times must be finite"),
+        (0.0, [math.inf], "eval_times must be finite"),
+        (math.nan, [0.0, 0.5], "level x must be finite"),
+        (-math.inf, [0.5], "level x must be finite"),
+    ],
+)
+def test_non_finite_times_and_levels_are_refused_by_name(x, times, name):
+    # unrefused, a NaN time reads the t = 0 value and a NaN level gives NaN
+    # values
+    path = fbm_path(0.5, 1.0, 16, RandomStream(3))
+    with pytest.raises(ValueError, match=name):
+        discretized_occupation(path, 4, x, times)
+
+
 def test_occupation_mass_integrates_to_the_rectangle_total():
     # integrating I_k(x, T) over x recovers (m + 1)/m * T exactly (unit-mass
     # kernel, m + 1 rectangles of weight T/m)

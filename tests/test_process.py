@@ -475,6 +475,24 @@ def test_a_term_larger_than_physical_memory_is_refused_before_any_noise(monkeypa
     assert _cursor(stream)[1] == 3 * params.P  # the head only, no noise word
 
 
+def test_every_threads_buffer_set_counts_in_the_memory_refusal(monkeypatch):
+    # one term fits, and so do three (noise words, work) sets, but not four
+    cfg = SeriesConfig(alpha=1.3, hurst=0.7, grid_points=9, delta=0.1, delta_prime=0.2)
+    params = flat_params(8, 2, 4096)
+    three_sets = 3 * 8 * sum(_term_layout(0.7, 4096))
+    assert three_sets > _term_bytes(0.7, 4096)
+    expect = simulate_ltfsm(cfg, params, RandomStream(61), threads=1)
+    monkeypatch.setattr(process, "_physical_bytes", lambda: three_sets)
+    path = simulate_ltfsm(cfg, params, RandomStream(61), threads=3)
+    assert path.values.tobytes() == expect.values.tobytes()
+    monkeypatch.setattr(threading.Thread, "start", _must_not_run)
+    stream = RandomStream(61)
+    with pytest.raises(ValueError, match=r"one buffer set per thread \(threads = 4\) .* GiB "
+                                         r"of this machine; lower the thread count"):
+        simulate_ltfsm(cfg, params, stream, threads=4)
+    assert _cursor(stream)[1] == 3 * params.P  # the head only, no noise word
+
+
 @pytest.mark.parametrize("memory", ["exact", "unknown"])
 def test_a_term_that_fits_in_memory_or_an_unknown_size_runs(monkeypatch, memory):
     cfg = SeriesConfig(alpha=1.3, hurst=0.7, grid_points=9, delta=0.1, delta_prime=0.2)

@@ -100,14 +100,18 @@ def test_substream_words_rows_equal_the_per_substream_draws(width):
         RandomStream(2**64 + 3, 5).substream(2).substream(7),
         RandomStream(2**64 - 1, 2**64 - 1),
     )
+    bitgen = Philox(key=0)  # one generator, seated anew at every row
     for stream in streams:
         for start in (0, 9, 2**32 + 5):
-            rows = [b.random_raw(width) for b in _substream_heads(stream, start, 6)]
+            rows = []
+            for b in _substream_heads(bitgen, stream, start, 6):
+                assert b is bitgen
+                rows.append(b.random_raw(width))
             assert len(rows) == 6
             for r, words in enumerate(rows):
                 assert words.dtype == np.uint64
                 assert np.array_equal(words, stream.substream(start + r).raw(width))
-    assert list(_substream_heads(RandomStream(11), 4, 0)) == []
+    assert list(_substream_heads(bitgen, RandomStream(11), 4, 0)) == []
 
 
 def test_nested_substreams_depart_from_flat_ones():
