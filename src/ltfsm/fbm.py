@@ -34,9 +34,10 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
+
+from .streams import _guarded_cache
 
 __all__ = [
     "EmbeddingError",
@@ -120,7 +121,7 @@ def _autocovariance_into(hurst: float, j: np.ndarray, out: np.ndarray) -> np.nda
     return out
 
 
-@lru_cache(maxsize=64)
+@_guarded_cache
 def _embedding_coefficients(hurst: float, points: int):
     """Unit-spacing synthesis coefficients, or None if not nonneg. definite.
 
@@ -140,6 +141,11 @@ def _embedding_coefficients(hurst: float, points: int):
     its clipped real part is; the divide and the ``sqrt`` run in the memory
     of that part, which is returned.  So at most two of the row, the
     spectrum and the coefficients are alive at once.
+
+    Cached by :func:`ltfsm.streams._guarded_cache`: at most 64
+    ``(hurst, points)`` pairs, ``(m + 1) * 8`` bytes each, built at first
+    use; of several threads that need one pair at once, one builds it and
+    the others wait for it.  ``__wrapped__`` is the uncached build.
     """
     m = points
     length = 2 * m

@@ -69,8 +69,11 @@ else ``LTFSM_THREADS``, else the CPUs this process may use, at most as many
 as add 32 MB of working memory to the first; see :func:`resolve_threads`),
 each thread on a (noise words, work) set sized at the largest ``m``.  The
 calling thread first works out every term's ``m`` into an ``int64`` array
-(so the cap warnings fire there, in term order), their running total, and
-the embedding coefficients of every distinct ``m``.  A term's noise block
+(so the cap warnings fire there, in term order) and their running total.
+Each term builds the embedding coefficients of its ``m`` at first use, in
+its worker (``fbm._embedding_coefficients``, a cache of 64 sizes under one
+lock: of two threads that need one size, one builds it and the other
+waits), so a refused run builds none.  A term's noise block
 starts ``2 sum_{j<n} m_j`` words past the head's end; the worker adds that
 end as a Python int, so the offset is exact at any stream position, seats
 its set's Philox there (:func:`ltfsm.streams._seek`) and draws the words
@@ -127,7 +130,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import oracle
-from .fbm import _check_counts, _check_horizon, _embedding_coefficients, _fgn_into
+from .fbm import _check_counts, _check_horizon, _fgn_into
 from .localtime import _check_bandwidth, _phi_k_in_place, grid_index
 from .streams import (
     Philox,
@@ -384,9 +387,11 @@ def _noise_lead(hurst: float) -> int:
 def _term_bytes(hurst: float, m: int) -> int:
     """Peak working bytes of one :func:`simulate_ltfsm` thread at grid size
     ``m``: its noise words and work array, plus the larger transient of a
-    term, the raw words drawn (``8 m`` at H = 1/2, ``16 m`` in all) or the
-    inverse FFT's own scratch (about ``32 m`` at H != 1/2; a thread at
-    m = 2**18 measured 16 MiB of peak RSS, ``64 m`` bytes in all)."""
+    term, the raw words drawn (``8 m`` at H = 1/2, ``16 m`` in all) or, at
+    H != 1/2, the inverse FFT's own scratch (about ``32 m``; a thread at
+    m = 2**18 measured 16 MiB of peak RSS, ``64 m`` bytes in all) or the
+    first build of the embedding coefficients (``32 m``, their ``8 m``
+    kept in the cache included)."""
     return 8 * sum(_term_layout(hurst, m)) + (8 if hurst == 0.5 else 32) * m
 
 
@@ -623,9 +628,9 @@ def simulate_ltfsm(
     gammas, locations, weights = _series_head(stream.raw(3 * params.P), alpha, density)
     times = config.grid_times
     # before any noise is drawn, in this thread: the grid sizes (so the cap
-    # warnings fire here, in term order, and an overflow before any work),
-    # the memory check and the embedding coefficients (the cache has no lock;
-    # ascending, so the largest stay cached)
+    # warnings fire here, in term order, and an overflow before any work) and
+    # the memory check; each term builds its embedding coefficients in its
+    # worker, after every thread's buffer set has passed its check
     points = np.fromiter(
         (params.points_for(n + 1, float(gamma)) for n, gamma in enumerate(gammas)),
         np.int64, params.P,
@@ -635,9 +640,6 @@ def simulate_ltfsm(
     _check_memory(f"the largest term (m = {largest})", term_bytes,
                   "cap the grid size with max_points")
     key, head_end = _cursor(stream)
-    if hurst != 0.5:
-        for m in np.unique(points).tolist():
-            _embedding_coefficients(hurst, m)
     threads = resolve_threads(requested, term_bytes)
     lead = _noise_lead(hurst)
     # the running total of the points in int64: the noise block of term

@@ -74,8 +74,7 @@ array-API layer (``numpy.f2py``, ``numpy.testing``, ``unittest``,
 ``concurrent.futures``, ``logging`` and more).  The LePage marginal path
 draws only uniforms, exponentials and signs, so ``import ltfsm``, ``ltfsm
 --help``, ``stable-check`` and the option checks of every command load no
-SciPy ufunc.  A lock makes a first ufunc call from several threads at once
-safe.
+SciPy ufunc.
 
 While a leaf is imported, the parent's unexecuted module object stands in
 for the package in ``sys.modules``.  A package already imported is used
@@ -84,7 +83,8 @@ as it is, and the plain import is the fallback for a leaf that raises
 the very objects the packages re-export (``numpy.random.Philox is
 Philox``, ``scipy.special.ndtri is _special_ufunc("ndtri")`` after a later
 package import), so every variate is bitwise that of the package import.
-Two limits: during a first load (about 20 ms for SciPy; the ``Philox``
+Two limits: while a load runs (about 20 ms for SciPy's first, far less
+for a later ufunc name, whose compiled module is loaded; the ``Philox``
 load runs under the import of this module) ``sys.modules`` holds the
 unexecuted stand-in, so a first import of that package made then by
 another thread, not through this loader, would see an empty module; and a
@@ -92,6 +92,13 @@ later package import lacks, as attributes, the submodules loaded here
 before it ran (``numpy.random.bit_generator`` and ``_philox``; four
 private compiled submodules of ``scipy.special``, ``_gufuncs`` for one),
 which stay importable by name.
+
+Lazily built shared things: :func:`_guarded_cache` is the one cache for
+what the chunk threads build at first use, the ufuncs of
+:func:`_special_ufunc` and the circulant-embedding coefficients of
+``ltfsm.fbm`` (one array per Hurst index and grid size).  It keeps at most 64 entries per function, and one
+lock per function covers both the lookup and a first build, so a build
+runs once however many threads ask for it, and the others wait for it.
 """
 
 from __future__ import annotations
@@ -101,6 +108,7 @@ import importlib.util
 import sys
 import threading
 from dataclasses import dataclass, field
+from functools import lru_cache, update_wrapper
 
 import numpy as np
 
@@ -140,21 +148,30 @@ def _import_compiled(name: str):
 
 Philox = _import_compiled("numpy.random._philox").Philox
 
-# the module that holds SciPy's special-function ufuncs, once loaded
-_ufuncs = None
-_ufuncs_lock = threading.Lock()
+
+def _guarded_cache(loader):
+    """``loader`` memoized per argument tuple (``functools.lru_cache``, at
+    most 64 entries), under one lock per decorated function that covers both
+    the lookup and a first build: threads that ask for the same arguments at
+    once get the one object that the first of them built.  ``cache_info``
+    and ``cache_clear`` are those of the cache, and ``__wrapped__`` is the
+    raw ``loader``."""
+    cached = lru_cache(maxsize=64)(loader)
+    lock = threading.Lock()
+
+    def guarded(*args):
+        with lock:
+            return cached(*args)
+
+    guarded.cache_info, guarded.cache_clear = cached.cache_info, cached.cache_clear
+    return update_wrapper(guarded, loader)
 
 
+@_guarded_cache
 def _special_ufunc(name: str):
     """The ufunc ``scipy.special.<name>``, loaded at its first call by
-    :func:`_import_compiled`; a lock makes a first call from several threads
-    at once safe."""
-    global _ufuncs
-    if _ufuncs is None:
-        with _ufuncs_lock:
-            if _ufuncs is None:
-                _ufuncs = _import_compiled("scipy.special._ufuncs")
-    return getattr(_ufuncs, name)
+    :func:`_import_compiled`."""
+    return getattr(_import_compiled("scipy.special._ufuncs"), name)
 
 
 def _splitmix64(z: int) -> int:

@@ -10,6 +10,7 @@ import warnings
 import numpy as np
 import pytest
 
+import ltfsm.fbm
 import ltfsm.oracle
 from ltfsm import (
     ConfigError,
@@ -467,7 +468,7 @@ def test_a_term_larger_than_physical_memory_is_refused_before_any_noise(monkeypa
     cfg = SeriesConfig(alpha=1.3, hurst=0.7, grid_points=9, delta=0.1, delta_prime=0.2)
     params = flat_params(5, 2, 24)
     monkeypatch.setattr(process, "_physical_bytes", lambda: _term_bytes(0.7, 24) - 1)
-    monkeypatch.setattr(process, "_embedding_coefficients", _must_not_run)
+    monkeypatch.setattr(ltfsm.fbm, "_embedding_coefficients", _must_not_run)
     monkeypatch.setattr(process, "_run_chunks", _must_not_run)
     stream = RandomStream(61)
     with pytest.raises(ValueError, match=r"m = 24.*more than the .* GiB of this machine"):
@@ -486,11 +487,29 @@ def test_every_threads_buffer_set_counts_in_the_memory_refusal(monkeypatch):
     path = simulate_ltfsm(cfg, params, RandomStream(61), threads=3)
     assert path.values.tobytes() == expect.values.tobytes()
     monkeypatch.setattr(threading.Thread, "start", _must_not_run)
+    ltfsm.fbm._embedding_coefficients.cache_clear()
     stream = RandomStream(61)
     with pytest.raises(ValueError, match=r"one buffer set per thread \(threads = 4\) .* GiB "
                                          r"of this machine; lower the thread count"):
         simulate_ltfsm(cfg, params, stream, threads=4)
     assert _cursor(stream)[1] == 3 * params.P  # the head only, no noise word
+    assert ltfsm.fbm._embedding_coefficients.cache_info().misses == 0  # and no coefficient
+
+
+def test_a_tuned_path_builds_each_grid_size_once_past_the_cache_bound():
+    # 77 distinct sizes, more than the 64 the coefficient cache keeps; terms
+    # run in order and their sizes fall, so no size is needed after its turn
+    cfg = SeriesConfig(alpha=1.3, hurst=0.63, grid_points=9, delta=0.1, delta_prime=0.2)
+    params = TuningParams(P=80, N=0, k=2, k_power=4096.0, tail_exp=1.0)
+    sizes = {params.points_for(n, 0.0) for n in range(1, params.P + 1)}
+    assert len(sizes) == 77
+    cache = ltfsm.fbm._embedding_coefficients
+    paths = []
+    for threads in (1, 2):
+        cache.cache_clear()
+        paths.append(simulate_ltfsm(cfg, params, RandomStream(17), threads=threads))
+        assert cache.cache_info().misses == len(sizes)
+    assert paths[0].values.tobytes() == paths[1].values.tobytes()
 
 
 @pytest.mark.parametrize("memory", ["exact", "unknown"])

@@ -28,3 +28,26 @@ def clamp(x):
 def test_code_lines_skip_docstrings_comments_and_blanks_but_count_every_line_of_a_call():
     # ``def``, the second string, and the four lines of the call
     assert src_lines.code_lines(_SOURCE) == 6
+
+
+def _report(capsys, *dirs) -> dict[str, list[str]]:
+    """The report of ``src_lines.main`` on ``dirs``, its fields by name."""
+    assert src_lines.main([str(d) for d in dirs]) == 0
+    return {line.split()[0]: line.split()[1:] for line in capsys.readouterr().out.splitlines()}
+
+
+def test_a_package_against_itself_changes_by_zero_and_one_more_code_line_by_one(
+    capsys, tmp_path
+):
+    package = _PATH.parent.parent / "src" / "ltfsm"
+    same = _report(capsys, package, package)
+    assert "total" in same and "process.py" in same
+    assert all(delta == "+0" for _, delta in same.values())
+    for path in package.glob("*.py"):
+        (tmp_path / path.name).write_text(path.read_text())
+    with open(tmp_path / "fbm.py", "a") as fh:
+        fh.write("\n# a comment and one code line\nEXTRA = 1\n")
+    grown = _report(capsys, tmp_path, package)
+    changed = {name: fields for name, fields in grown.items() if fields[1] != "+0"}
+    assert changed == {"fbm.py": [str(int(same["fbm.py"][0]) + 1), "+1"],
+                       "total": [str(int(same["total"][0]) + 1), "+1"]}

@@ -1,6 +1,9 @@
 """Unit tests for the deterministic streams and the stable-law oracle."""
 
 import math
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -10,6 +13,7 @@ from ltfsm.oracle import _stable_from_uniforms, sample_stable_oracle
 from ltfsm.streams import (
     RandomStream,
     _cursor,
+    _guarded_cache,
     _seek,
     _substream_heads,
     _uniform_in_place,
@@ -299,3 +303,42 @@ def test_stable_oracle_domain_and_scalar_form():
         with pytest.raises(ValueError):
             sample_stable_oracle(alpha, RandomStream(1), 2)
     assert isinstance(sample_stable_oracle(1.2, RandomStream(15)), float)
+
+
+def test_guarded_cache_builds_a_key_once_for_threads_that_ask_at_once():
+    # more threads than cores, switching every microsecond: an unguarded
+    # lru_cache would let several of them miss and build the key
+    built = []
+
+    @_guarded_cache
+    def load(key):
+        built.append(key)
+        time.sleep(0.01)  # the others arrive while the build runs
+        return object()
+
+    threads = 8
+    barrier = threading.Barrier(threads)
+    got = [None] * threads
+
+    def ask(i):
+        barrier.wait(5.0)
+        got[i] = load("fresh")
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=ask, args=(i,)) for i in range(threads)]
+        for thread in workers:
+            thread.start()
+        for thread in workers:
+            thread.join(10.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in workers)
+    assert built == ["fresh"]
+    assert got[0] is not None and all(obj is got[0] for obj in got)
+    info = load.cache_info()
+    assert (info.hits, info.misses, info.maxsize) == (threads - 1, 1, 64)
+    assert load.__wrapped__("raw") is not got[0] and built == ["fresh", "raw"]
+    load.cache_clear()
+    assert load.cache_info().currsize == 0

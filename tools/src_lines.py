@@ -3,7 +3,11 @@
 A code line holds at least one token of Python code: blank lines, comment
 lines and docstring lines are left out.  Run from anywhere::
 
-    python3 tools/src_lines.py [package directory]
+    python3 tools/src_lines.py [package directory [base package directory]]
+
+With a base directory (say, an export of the parent commit's
+``src/ltfsm``), each line also gives the change against the base; a module
+missing from either side counts 0 there.
 """
 
 import ast
@@ -21,6 +25,8 @@ _SKIP = {
     tokenize.ENCODING,
     tokenize.ENDMARKER,
 }
+
+_PACKAGE = pathlib.Path(__file__).parent.parent / "src" / "ltfsm"
 
 _DOCUMENTED = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
 
@@ -44,14 +50,22 @@ def code_lines(source: str) -> int:
     return len(lines - docs)
 
 
+def _counts(root: pathlib.Path) -> dict[str, int]:
+    """Code lines of each module of the package directory ``root``, and
+    their ``total``."""
+    counts = {path.name: code_lines(path.read_text()) for path in sorted(root.glob("*.py"))}
+    counts["total"] = sum(counts.values())
+    return counts
+
+
 def main(argv: list[str]) -> int:
-    root = pathlib.Path(argv[0]) if argv else pathlib.Path(__file__).parent.parent / "src" / "ltfsm"
-    total = 0
-    for path in sorted(root.glob("*.py")):
-        n = code_lines(path.read_text())
-        total += n
-        print(f"{path.name:<16}{n:>6}")
-    print(f"{'total':<16}{total:>6}")
+    counts = _counts(pathlib.Path(argv[0]) if argv else _PACKAGE)
+    base = _counts(pathlib.Path(argv[1])) if len(argv) > 1 else None
+    modules = counts.keys() | (base or {}).keys()
+    for name in sorted(modules - {"total"}) + ["total"]:
+        n = counts.get(name, 0)
+        delta = "" if base is None else f"{n - base.get(name, 0):>+7}"
+        print(f"{name:<16}{n:>6}{delta}")
     return 0
 
 
