@@ -48,7 +48,9 @@ import numpy as np
 from . import __version__
 from .fbm import EmbeddingError
 from .experiments import cf_linearity_experiment, stable_marginal_check
-from .io import RunManifest, config_value_problem, manifest_path, read_config, write_csv
+from .io import (
+    RunManifest, _write_lines, config_value_problem, manifest_path, read_config, write_csv,
+)
 from .process import ConfigError, SeriesConfig, simulate_ltfsm, tune
 from .shotnoise import (
     approximation_bound_lp,
@@ -301,17 +303,14 @@ def _run(args: argparse.Namespace) -> int:
     _help, schema, handler = _COMMANDS[args.command]
     vals = _resolve(args, schema, args.command)
     code, lines, table = handler(vals)
-    text = "\n".join(
-        f"{key} = {value if isinstance(value, str) else format(value, '.12g')}"
-        for key, value in lines
-    )
+    report = [f"{key} = {value if isinstance(value, str) else format(value, '.12g')}"
+              for key, value in lines]
     out = vals["out"]
     if table is not None:
         write_csv(out, *table)
     elif out:
-        with open(out, "w", newline="") as fh:
-            fh.write(text + "\n")
-    print(text)
+        _write_lines(out, report)
+    print("\n".join(report))
     if out:
         RunManifest(
             command=args.command,

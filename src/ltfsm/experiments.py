@@ -7,60 +7,19 @@ single-path operation, so results are independent of the worker count
 driver reduces its replicates only after ``_run_chunks`` has filled the
 whole result.
 
-Every driver hands its chunk worker and its result array, allocated once,
-to ``_run_chunks`` (shared with :func:`ltfsm.process.simulate_ltfsm`), the
-only code that allocates chunk memory: the calling thread makes one buffer
-set (a ``Philox`` and the driver's arrays) per worker thread, and each
-thread takes chunks one at a time, each chunk using the leading rows of the
-thread's set and writing its rows of the result in place.  Chunk sizes
-follow from one byte budget, ``_CHUNK_BYTES`` (2 MB): each driver has a
-pure model of the peak working bytes of one replicate
-(``_series_row_bytes``, ``_ARRIVAL_BYTES`` per arrival), of one
-replicate's raw draw, the ``random_raw`` result that a row is copied from,
-and of what a replicate forms once its draws are freed (the series' curves),
-and a set holds as many replicates as fit next to the larger of one such
-draw and the rows' curves (``_chunk_rows``), or the whole call if that is
-smaller.  A replicate that alone needs more than physical memory (for the
-series, a one-row chunk) is refused with ``ValueError`` before any
-substream is drawn, and so are the sets of all the threads that together
-do (``_run_chunks``), a returned array that does (8 B per value),
-an empirical-CF statistic that does (``_CF_BYTES``, ``_TABLE_BYTES``), and
-a protocol whose statistic cannot be formed: a zero or non-finite CF
-frequency, fewer than 3 CF times or times whose line fit leaves the float
-range, fewer than 2 paths or samples, or an empty tail sweep or frequency
-list.  Chunks run on ``threads=`` workers, else ``LTFSM_THREADS``, else
-the CPUs, but no more than add 32 MB of buffers to the first
-(:func:`resolve_threads`; at most 17 for the series and LePage drivers);
-outputs are bitwise identical for any thread count.
-
-A chunk of replicates draws its rows from its thread's one Philox, seated
-at each row's substream head (see :func:`ltfsm.streams._substream_heads`),
-instead of building one :class:`~ltfsm.streams.RandomStream` per
-replicate.  Every chunk worker only seats substreams and draws raw words;
-the kernels convert them.  The series ensemble copies each row's words
-into its chunk's ``uint64`` head and noise buffers (the noise word slots
-of each term, by ``ltfsm.process._term_layout``,
-which also sizes the work array: none at H = 1/2, where the path is built in
-the noise slots).  The head kernel ``_series_head`` and the occupation
-kernel ``_occupation_curves`` turn those words into uniforms and normals in
-their own memory, the latter working on in the chunk's work array or at
-H = 1/2 in the noise buffer, and the terms are summed in arrival order in
-the curves' own memory
-(``_arrival_order_sum``; all three are shared with
-:func:`ltfsm.process.simulate_ltfsm`).  The
-random-walk ensemble runs the row kernel of
-:func:`ltfsm.process.simulate_rwrr_baseline`, ``_rwrr_row``, on each
-substream head's raw words, so its rows equal that function's paths bitwise;
-a row is a dozen short NumPy calls that hold the interpreter lock, so more
-threads do not speed it up.
-The arrival-series drivers (:func:`lepage_marginal_samples`,
-:func:`tail_moment_sweep`) share one chunk worker, ``_arrival_sums``, that
-draws each chunk into its two ``uint64`` buffers, the exponential
-words and the sign words.  The exponential block becomes uniforms, arrival
-times and powers in its own memory, and the Rademacher signs are applied as
-sign-bit flips from the sign block (see the :mod:`ltfsm.streams` docstring),
-so a chunk holds 16 B per arrival and no float temporaries; the results are
-bitwise those of converting every word to a uniform.
+Where each rule lives: chunk memory and threads, ``ltfsm.process._run_chunks``
+(shared with :func:`ltfsm.process.simulate_ltfsm`) on
+:func:`~ltfsm.process.resolve_threads` workers, so outputs are bitwise
+identical for any thread count; chunk sizes, :func:`_chunk_rows` from one
+byte budget, ``_CHUNK_BYTES``, and each driver's model of one replicate;
+the memory refusals, ``_check_series``, ``_check_paths``,
+``_check_arrivals`` and ``ltfsm.process._check_rwrr``; a chunk's rows from
+one Philox, :func:`ltfsm.streams._substream_heads`.  Every chunk worker
+only seats substreams and draws raw words, and the kernels convert them:
+the series kernels of :mod:`ltfsm.process`, its random-walk row kernel
+``_rwrr_row``, and :func:`_signed_arrival_sums` for the arrival-series
+drivers.  A protocol whose statistic cannot be formed is refused before any
+draw, as its docstring states.
 
 The series drivers use fixed per-term sizes (:func:`ltfsm.process.flat_params`
 style): ``terms`` series terms, kernel bandwidth ``bandwidth`` and ``points``
@@ -77,8 +36,8 @@ from functools import partial
 
 import numpy as np
 
-from .fbm import _check_counts, _check_horizon, _check_hurst
-from .localtime import _check_bandwidth, grid_index
+from .fbm import _check_alpha, _check_counts, _check_hurst, _check_positive
+from .localtime import _check_bandwidth, _grid_times, grid_index
 from .oracle import sample_stable_oracle
 from .process import (
     _arrival_order_sum,
@@ -111,7 +70,7 @@ __all__ = [
 ]
 
 
-# Peak working bytes of one chunk in flight (see the module docstring).
+# Peak working bytes of one chunk in flight (see :func:`_chunk_rows`).
 _CHUNK_BYTES = 2_000_000
 
 # Arrival-series drivers, per arrival: the chunk holds 16 B of words (the
@@ -172,10 +131,9 @@ def _check_series(alpha, hurst, n_paths, terms, bandwidth, points, horizon, grid
     replicate that alone needs more than physical memory: a one-row chunk,
     its working bytes next to the larger of its raw draw and its curves.
     Return those three sizes, the arguments of :func:`_chunk_rows`."""
-    if not 0.0 < alpha < 2.0:
-        raise ValueError("alpha must lie in (0, 2)")
+    _check_alpha(alpha)
     _check_hurst(hurst)
-    _check_horizon(horizon)
+    _check_positive("horizon", horizon)
     _check_density(density)
     _check_counts(n_paths=n_paths, terms=terms, points=points, grid_points=grid_points)
     _check_bandwidth(bandwidth)
@@ -205,7 +163,11 @@ def series_path_ensemble(
     Replicate ``j`` consumes, from ``stream.substream(j)``: ``terms``
     exponentials (arrivals), ``terms`` normals (weights), ``terms`` location
     variates, then ``terms`` blocks of ``2 * points`` normals (fBm noise) --
-    the same order as :func:`ltfsm.process.simulate_ltfsm`.
+    the same order as :func:`ltfsm.process.simulate_ltfsm`.  A chunk copies
+    each row's words into its ``uint64`` head and noise buffers (each term's
+    noise word slots, by ``ltfsm.process._term_layout``), and runs the head
+    kernel, the occupation kernel and the arrival-order sum of that module
+    on them.
     """
     sizes = _check_series(alpha, hurst, n_paths, terms, bandwidth, points, horizon,
                           grid_points, density)
@@ -213,7 +175,7 @@ def series_path_ensemble(
     threads = resolve_threads(threads, _CHUNK_BYTES)
     m = points
     p = terms
-    idx = grid_index(m, horizon, np.arange(grid_points + 1) * (horizon / grid_points))
+    idx = grid_index(m, horizon, _grid_times(horizon, grid_points))
     kept, floats = _term_layout(hurst, m)
     lead = _noise_lead(hurst)
 
@@ -255,7 +217,9 @@ def rwrr_path_ensemble(
 
     Row ``j`` is bitwise ``simulate_rwrr_baseline(alpha, steps, grid_points,
     stream.substream(j), horizon).values``: both run the row kernel
-    ``_rwrr_row``, here on the raw words of its chunk thread's Philox.
+    ``_rwrr_row``, here on the raw words of its chunk thread's Philox.  A
+    row is a dozen short NumPy calls that hold the interpreter lock, so more
+    threads do not speed it up.
     """
     _check_rwrr(alpha, steps, grid_points, horizon, n_paths)
     _check_paths(n_paths, grid_points)
@@ -334,7 +298,7 @@ def cf_linearity_experiment(
     else:
         _check_rwrr(alpha, steps, n_times, horizon, n_paths)
         ensemble = partial(rwrr_path_ensemble, alpha, n_paths, steps)
-    times = np.arange(1, n_times + 1) * (horizon / n_times)
+    times = _grid_times(horizon, n_times)[1:]
     _sum_of_squares(times - times.mean(), f"the {n_times} CF times on (0, {horizon:g}]")
     _check_paths(n_paths, n_times, _CF_BYTES)
     values = ensemble(stream, horizon=horizon, grid_points=n_times, threads=threads)
@@ -410,8 +374,10 @@ def _arrival_sums(
     alpha: float, arrivals: int, skip: int, count: int, stream: RandomStream, threads: int
 ) -> np.ndarray:
     """``count`` replicates of ``sum_{n = skip + 1}^{arrivals} Gamma_n**(-1/alpha)
-    * eps_n``.  Replicate ``j`` consumes from ``stream.substream(j)``:
-    ``arrivals`` exponentials, then ``arrivals - skip`` signs."""
+    * eps_n``, the chunk worker of both arrival-series drivers.  Replicate
+    ``j`` consumes from ``stream.substream(j)``: ``arrivals`` exponentials,
+    then ``arrivals - skip`` signs, drawn into the chunk's two ``uint64``
+    buffers, the exponential words and the sign words."""
     signs = arrivals - skip
     # the larger raw draw of a row is its exponential words
     chunk_rows = _chunk_rows(_ARRIVAL_BYTES * arrivals, 8 * arrivals)
@@ -440,8 +406,7 @@ def lepage_marginal_samples(
     Replicate ``j`` consumes from ``stream.substream(j)``: ``terms``
     exponentials, then ``terms`` signs.
     """
-    if not 0.0 < alpha < 2.0:
-        raise ValueError("alpha must lie in (0, 2)")
+    _check_alpha(alpha)
     _check_counts(terms=terms, n_samples=n_samples)
     _check_arrivals(terms)
     _check_memory(f"{n_samples} samples", 8 * n_samples, "lower the number of samples")
@@ -523,11 +488,10 @@ def tail_moment_sweep(
     The sweep for the i-th entry of ``n_values`` runs on
     ``stream.substream(i)``; replicate ``j`` of a sweep consumes from
     ``substream(j)``: ``factor * N`` exponentials, then ``factor * N - N``
-    signs (tail terms only).  Every N must be an integer >= 1, and no N may
-    repeat.
+    signs (tail terms only), on one thread.  ``n_values`` must not be
+    empty, every N must be an integer >= 1, and no N may repeat.
     """
-    if not 0.0 < alpha < 2.0:
-        raise ValueError("alpha must lie in (0, 2)")
+    _check_alpha(alpha)
     _check_counts(factor=factor)
     _check_counts(least=2, replicates=replicates)
     n_values = list(n_values)
@@ -586,24 +550,10 @@ def representation_cf_table(
     _check_series(alpha, hurst, n_paths, terms, bandwidth, points, horizon, grid_points,
                   "laplace")
     _check_paths(n_paths, grid_points, _TABLE_BYTES)
-    common = dict(
-        alpha=alpha,
-        hurst=hurst,
-        n_paths=n_paths,
-        terms=terms,
-        bandwidth=bandwidth,
-        points=points,
-        horizon=horizon,
-        grid_points=grid_points,
-        threads=threads,
+    laplace, gaussian = (
+        series_path_ensemble(alpha, hurst, n_paths, terms, bandwidth, points, stream.substream(i),
+                             horizon, grid_points, density, threads)
+        for i, density in enumerate(("laplace", "gaussian"))
     )
-    values_l = series_path_ensemble(
-        stream=stream.substream(0), density="laplace", **common
-    )
-    values_g = series_path_ensemble(
-        stream=stream.substream(1), density="gaussian", **common
-    )
-    return [
-        (u, empirical_cf(values_l[:, 1:], u), empirical_cf(values_g[:, 1:], u))
-        for u in u_values
-    ]
+    return [(u, empirical_cf(laplace[:, 1:], u), empirical_cf(gaussian[:, 1:], u))
+            for u in u_values]

@@ -61,9 +61,19 @@ def _check_hurst(hurst: float) -> None:
         raise ValueError("hurst must lie in (0, 1)")
 
 
-def _check_horizon(horizon: float) -> None:
-    if not 0.0 < horizon < math.inf:  # NaN fails the comparison too
-        raise ValueError("horizon must be finite and > 0")
+def _check_alpha(alpha: float) -> None:
+    """Refuse a stability index outside (0, 2), where the shot-noise series
+    converges (NaN fails the comparison too); the stable laws it is checked
+    against allow alpha = 2 as well (``oracle._check_stable_alpha``)."""
+    if not 0.0 < alpha < 2.0:
+        raise ValueError("alpha must lie in (0, 2)")
+
+
+def _check_positive(name: str, value: float) -> None:
+    """Refuse, by name, a ``value`` that is not finite and > 0 (NaN fails
+    the comparison too)."""
+    if not 0.0 < value < math.inf:
+        raise ValueError(f"{name} must be finite and > 0")
 
 
 def _check_counts(least: int = 1, **counts: int) -> None:
@@ -72,11 +82,6 @@ def _check_counts(least: int = 1, **counts: int) -> None:
     for name, value in counts.items():
         if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
             raise ValueError(f"{name} must be an integer >= {least}")
-
-
-def _check_spacing(spacing: float) -> None:
-    if not 0.0 < spacing < math.inf:
-        raise ValueError("spacing must be finite and > 0")
 
 
 def fbm_covariance(s, t, hurst: float):
@@ -94,7 +99,7 @@ def fbm_covariance(s, t, hurst: float):
 def increment_autocovariance(hurst: float, lags, spacing: float = 1.0):
     """Autocovariance of the increment process at integer lags."""
     _check_hurst(hurst)
-    _check_spacing(spacing)
+    _check_positive("spacing", spacing)
     j = np.abs(np.asarray(lags, dtype=float))
     c = _autocovariance_into(hurst, j, np.empty_like(j))
     c *= spacing ** (2.0 * hurst)
@@ -123,7 +128,8 @@ def _autocovariance_into(hurst: float, j: np.ndarray, out: np.ndarray) -> np.nda
 
 @_guarded_cache
 def _embedding_coefficients(hurst: float, points: int):
-    """Unit-spacing synthesis coefficients, or None if not nonneg. definite.
+    """Unit-spacing synthesis coefficients; :class:`EmbeddingError` if the
+    embedding is not nonnegative definite.
 
     For the even circulant embedding of length ``L = 2 * points`` with first
     row ``[c_0 .. c_m, c_{m-1} .. c_1]`` the eigenvalues are the FFT of the
@@ -157,7 +163,9 @@ def _embedding_coefficients(hurst: float, points: int):
     lam = spectrum.real
     tol = _EIG_RTOL * float(lam.max(initial=0.0))
     if lam.min() < -tol:
-        return None
+        raise EmbeddingError(
+            f"circulant embedding is not nonnegative definite for hurst={hurst}, points={m}"
+        )
     coef = np.clip(lam, 0.0, None)
     del spectrum, lam
     ends = coef[0] / length, coef[m] / length
@@ -185,7 +193,7 @@ def fgn_from_noise(
     """
     _check_hurst(hurst)
     _check_counts(points=points)
-    _check_spacing(spacing)
+    _check_positive("spacing", spacing)
     noise = np.asarray(noise, dtype=float)
     if noise.shape[-1] != 2 * points:
         raise ValueError("noise block must have length 2 * points")
@@ -223,11 +231,6 @@ def _half_spectrum(hurst: float, noise: np.ndarray, half: np.ndarray) -> np.ndar
     ``m + 1``) and return ``half``; ``noise`` is only read."""
     m = noise.shape[-1] // 2
     coef = _embedding_coefficients(hurst, m)
-    if coef is None:
-        raise EmbeddingError(
-            "circulant embedding is not nonnegative definite for "
-            f"hurst={hurst}, points={m}"
-        )
     # the imaginary parts of the DC and Nyquist terms are zero; rounding is
     # sign-symmetric, so the product with -coef is bitwise the negated
     # product, and negating m coefficients is cheaper than a strided pass
@@ -268,7 +271,7 @@ def fbm_path(hurst: float, horizon: float, points: int, stream) -> FbmPath:
     is exactly 0.
     """
     _check_hurst(hurst)
-    _check_horizon(horizon)
+    _check_positive("horizon", horizon)
     _check_counts(points=points)
     values = np.empty(points + 1)
     values[0] = 0.0

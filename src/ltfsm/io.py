@@ -47,6 +47,12 @@ def write_csv(path: str, header: list[str], columns: list[np.ndarray]) -> None:
     lines = [",".join(header)]
     for i in range(n):
         lines.append(",".join(format_value(col[i]) for col in columns))
+    _write_lines(path, lines)
+
+
+def _write_lines(path: str, lines: list[str]) -> None:
+    """Write ``lines`` to ``path``, each ended by ``\\n``: the bytes of every
+    CSV, manifest and report file."""
     with open(path, "w", newline="") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -106,5 +112,4 @@ class RunManifest:
             lines.append(f"{key} = {format_value(self.config[key])}")
         for out in self.outputs:
             lines.append(f"output = {out}")
-        with open(path, "w", newline="") as fh:
-            fh.write("\n".join(lines) + "\n")
+        _write_lines(path, lines)

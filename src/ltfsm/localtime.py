@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fbm import FbmPath
+from .fbm import FbmPath, _check_positive
 
 __all__ = [
     "kernel_phi",
@@ -57,9 +57,7 @@ def _check_bandwidth(k: int) -> None:
 def kernel_phi_k(k: int, x):
     """Rescaled kernel ``k * phi(k x)``: unit mass, support ``[-1/k, 1/k]``."""
     _check_bandwidth(k)
-    x = np.asarray(x, dtype=float)
-    out = k * np.maximum(0.0, 1.0 - np.abs(k * x))
-    return out if out.ndim else float(out)
+    return float(k) * kernel_phi(k * np.asarray(x, dtype=float))
 
 
 def _phi_k_in_place(k: int, x: np.ndarray) -> np.ndarray:
@@ -72,6 +70,12 @@ def _phi_k_in_place(k: int, x: np.ndarray) -> np.ndarray:
     np.maximum(x, 0.0, out=x)
     x *= k
     return x
+
+
+def _grid_times(horizon: float, grid_points: int) -> np.ndarray:
+    """The closed output grid ``i * (horizon / grid_points)``, ``i = 0 ..
+    grid_points``."""
+    return np.arange(grid_points + 1) * (horizon / grid_points)
 
 
 def grid_index(points: int, horizon: float, times) -> np.ndarray:
@@ -120,8 +124,7 @@ def occupation_oracle(path: FbmPath, bin_width: float, x: float, t: float) -> fl
     Time spent (rectangle weight ``T / m``) at grid values within
     ``bin_width / 2`` of ``x`` up to time ``t``, divided by ``bin_width``.
     """
-    if not 0.0 < bin_width < np.inf:  # NaN fails the comparison too
-        raise ValueError("bin_width must be finite and > 0")
+    _check_positive("bin_width", bin_width)
     if not 0.0 <= t <= path.horizon * (1.0 + 1e-12):
         raise ValueError("t must lie within [0, horizon]")
     m = path.points

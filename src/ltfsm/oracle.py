@@ -28,10 +28,17 @@ import numpy as np
 __all__ = ["sample_stable_oracle"]
 
 
-def sample_stable_oracle(alpha: float, stream, size: int | None = None):
-    """Draw standard symmetric alpha-stable variates, ``alpha`` in (0, 2]."""
+def _check_stable_alpha(alpha: float) -> None:
+    """Refuse a stability index outside (0, 2], the range of the symmetric
+    stable laws (NaN fails the comparison too); the shot-noise series needs
+    alpha < 2 (``fbm._check_alpha``)."""
     if not 0.0 < alpha <= 2.0:
         raise ValueError("alpha must lie in (0, 2]")
+
+
+def sample_stable_oracle(alpha: float, stream, size: int | None = None):
+    """Draw standard symmetric alpha-stable variates, ``alpha`` in (0, 2]."""
+    _check_stable_alpha(alpha)
     n = 1 if size is None else int(size)
     x = _stable_from_uniforms(alpha, stream.uniform(2 * n))
     return float(x[0]) if size is None else x

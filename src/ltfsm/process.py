@@ -37,85 +37,22 @@ Draw order for one path (one stream, strictly sequential): P exponentials
 (arrivals), P normals (weights), P location variates, then per term
 ``n = 1 .. P`` one block of ``2 * m_{n,k}`` normals for the fBm increments.
 
-Words in, curves out: the drivers only seat streams and draw raw words, and
-every variate transform runs inside the two series kernels, in the words'
-own memory.  ``_series_head`` takes the first ``3 P`` raw words (one path
-or a block of rows), makes them uniforms and maps them through
-``_DENSITIES``, the one table of the two importance pairs.
-``_occupation_curves`` takes each term's noise words and makes them
-uniforms, normals, fGn, the path and its kernel prefix sums.  One function,
-``_term_layout``, states a term's buffers: its noise word slots (all ``2 m``
-words of its block; at H = 1/2 the first ``m``, which is all the fGn step
-reads, after one slot for the path's exact 0) and its work floats (none at
-H = 1/2, where the path is built in the words' own memory).  Every memory
-model, both drivers' buffer layouts and the per-term draw read it.
+Where each rule lives:
 
-Chunk memory has one rule: ``_run_chunks`` is the only code that allocates
-it.  The caller allocates the result once; each block's worker fills its
-rows of it in place.  Before any block runs, the calling thread makes one
-buffer set per worker thread (``min(threads, blocks)``): a ``Philox`` and
-arrays in the caller's layouts, refused with ``ValueError`` when all the
-sets together need more than physical memory.  Every block runs on a started
-thread, at any count; each thread keeps its set and takes the next block
-until none is left or a block has failed, so later blocks reuse memory that
-is already faulted in, and a failure stops the run after at most the blocks
-already running; so does an interrupt of the calling thread while it waits.
-Each thread runs in a copy of the caller's context, so a caller's
-``np.errstate`` holds on every thread.
-
-Given the head, the terms are independent, and the stream is counter-based,
-so :func:`simulate_ltfsm` hands out its terms one at a time (to ``threads=``,
-else ``LTFSM_THREADS``, else the CPUs this process may use, at most as many
-as add 32 MB of working memory to the first; see :func:`resolve_threads`),
-each thread on a (noise words, work) set sized at the largest ``m``.  The
-calling thread first works out every term's ``m`` into an ``int64`` array
-(so the cap warnings fire there, in term order) and their running total.
-Each term builds the embedding coefficients of its ``m`` at first use, in
-its worker (``fbm._embedding_coefficients``, a cache of 64 sizes under one
-lock: of two threads that need one size, one builds it and the other
-waits), so a refused run builds none.  A term's noise block
-starts ``2 sum_{j<n} m_j`` words past the head's end; the worker adds that
-end as a Python int, so the offset is exact at any stream position, seats
-its set's Philox there (:func:`ltfsm.streams._seek`) and draws the words
-the term keeps.  Each thread peaks near ``64 m`` bytes at H != 1/2 (``16 m`` at
-H = 1/2; ``_term_bytes``), and the head and the curves need at most
-``P (128 + 8 (grid_points + 1))`` bytes (``_path_bytes``).  Two runs are
-refused with ``ValueError`` (``_check_memory``; no check where
-``os.sysconf`` cannot tell the size): one whose head and curves together
-need more than the machine's physical memory, before the head is drawn (at
-alpha = 1.2 a tune at ``epsilon = 0.01`` asks for 10**9 terms); and one whose largest
-term alone does (an uncapped tune at small ``epsilon`` asks for billions
-of points), before any embedding coefficient, buffer or noise word.
-
-:class:`TuningParams` is plain data: ``P``, ``N``, ``k``, ``k_power =
-k**((2 + delta)/delta')``, ``head_exp = 1/(delta' alpha)``, ``tail_exp =
-beta/delta'`` and ``max_points``; :func:`flat_params` is the rule with
-``N = 0``, ``k_power = points`` and no cap.  The two series drivers,
-:func:`simulate_ltfsm` (one row per term) and
-:func:`ltfsm.experiments.series_path_ensemble` (one row per term and
-replicate), share the head kernel ``_series_head``, the curve kernel
-``_occupation_curves`` (uniforms and ``ndtri`` in place, fGn through
-``fbm._fgn_into``, the one fGn step, then cumulative path and kernel prefix
-sums) and the arrival-order sum ``_arrival_order_sum``; they
-differ only in scheduling, per-term sizes and how they form the
-coefficients ``Gamma_n**(-1/alpha)``.  So the path is bitwise that of the
-sequential term loop for any thread count, and the stream is left just
-past the last noise block.  The kernel works in memory its caller owns: the
-noise words, which become uniforms and normals, and the array that holds the
-path, the tent kernel (in place, bitwise
-:func:`~ltfsm.localtime.kernel_phi_k`) and its prefix sums.  At H != 1/2
-that is a work array, which first holds the half spectrum (the inverse FFT
-runs into the normals); at H = 1/2 it is the words themselves, scaled in
-place.
-
-:func:`simulate_rwrr_baseline` and
-:func:`ltfsm.experiments.rwrr_path_ensemble` check their arguments with
-``_check_rwrr`` and run one row kernel, ``_rwrr_row``, on a raw-word draw
-(``RandomStream.raw`` for the one path, a substream head's ``random_raw``
-for each ensemble row).  The kernel takes
-the steps from the sign bits, shifts the sites in place, draws the rewards
-through the oracle transform and reads the grid partial sums (one gather,
-one ``cumsum``, one fancy index).
+* words in, curves out: the drivers only seat streams and draw raw words.
+  The head kernel ``_series_head`` (through ``_DENSITIES``, the one table of
+  the two importance pairs) and the curve kernel ``_occupation_curves``
+  turn them into variates in their own memory, and ``_arrival_order_sum``
+  sums the terms.  Both series drivers, :func:`simulate_ltfsm` and
+  :func:`ltfsm.experiments.series_path_ensemble`, run these three; they
+  differ only in scheduling, per-term sizes and how they form the
+  coefficients ``Gamma_n**(-1/alpha)``;
+* a term's buffers: ``_term_layout``;
+* chunk memory and threads: ``_run_chunks``, on :func:`resolve_threads`
+  workers;
+* memory refusals: ``_check_memory``, with the models ``_term_bytes`` and
+  ``_path_bytes``;
+* the random-walk baseline: ``_check_rwrr`` and the row kernel ``_rwrr_row``.
 """
 
 from __future__ import annotations
@@ -129,9 +66,9 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from . import oracle
-from .fbm import _check_counts, _check_horizon, _fgn_into
-from .localtime import _check_bandwidth, _phi_k_in_place, grid_index
+from . import fbm, oracle
+from .fbm import _check_counts, _check_positive, _fgn_into
+from .localtime import _check_bandwidth, _grid_times, _phi_k_in_place, grid_index
 from .streams import (
     Philox,
     _cursor,
@@ -244,7 +181,7 @@ class SeriesConfig:
 
     @property
     def grid_times(self) -> np.ndarray:
-        return np.arange(self.grid_points + 1) * (self.horizon / self.grid_points)
+        return _grid_times(self.horizon, self.grid_points)
 
 
 _FLOAT_FIELDS = tuple(f.name for f in fields(SeriesConfig) if f.type == "float")
@@ -252,8 +189,10 @@ _FLOAT_FIELDS = tuple(f.name for f in fields(SeriesConfig) if f.type == "float")
 
 @dataclass(frozen=True)
 class TuningParams:
-    """Realized simulation sizes: truncation ``P``, head length ``N``,
-    bandwidth ``k``, and the numbers of the per-term grid rule."""
+    """Realized simulation sizes, plain data: truncation ``P``, head length
+    ``N``, bandwidth ``k``, and the numbers of the per-term grid rule,
+    ``k_power = k**((2 + delta)/delta')``, ``head_exp = 1/(delta' alpha)``,
+    ``tail_exp = beta/delta'`` and ``max_points``."""
 
     P: int
     N: int
@@ -333,7 +272,8 @@ def tune(config: SeriesConfig) -> TuningParams:
 
 
 def flat_params(terms: int, bandwidth: int, points: int) -> TuningParams:
-    """Fixed-size parameters (every term uses the same grid).
+    """Fixed-size parameters (every term uses the same grid): the grid rule
+    with ``N = 0``, ``k_power = points`` and no cap.
 
     This is the desk-scale alternative to :func:`tune` used by the Monte
     Carlo drivers: the tuned per-term grids are far beyond laptop budgets for
@@ -372,7 +312,8 @@ def _term_layout(hurst: float, m: int) -> tuple[int, int]:
     array the complex half spectrum (``m + 1`` values), then the path.  At
     H = 1/2 the fGn step reads only the first ``m`` words; they fill slots
     ``1 .. m``, and the path is built in the slots' own memory, slot 0
-    holding its exact 0, so there is no work array."""
+    holding its exact 0, so there is no work array.  Every memory model,
+    both drivers' buffer layouts and the per-term draw read it."""
     if hurst == 0.5:
         return m + 1, 0
     return 2 * m, 2 * (m + 1)
@@ -614,10 +555,33 @@ def simulate_ltfsm(
     forms agree in law.
 
     The terms run on ``threads`` workers (see :func:`resolve_threads`), which
-    take them one at a time; the path is bitwise the same for any count, and
-    ``stream`` is left just past the last noise block.  The value at t = 0
-    is exactly 0 (the grid's first point overrides the i = 0 rectangle of
-    the occupation sums).
+    take them one at a time, each thread on one (noise words, work) set
+    sized at the largest ``m``; the path is bitwise that of the sequential
+    term loop for any count, and ``stream`` is left just past the last noise
+    block.  The value at t = 0 is exactly 0 (the grid's first point
+    overrides the i = 0 rectangle of the occupation sums).
+
+    The calling thread first works out every term's ``m`` into an ``int64``
+    array (so the cap warnings fire there, in term order) and their running
+    total.  Term ``n``'s noise block starts ``2 sum_{j<n} m_j`` words past
+    the head's end; its worker adds that end as a Python int, so the offset
+    is exact at any stream position.  At H != 1/2 the worker first asks for
+    the embedding coefficients of its ``m`` (built at first use, see
+    ``fbm._embedding_coefficients``), so the build's transient never sits
+    beside the term's own noise words, then seats its set's Philox at the offset
+    (:func:`ltfsm.streams._seek`) and draws the words the term keeps.  Terms
+    run in order, and the grid rule's sizes fall with ``n`` within the head
+    and within the tail, so a path builds each size once unless 64 other
+    sizes come between two of its terms.
+
+    Two runs are refused with ``ValueError`` (``_check_memory``): one whose
+    head and curves together need more than physical memory, before the
+    head is drawn (at alpha = 1.2 a tune at ``epsilon = 0.01`` asks for
+    10**9 terms); and one whose largest term alone does (an uncapped tune at
+    small ``epsilon`` asks for billions of points), before any embedding
+    coefficient, buffer or noise word.  So are the threads' buffer sets
+    (``_run_chunks``), and the workers run only after that check, so a
+    refused run builds no coefficient.
     """
     _check_density(density)
     requested = _requested_threads(threads)
@@ -627,10 +591,8 @@ def simulate_ltfsm(
                   "raise epsilon or lower the grid size")
     gammas, locations, weights = _series_head(stream.raw(3 * params.P), alpha, density)
     times = config.grid_times
-    # before any noise is drawn, in this thread: the grid sizes (so the cap
-    # warnings fire here, in term order, and an overflow before any work) and
-    # the memory check; each term builds its embedding coefficients in its
-    # worker, after every thread's buffer set has passed its check
+    # before any noise is drawn, in this thread: the grid sizes (an overflow
+    # before any work) and the memory check
     points = np.fromiter(
         (params.points_for(n + 1, float(gamma)) for n, gamma in enumerate(gammas)),
         np.int64, params.P,
@@ -649,14 +611,15 @@ def simulate_ltfsm(
     def worker(n: int, out: np.ndarray, bitgen, words: np.ndarray, work: np.ndarray) -> None:
         m = int(points[n])
         kept = _term_layout(hurst, m)[0]
+        if hurst != 0.5:  # built before the term's words are drawn, not beside them
+            fbm._embedding_coefficients(hurst, m)
         _seek(bitgen, key, head_end + 2 * (int(ends[n]) - m))
         words[lead:kept] = bitgen.random_raw(kept - lead)
         idx = grid_index(m, horizon, times)
         out[:] = _occupation_curves(hurst, m, horizon, k, words[None, :kept], locations[n],
                                     idx, work)
 
-    # one term per block; one (noise words, work) set per thread, sized at the
-    # largest term
+    # one term per block
     layouts = list(zip(_term_layout(hurst, largest), (np.uint64, np.float64)))
     curves = _run_chunks(worker, np.empty((params.P, len(times))), 1, threads, layouts)
     _seek(stream._bitgen, key, head_end + 2 * int(ends[-1]))
@@ -691,17 +654,15 @@ def simulate_rwrr_baseline(
     """
     _check_rwrr(alpha, steps, grid_points, horizon)
     values = _rwrr_row(alpha, stream.raw, steps, grid_points)
-    times = np.arange(grid_points + 1) * (horizon / grid_points)
-    return SamplePath(times=times, values=values)
+    return SamplePath(times=_grid_times(horizon, grid_points), values=values)
 
 
 def _check_rwrr(alpha, steps, grid_points, horizon, n_paths=1) -> None:
     """Reject, by name, random-walk arguments out of range, and a walk that
     alone needs more than physical memory, before anything is drawn."""
-    if not 0.0 < alpha <= 2.0:
-        raise ValueError("alpha must lie in (0, 2]")
+    oracle._check_stable_alpha(alpha)
     _check_counts(n_paths=n_paths, steps=steps, grid_points=grid_points)
-    _check_horizon(horizon)
+    _check_positive("horizon", horizon)
     _check_memory(f"one walk ({steps} steps)", _rwrr_row_bytes(steps), "lower steps")
 
 
@@ -721,15 +682,17 @@ def _rwrr_row_bytes(steps: int) -> int:
 def _rwrr_row(alpha, draw, steps, grid_points) -> np.ndarray:
     """The ``grid_points + 1`` values of one :func:`simulate_rwrr_baseline`
     path, from ``draw(n)``, which returns the next ``n`` raw words as a fresh
-    ``uint64`` array.
+    ``uint64`` array (``RandomStream.raw`` for the one path, a substream
+    head's ``random_raw`` for each row of
+    :func:`ltfsm.experiments.rwrr_path_ensemble`).
 
     Step ``j`` is +1 iff the top bit of sign word ``j`` is set (the sign-bit
     identity of :mod:`ltfsm.streams`).  The positions overwrite the sign
     words, shifted so that the lowest visited site is 0; the rewards of the
     visited sites, in ascending site order, are the oracle transform of the
     next ``2 * sites`` words.  Grid point ``i`` reads the partial sum after
-    ``floor(steps * i / grid_points)`` steps, and the empty sum before the
-    first step is exactly 0.
+    ``floor(steps * i / grid_points)`` steps (one gather, one ``cumsum``,
+    one fancy index), and the empty sum before the first step is exactly 0.
     """
     words = draw(steps)
     words >>= np.uint64(63)  # 1 iff the step is +1

@@ -16,9 +16,7 @@ Gamma-function ratios are evaluated in log space (``gammaln``) for stability
 at large arguments.  :func:`bound_B_q` (for q != 2) and :func:`bound_H_nq`
 take ``gammaln`` from :func:`ltfsm.streams._special_ufunc` when they first
 need it, after their own argument checks, so importing this module loads
-nothing of SciPy, and a bound loads only its compiled ufunc module (3.8 MiB
-of resident memory), not the ``scipy.special`` package; see
-:mod:`ltfsm.streams`, which also states the loader's limits.  Each public
+nothing of SciPy (see that function for what a bound loads).  Each public
 budget returns a finite float, or raises ``ValueError`` naming itself when
 its value leaves the float range (``bounds --Mq 1e308``, or ``--q 300`` at
 alpha = 1.99), so the CLI exits 2 and writes nothing.
@@ -30,6 +28,7 @@ import functools
 import math
 from dataclasses import asdict, dataclass
 
+from .fbm import _check_alpha, _check_positive
 from .streams import _special_ufunc
 
 __all__ = [
@@ -82,10 +81,8 @@ def bound_B_q(q: float) -> float:
 @_in_float_range
 def bound_H_nq(n: int, q: float, alpha: float) -> float:
     """Gamma-ratio factor ``Gamma(n - q/alpha) * n**(q/alpha) / Gamma(n)``."""
-    if not 0.0 < alpha < 2.0:
-        raise ValueError("alpha must lie in (0, 2)")
-    if not 0.0 < q < math.inf:
-        raise ValueError("q must be finite and > 0")
+    _check_alpha(alpha)
+    _check_positive("q", q)
     r = q / alpha
     if not (float(n).is_integer() and n > r):
         raise ValueError("n must be an integer that exceeds q / alpha")
@@ -106,8 +103,7 @@ def _a_prime_q(q: float, alpha: float, beta: float) -> float:
 def _check_bound_args(N: int, q: float, alpha: float) -> None:
     if not (float(N).is_integer() and N >= 1):
         raise ValueError("N must be an integer >= 1")
-    if not 0.0 < alpha < 2.0:
-        raise ValueError("alpha must lie in (0, 2)")
+    _check_alpha(alpha)
     if not 2.0 <= q < math.inf:
         raise ValueError("q must be finite and >= 2")
 
@@ -117,8 +113,7 @@ def _check_lp_args(q: float, p: float, vol_k: float) -> None:
         raise ValueError("p must be finite and >= 1")
     if not q > max(p, 2.0):
         raise ValueError("q must exceed max(p, 2)")
-    if not 0.0 < vol_k < math.inf:
-        raise ValueError("vol_k must be finite and > 0")
+    _check_positive("vol_k", vol_k)
 
 
 # -- truncation budget ----------------------------------------------------------

@@ -26,31 +26,6 @@ into several yields the identical sequence, so higher layers may document draw
 are the single source of the transforms; batched drivers apply them to raw
 blocks and get bitwise the same variates as the stream methods.
 
-Batched substream rows: :func:`_substream_heads` seats the caller's Philox
-(one per chunk thread, made by ``ltfsm.process._run_chunks``) at the head of
-each of many consecutive child substreams in turn.  Philox is counter-based,
-so a child stream is nothing but a key with the counter at 0; resetting the
-key, counter and output buffer of one bit generator gives the same words as
-building ``stream.substream(j)``, without the OS-entropy pull that every
-``Philox`` construction makes (``_philox_key`` defines the key layout for
-both).  The child ids of a whole chunk come from one vectorized
-``uint64`` SplitMix64 pass (:func:`_mix64` stays the scalar reference, used by
-:meth:`RandomStream.substream`), and each reset assigns a state of plain
-Python ints, which the bit generator reads faster than numpy arrays.
-
-Seeking: word ``i`` of a stream comes from counter block ``i // 4 + 1``
-(the generator steps its counter before it fills its 4-word buffer), so
-:func:`_seek` seats a generator at any word offset with one state reset and
-at most three discarded words, and :func:`_cursor` reads the offset of a
-stream's next word.  A worker may thus draw any block of a stream without
-drawing the words before it.
-
-In-place uniforms: ``((w >> 11) + 0.5) * 2**-53`` is exact apart from one
-rounding of the sum, so it can run in the memory of the words themselves
-(``_uniform_in_place``), bitwise equal to :func:`raw_to_uniform`.
-:meth:`RandomStream.uniform` and the batched drivers convert their freshly
-drawn words this way; :func:`raw_to_uniform` stays the reference.
-
 Sign-bit identity: the Rademacher sign of a raw word ``w`` is ``+1`` exactly
 when the top bit of ``w`` is set (``u >= 1/2`` iff ``w >> 11 >= 2**52``), and
 multiplying a float by ``+-1.0`` only flips its sign bit.  A kernel that holds
@@ -58,47 +33,12 @@ raw words may therefore apply signs by XOR-ing the complement of each sign
 word's top bit into the float's sign bit, bitwise equal to
 ``x * uniform_to_rademacher(raw_to_uniform(w))``.
 
-Start-up: two compiled modules are imported without running the package
-around them, by :func:`_import_compiled`, the only code that reaches either
-package.  ``Philox`` comes from ``numpy.random._philox`` (with
-``numpy.random.bit_generator`` and ``_common``, which it needs), at module
-import: the ``numpy.random`` package would also load ``mtrand``,
-``Generator``, PCG64, MT19937, SFC64 and the bounded-integer tables, about
-1.5 MiB of resident memory that ltfsm never uses.  The normals (``ndtri``)
-and the Gamma-function bounds of :mod:`ltfsm.shotnoise` (``gammaln``) take
-SciPy's compiled ufuncs from :func:`_special_ufunc` at their first call,
-not at module import: the compiled module ``scipy.special._ufuncs`` and its
-compiled siblings (3.8 MiB, 0.02 s), without the ``scipy.special``
-package, whose ``__init__`` adds about 14 MiB and 0.25 s more through an
-array-API layer (``numpy.f2py``, ``numpy.testing``, ``unittest``,
-``concurrent.futures``, ``logging`` and more).  The LePage marginal path
-draws only uniforms, exponentials and signs, so ``import ltfsm``, ``ltfsm
---help``, ``stable-check`` and the option checks of every command load no
-SciPy ufunc.
-
-While a leaf is imported, the parent's unexecuted module object stands in
-for the package in ``sys.modules``.  A package already imported is used
-as it is, and the plain import is the fallback for a leaf that raises
-``ImportError`` without its package's code.  The classes and ufuncs are
-the very objects the packages re-export (``numpy.random.Philox is
-Philox``, ``scipy.special.ndtri is _special_ufunc("ndtri")`` after a later
-package import), so every variate is bitwise that of the package import.
-Two limits: while a load runs (about 20 ms for SciPy's first, far less
-for a later ufunc name, whose compiled module is loaded; the ``Philox``
-load runs under the import of this module) ``sys.modules`` holds the
-unexecuted stand-in, so a first import of that package made then by
-another thread, not through this loader, would see an empty module; and a
-later package import lacks, as attributes, the submodules loaded here
-before it ran (``numpy.random.bit_generator`` and ``_philox``; four
-private compiled submodules of ``scipy.special``, ``_gufuncs`` for one),
-which stay importable by name.
-
-Lazily built shared things: :func:`_guarded_cache` is the one cache for
-what the chunk threads build at first use, the ufuncs of
-:func:`_special_ufunc` and the circulant-embedding coefficients of
-``ltfsm.fbm`` (one array per Hurst index and grid size).  It keeps at most 64 entries per function, and one
-lock per function covers both the lookup and a first build, so a build
-runs once however many threads ask for it, and the others wait for it.
+Where each rule lives: uniforms in the words' own memory,
+``_uniform_in_place``; many substreams from one generator,
+``_substream_heads``; any word offset of a stream, ``_seek`` and
+``_cursor``; NumPy's ``Philox`` and SciPy's ufuncs without their packages,
+``_import_compiled`` and ``_special_ufunc``; what the chunk threads build
+at first use, ``_guarded_cache``.
 """
 
 from __future__ import annotations
@@ -128,11 +68,25 @@ _GOLDEN = 0x9E3779B97F4A7C15
 
 def _import_compiled(name: str):
     """The compiled leaf module ``name`` (``numpy.random._philox``,
-    ``scipy.special._ufuncs``), imported without running its parent package
-    (see the module docstring): the parent's unexecuted module object stands
-    in for it while the leaf is imported.  A parent already imported is used
-    as it is, and the plain import is the fallback for a leaf that needs its
-    package's code."""
+    ``scipy.special._ufuncs``), imported without running its parent package:
+    the parent's unexecuted module object stands in for it in
+    ``sys.modules`` while the leaf is imported.  The only code that reaches
+    either package.  A parent already imported is used as it is, and the
+    plain import is the fallback for a leaf that raises ``ImportError``
+    without its package's code.  The classes and ufuncs are the very objects
+    the packages re-export (``numpy.random.Philox is Philox``,
+    ``scipy.special.ndtri is _special_ufunc("ndtri")`` after a later package
+    import), so every variate is bitwise that of the package import.
+
+    Two limits: while a load runs (about 20 ms for SciPy's first, far less
+    for a later ufunc name, whose compiled module is loaded; the ``Philox``
+    load runs under the import of this module) ``sys.modules`` holds the
+    unexecuted stand-in, so a first import of that package made then by
+    another thread, not through this loader, would see an empty module; and
+    a later package import lacks, as attributes, the submodules loaded here
+    before it ran (``numpy.random.bit_generator`` and ``_philox``; four
+    private compiled submodules of ``scipy.special``, ``_gufuncs`` for one),
+    which stay importable by name."""
     parent = name.rpartition(".")[0]
     if parent in sys.modules:
         return importlib.import_module(name)
@@ -146,6 +100,10 @@ def _import_compiled(name: str):
         return importlib.import_module(name)
 
 
+# at module import, with ``numpy.random.bit_generator`` and ``_common``, which
+# it needs: the ``numpy.random`` package would also load ``mtrand``,
+# ``Generator``, PCG64, MT19937, SFC64 and the bounded-integer tables, about
+# 1.5 MiB of resident memory that ltfsm never uses
 Philox = _import_compiled("numpy.random._philox").Philox
 
 
@@ -155,7 +113,8 @@ def _guarded_cache(loader):
     the lookup and a first build: threads that ask for the same arguments at
     once get the one object that the first of them built.  ``cache_info``
     and ``cache_clear`` are those of the cache, and ``__wrapped__`` is the
-    raw ``loader``."""
+    raw ``loader``.  It holds the ufuncs of :func:`_special_ufunc` and the
+    circulant-embedding coefficients of ``ltfsm.fbm``."""
     cached = lru_cache(maxsize=64)(loader)
     lock = threading.Lock()
 
@@ -170,7 +129,16 @@ def _guarded_cache(loader):
 @_guarded_cache
 def _special_ufunc(name: str):
     """The ufunc ``scipy.special.<name>``, loaded at its first call by
-    :func:`_import_compiled`."""
+    :func:`_import_compiled`: the normals (``ndtri``) and the Gamma-function
+    bounds of :mod:`ltfsm.shotnoise` (``gammaln``) load it at their first
+    use, not at module import.  That loads the compiled module
+    ``scipy.special._ufuncs`` and its compiled siblings (3.8 MiB, 0.02 s),
+    without the ``scipy.special`` package, whose ``__init__`` adds about 14
+    MiB and 0.25 s more through an array-API layer (``numpy.f2py``,
+    ``numpy.testing``, ``unittest``, ``concurrent.futures``, ``logging`` and
+    more).  The LePage marginal path draws only uniforms, exponentials and
+    signs, so ``import ltfsm``, ``ltfsm --help``, ``stable-check`` and the
+    option checks of every command load no SciPy ufunc."""
     return getattr(_import_compiled("scipy.special._ufuncs"), name)
 
 
@@ -213,6 +181,9 @@ def _uniform_in_place(words: np.ndarray) -> np.ndarray:
     exactly, through ``int64``, which is the fast cast.  The cast runs on a
     1-d view, which numpy converts element by element in place; a
     multi-dimensional one would be staged through a temporary copy.
+    :meth:`RandomStream.uniform` and the batched drivers convert their
+    freshly drawn words this way; :func:`raw_to_uniform` stays the
+    reference.
     """
     flat = words.reshape(-1)
     flat >>= np.uint64(11)
@@ -319,7 +290,9 @@ def poisson_arrivals(count: int, stream) -> np.ndarray:
 
 def _substream_ids(stream: RandomStream, start: int, rows: int) -> list[int]:
     """``_mix64(stream.substream_id, start + r)`` for ``r < rows``, in one
-    ``uint64`` numpy pass (numpy's array arithmetic wraps mod ``2**64``)."""
+    ``uint64`` numpy pass (numpy's array arithmetic wraps mod ``2**64``);
+    :func:`_mix64` stays the scalar reference, used by
+    :meth:`RandomStream.substream`."""
     z = np.arange(rows, dtype=np.uint64)
     z *= np.uint64(_GOLDEN)
     z += np.uint64((stream.substream_id + _GOLDEN * (start + 1)) & _MASK64)
@@ -362,17 +335,25 @@ def _seek(bitgen: Philox, key: list[int], offset: int) -> Philox:
     """Seat ``bitgen`` at raw word ``offset`` of the stream with key words
     ``key``: counter ``offset // 4`` with an empty buffer, then ``offset % 4``
     words discarded.  Its next words are that stream's words from ``offset``
-    on, whatever ``bitgen`` drew before."""
+    on, whatever ``bitgen`` drew before, so a worker may draw any block of a
+    stream without drawing the words before it."""
     bitgen.state = _philox_state(key, offset // 4)
     bitgen.random_raw(offset % 4)
     return bitgen
 
 
 def _substream_heads(bitgen: Philox, stream: RandomStream, start: int, rows: int):
-    """Iterator that yields ``bitgen`` ``rows`` times, each time seated at
-    the head of ``stream.substream(start + r)``: its raw words are those of
+    """Iterator that yields ``bitgen`` (one per chunk thread, made by
+    ``ltfsm.process._run_chunks``) ``rows`` times, each time seated at the
+    head of ``stream.substream(start + r)``: its raw words are those of
     that substream, and a row may draw any number of them in any number of
-    calls."""
+    calls.
+
+    Philox is counter-based, so a child stream is nothing but a key with
+    the counter at 0: resetting the key, counter and output buffer of one
+    bit generator gives the words of ``stream.substream(j)`` without the
+    OS-entropy pull that every ``Philox`` construction makes
+    (``_philox_key`` defines the key layout for both)."""
     # assigning the head state with a new key restarts the generator at the
     # head of that substream
     key = list(_philox_key(stream.seed, 0))

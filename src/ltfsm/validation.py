@@ -12,6 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .oracle import _check_stable_alpha
+
 __all__ = [
     "CfEstimate",
     "empirical_cf",
@@ -148,8 +150,7 @@ def fit_scale_by_cf(samples, alpha: float) -> float:
     x = np.asarray(samples, dtype=float).ravel()
     if len(x) < 2:
         raise ValueError("need at least 2 samples")
-    if not 0.0 < alpha <= 2.0:
-        raise ValueError("alpha must lie in (0, 2]")
+    _check_stable_alpha(alpha)
     base = float(np.median(np.abs(x), overwrite_input=True))
     if base <= 0.0:
         raise ValueError("degenerate sample: median absolute value is 0")

@@ -248,12 +248,16 @@ def test_increment_autocovariance_is_bitwise_the_reference(lags, spacing):
     assert np.shape(got) == np.shape(want)
 
 
+_NON_DEFINITE = r"not nonnegative definite for hurst=0\.999, points=262144$"
+
+
 def test_a_non_definite_embedding_has_no_coefficients():
     assert _reference_coefficients(0.999, 262_144) is None
-    assert fbm_module._embedding_coefficients.__wrapped__(0.999, 262_144) is None
+    with pytest.raises(EmbeddingError, match=_NON_DEFINITE):
+        fbm_module._embedding_coefficients.__wrapped__(0.999, 262_144)
 
 
-def test_non_definite_embeddings_fail_loudly(monkeypatch):
-    monkeypatch.setattr(fbm_module, "_embedding_coefficients", lambda h, p: None)
-    with pytest.raises(EmbeddingError):
-        fgn_from_noise(0.7, 8, 1.0, np.zeros(16))
+def test_non_definite_embeddings_fail_loudly():
+    # the real non-definite size, through the cache and the half spectrum
+    with pytest.raises(EmbeddingError, match=_NON_DEFINITE):
+        fgn_from_noise(0.999, 262_144, 1.0, np.zeros(524_288))

@@ -40,7 +40,7 @@ from ltfsm.process import (
     _term_layout,
     resolve_threads,
 )
-from ltfsm.streams import RandomStream, _cursor, uniform_to_laplace_half
+from ltfsm.streams import RandomStream, _cursor, _seek, uniform_to_laplace_half
 
 
 # -- configuration validation -----------------------------------------------------
@@ -510,6 +510,29 @@ def test_a_tuned_path_builds_each_grid_size_once_past_the_cache_bound():
         paths.append(simulate_ltfsm(cfg, params, RandomStream(17), threads=threads))
         assert cache.cache_info().misses == len(sizes)
     assert paths[0].values.tobytes() == paths[1].values.tobytes()
+
+
+def test_each_term_builds_a_new_size_before_it_seats_its_philox(monkeypatch):
+    # the build's transient must not sit beside the term's noise words
+    cfg = SeriesConfig(alpha=1.3, hurst=0.63, grid_points=9, delta=0.1, delta_prime=0.2)
+    params = TuningParams(P=12, N=0, k=2, k_power=4096.0, tail_exp=1.0)
+    sizes = [params.points_for(n, 0.0) for n in range(1, params.P + 1)]
+    cache = ltfsm.fbm._embedding_coefficients
+    built_at_seek = []
+
+    def seek(*args):
+        built_at_seek.append(cache.cache_info().misses)
+        return _seek(*args)
+
+    monkeypatch.setattr(process, "_seek", seek)
+    cache.cache_clear()
+    simulate_ltfsm(cfg, params, RandomStream(17), threads=1)
+    # one seek per term, in term order, then the stream's own
+    assert built_at_seek[:-1] == [len(set(sizes[: n + 1])) for n in range(params.P)]
+    cache.cache_clear()
+    simulate_ltfsm(SeriesConfig(alpha=1.3, hurst=0.5, grid_points=9), flat_params(3, 2, 64),
+                   RandomStream(17), threads=1)
+    assert cache.cache_info().misses == 0  # H = 1/2 needs none
 
 
 @pytest.mark.parametrize("memory", ["exact", "unknown"])

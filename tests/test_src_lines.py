@@ -1,5 +1,5 @@
-"""The code-line count of ``tools/src_lines.py``, which reports the line
-delta of ``src/`` for each change."""
+"""The code- and prose-line counts of ``tools/src_lines.py``, which reports
+the line deltas of ``src/`` for each change."""
 
 import importlib.util
 import pathlib
@@ -26,8 +26,13 @@ def clamp(x):
 
 
 def test_code_lines_skip_docstrings_comments_and_blanks_but_count_every_line_of_a_call():
-    # ``def``, the second string, and the four lines of the call
-    assert src_lines.code_lines(_SOURCE) == 6
+    # code: ``def``, the second string, and the four lines of the call;
+    # prose: the two docstrings' three lines and the comment line
+    assert src_lines.line_counts(_SOURCE) == (6, 4)
+
+
+def test_a_trailing_comment_leaves_a_code_line_and_a_blank_line_is_neither():
+    assert src_lines.line_counts("x = 1  # one\n\n# two\n") == (1, 1)
 
 
 def _report(capsys, *dirs) -> dict[str, list[str]]:
@@ -42,12 +47,13 @@ def test_a_package_against_itself_changes_by_zero_and_one_more_code_line_by_one(
     package = _PATH.parent.parent / "src" / "ltfsm"
     same = _report(capsys, package, package)
     assert "total" in same and "process.py" in same
-    assert all(delta == "+0" for _, delta in same.values())
+    assert all(fields[2:] == ["+0", "+0"] for fields in same.values())
     for path in package.glob("*.py"):
         (tmp_path / path.name).write_text(path.read_text())
     with open(tmp_path / "fbm.py", "a") as fh:
         fh.write("\n# a comment and one code line\nEXTRA = 1\n")
     grown = _report(capsys, tmp_path, package)
-    changed = {name: fields for name, fields in grown.items() if fields[1] != "+0"}
-    assert changed == {"fbm.py": [str(int(same["fbm.py"][0]) + 1), "+1"],
-                       "total": [str(int(same["total"][0]) + 1), "+1"]}
+    changed = {name: fields for name, fields in grown.items() if fields[2:] != ["+0", "+0"]}
+    # one more code line and one more prose line, the comment
+    assert changed == {name: [str(int(n) + 1) for n in same[name][:2]] + ["+1", "+1"]
+                       for name in ("fbm.py", "total")}

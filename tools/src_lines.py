@@ -1,13 +1,16 @@
-"""Count the code lines of ``src/ltfsm``, per module and in total.
+"""Count the code and prose lines of ``src/ltfsm``, per module and in total.
 
-A code line holds at least one token of Python code: blank lines, comment
-lines and docstring lines are left out.  Run from anywhere::
+A code line holds at least one token of Python code, docstrings left out.
+A prose line is any other line of a docstring or a comment (a line with code
+and a trailing comment is a code line), so blank lines are the rest.  Run
+from anywhere::
 
     python3 tools/src_lines.py [package directory [base package directory]]
 
-With a base directory (say, an export of the parent commit's
-``src/ltfsm``), each line also gives the change against the base; a module
-missing from either side counts 0 there.
+Each line gives a module's name, its code lines and its prose lines.  With
+a base directory (say, an export of the parent commit's ``src/ltfsm``), it
+also gives the change of both against the base; a module missing from
+either side counts 0 there.
 """
 
 import ast
@@ -40,21 +43,25 @@ def _docstring_lines(tree: ast.Module) -> set[int]:
     return lines
 
 
-def code_lines(source: str) -> int:
-    """Number of lines of ``source`` that carry code."""
+def line_counts(source: str) -> tuple[int, int]:
+    """Numbers of lines of ``source`` that carry code and that carry only
+    prose (docstrings and comments)."""
     docs = _docstring_lines(ast.parse(source))
-    lines = set()
+    code, comments = set(), set()
     for tok in tokenize.generate_tokens(io.StringIO(source).readline):
-        if tok.type not in _SKIP:
-            lines.update(range(tok.start[0], tok.end[0] + 1))
-    return len(lines - docs)
+        if tok.type == tokenize.COMMENT:
+            comments.add(tok.start[0])
+        elif tok.type not in _SKIP:
+            code.update(range(tok.start[0], tok.end[0] + 1))
+    code -= docs
+    return len(code), len((docs | comments) - code)
 
 
-def _counts(root: pathlib.Path) -> dict[str, int]:
-    """Code lines of each module of the package directory ``root``, and
-    their ``total``."""
-    counts = {path.name: code_lines(path.read_text()) for path in sorted(root.glob("*.py"))}
-    counts["total"] = sum(counts.values())
+def _counts(root: pathlib.Path) -> dict[str, tuple[int, int]]:
+    """Code and prose lines of each module of the package directory
+    ``root``, and their ``total``."""
+    counts = {path.name: line_counts(path.read_text()) for path in sorted(root.glob("*.py"))}
+    counts["total"] = tuple(map(sum, zip(*counts.values())))
     return counts
 
 
@@ -63,9 +70,12 @@ def main(argv: list[str]) -> int:
     base = _counts(pathlib.Path(argv[1])) if len(argv) > 1 else None
     modules = counts.keys() | (base or {}).keys()
     for name in sorted(modules - {"total"}) + ["total"]:
-        n = counts.get(name, 0)
-        delta = "" if base is None else f"{n - base.get(name, 0):>+7}"
-        print(f"{name:<16}{n:>6}{delta}")
+        code, prose = counts.get(name, (0, 0))
+        line = f"{name:<16}{code:>6}{prose:>7}"
+        if base is not None:
+            base_code, base_prose = base.get(name, (0, 0))
+            line += f"{code - base_code:>+7}{prose - base_prose:>+7}"
+        print(line)
     return 0
 
 
