@@ -321,6 +321,19 @@ def _run(args: argparse.Namespace) -> int:
     return code
 
 
+def _join_values(argv: list[str], flags: set[str]) -> list[str]:
+    """``argv`` with each of ``flags`` joined to the token after it, as
+    ``--flag=value``: every option takes exactly one value, and argparse
+    would read ``--beta -1e-3`` as two flags (it takes a token that starts
+    with ``-`` for a value only when it reads like ``-1`` or ``-.5``)."""
+    tokens = iter(argv)
+    joined = []
+    for token in tokens:
+        value = next(tokens, None) if token in flags else None
+        joined.append(token if value is None else f"{token}={value}")
+    return joined
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="ltfsm",
@@ -328,12 +341,14 @@ def main(argv=None) -> int:
         "processes (local-time fractional stable motion and friends).",
     )
     sub = parser.add_subparsers(dest="command")
+    flags = {"--config"}
     for name, (help_text, schema, _handler) in _COMMANDS.items():
         command = sub.add_parser(name, help=help_text)
         command.add_argument("--config", default=None, help="flat key = value file")
         for flag, (typ, _default, _least, _keyword) in schema.items():
             command.add_argument(f"--{flag}", type=typ, default=None)
-    args = parser.parse_args(argv)
+            flags.add(f"--{flag}")
+    args = parser.parse_args(_join_values(sys.argv[1:] if argv is None else argv, flags))
     if args.command is None:
         parser.print_help()
         return 2

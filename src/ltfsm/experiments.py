@@ -36,8 +36,8 @@ from functools import partial
 
 import numpy as np
 
-from .fbm import _check_alpha, _check_counts, _check_hurst, _check_positive
-from .localtime import _check_bandwidth, _grid_times, grid_index
+from .fbm import _check_alpha, _check_counts, _check_hurst, _check_positive, _grid_times
+from .localtime import _check_bandwidth, grid_index
 from .oracle import sample_stable_oracle
 from .process import (
     _arrival_order_sum,

@@ -243,6 +243,12 @@ def _half_spectrum(hurst: float, noise: np.ndarray, half: np.ndarray) -> np.ndar
     return half
 
 
+def _grid_times(horizon: float, grid_points: int) -> np.ndarray:
+    """The closed grid ``i * (horizon / grid_points)``, ``i = 0 ..
+    grid_points``: an fBm path's times, and every output grid."""
+    return np.arange(grid_points + 1) * (horizon / grid_points)
+
+
 @dataclass(frozen=True)
 class FbmPath:
     """One fBm sample on the closed uniform grid 0 = t_0 < ... < t_m = T."""
@@ -261,7 +267,7 @@ class FbmPath:
 
     @property
     def times(self) -> np.ndarray:
-        return np.arange(self.points + 1) * self.spacing
+        return _grid_times(self.horizon, self.points)
 
 
 def fbm_path(hurst: float, horizon: float, points: int, stream) -> FbmPath:

@@ -72,12 +72,6 @@ def _phi_k_in_place(k: int, x: np.ndarray) -> np.ndarray:
     return x
 
 
-def _grid_times(horizon: float, grid_points: int) -> np.ndarray:
-    """The closed output grid ``i * (horizon / grid_points)``, ``i = 0 ..
-    grid_points``."""
-    return np.arange(grid_points + 1) * (horizon / grid_points)
-
-
 def grid_index(points: int, horizon: float, times) -> np.ndarray:
     """Indices ``floor(points * t / horizon)`` with a roundoff guard."""
     t = np.asarray(times, dtype=float)

@@ -36,12 +36,11 @@ def _check_stable_alpha(alpha: float) -> None:
         raise ValueError("alpha must lie in (0, 2]")
 
 
-def sample_stable_oracle(alpha: float, stream, size: int | None = None):
-    """Draw standard symmetric alpha-stable variates, ``alpha`` in (0, 2]."""
+def sample_stable_oracle(alpha: float, stream, size: int) -> np.ndarray:
+    """Draw ``size`` standard symmetric alpha-stable variates, ``alpha`` in
+    (0, 2]."""
     _check_stable_alpha(alpha)
-    n = 1 if size is None else int(size)
-    x = _stable_from_uniforms(alpha, stream.uniform(2 * n))
-    return float(x[0]) if size is None else x
+    return _stable_from_uniforms(alpha, stream.uniform(2 * int(size)))
 
 
 def _stable_from_uniforms(alpha: float, u: np.ndarray) -> np.ndarray:

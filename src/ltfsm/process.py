@@ -67,8 +67,8 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import fbm, oracle
-from .fbm import _check_counts, _check_positive, _fgn_into
-from .localtime import _check_bandwidth, _grid_times, _phi_k_in_place, grid_index
+from .fbm import _check_counts, _check_positive, _fgn_into, _grid_times
+from .localtime import _check_bandwidth, _phi_k_in_place, grid_index
 from .streams import (
     Philox,
     _cursor,

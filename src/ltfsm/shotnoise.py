@@ -67,8 +67,7 @@ def _in_float_range(bound):
 @_in_float_range
 def bound_B_q(q: float) -> float:
     """Gaussian q-th-moment constant; 1 at q = 2, increasing in q."""
-    if not 2.0 <= q < math.inf:
-        raise ValueError("q must be finite and >= 2")
+    _check_q(q)
     if q == 2.0:
         return 1.0
     gammaln = _special_ufunc("gammaln")  # loaded on first use; see the module docstring
@@ -100,12 +99,26 @@ def _a_prime_q(q: float, alpha: float, beta: float) -> float:
     return bound_B_q(q) ** q * (alpha / denom) ** (q / 2.0)
 
 
-def _check_bound_args(N: int, q: float, alpha: float) -> None:
+def _check_q(q: float) -> None:
+    if not 2.0 <= q < math.inf:
+        raise ValueError("q must be finite and >= 2")
+
+
+def _check_nonnegative(name: str, value: float) -> None:
+    if not 0.0 <= value < math.inf:
+        raise ValueError(f"{name} must be finite and >= 0")
+
+
+def _check_bound_args(N: int, q: float, alpha: float, shift: int) -> None:
+    """The rules of every budget whose H factor sits at index ``N + shift``
+    (``shift`` 1, or 0 for :func:`truncation_bound_lp`), an index that must
+    exceed ``q / alpha``."""
     if not (float(N).is_integer() and N >= 1):
         raise ValueError("N must be an integer >= 1")
     _check_alpha(alpha)
-    if not 2.0 <= q < math.inf:
-        raise ValueError("q must be finite and >= 2")
+    _check_q(q)
+    if not (N + shift) * alpha > q:
+        raise ValueError(f"{'(N + 1)' if shift else 'N'} * alpha must exceed q")
 
 
 def _check_lp_args(q: float, p: float, vol_k: float) -> None:
@@ -119,6 +132,18 @@ def _check_lp_args(q: float, p: float, vol_k: float) -> None:
 # -- truncation budget ----------------------------------------------------------
 
 
+def _truncation(
+    N: int, q: float, alpha: float, moment_q: float, shift: int, vol_k: float = 1.0, p: float = 1.0
+) -> float:
+    """``vol_k**(q/p) A_q H_{N+shift,q} / N**(q (2 - alpha) / (2 alpha))``; at
+    the default ``vol_k`` and ``p`` the first factor is exactly 1."""
+    _check_bound_args(N, q, alpha, shift)
+    _check_nonnegative("moment_q", moment_q)
+    h = bound_H_nq(N + shift, q, alpha)
+    expo = q * (2.0 - alpha) / (2.0 * alpha)
+    return vol_k ** (q / p) * _a_q(q, alpha, moment_q) * h / N**expo
+
+
 @_in_float_range
 def truncation_bound(N: int, q: float, alpha: float, moment_q: float) -> float:
     """Uniform-in-time bound on the q-th moment of the tail beyond N terms.
@@ -127,13 +152,7 @@ def truncation_bound(N: int, q: float, alpha: float, moment_q: float) -> float:
     ``(N + 1) * alpha > q`` so the first tail arrival has the needed negative
     moment.
     """
-    _check_bound_args(N, q, alpha)
-    if not 0.0 <= moment_q < math.inf:
-        raise ValueError("moment_q must be finite and >= 0")
-    if not (N + 1) * alpha > q:
-        raise ValueError("(N + 1) * alpha must exceed q")
-    h = bound_H_nq(N + 1, q, alpha)
-    return _a_q(q, alpha, moment_q) * h / N ** (q * (2.0 - alpha) / (2.0 * alpha))
+    return _truncation(N, q, alpha, moment_q, 1)
 
 
 @_in_float_range
@@ -146,18 +165,7 @@ def truncation_bound_lp(
     ``q / alpha`` (one step past the uniform version's requirement).
     """
     _check_lp_args(q, p, vol_k)
-    _check_bound_args(N, q, alpha)
-    if not N * alpha > q:
-        raise ValueError("N * alpha must exceed q")
-    if not 0.0 <= moment_q < math.inf:
-        raise ValueError("moment_q must be finite and >= 0")
-    h = bound_H_nq(N, q, alpha)
-    return (
-        vol_k ** (q / p)
-        * _a_q(q, alpha, moment_q)
-        * h
-        / N ** (q * (2.0 - alpha) / (2.0 * alpha))
-    )
+    return _truncation(N, q, alpha, moment_q, 0, vol_k, p)
 
 
 # -- inner-curve approximation budget --------------------------------------------
@@ -166,13 +174,10 @@ def truncation_bound_lp(
 def _check_approx_args(
     N: int, P: float, q: float, alpha: float, beta: float, moment_qk: float
 ) -> None:
-    _check_bound_args(N, q, alpha)
-    if not (N + 1) * alpha > q:
-        raise ValueError("(N + 1) * alpha must exceed q")
+    _check_bound_args(N, q, alpha, 1)
     if not -math.inf < beta < 1.0 / alpha - 0.5:
         raise ValueError("beta must be finite and < 1/alpha - 1/2")
-    if not 0.0 <= moment_qk < math.inf:
-        raise ValueError("moment_qk must be finite and >= 0")
+    _check_nonnegative("moment_qk", moment_qk)
     if not (P == math.inf or (float(P).is_integer() and P >= N)):
         raise ValueError("P must be an integer >= N, or infinity")
 

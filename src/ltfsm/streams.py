@@ -250,28 +250,24 @@ class RandomStream:
         """Next ``size`` raw 64-bit counter words."""
         return self._bitgen.random_raw(size)
 
-    def uniform(self, size: int | None = None):
-        """Uniforms in (0, 1], one raw word each (exactly 1.0 with
+    def uniform(self, size: int) -> np.ndarray:
+        """``size`` uniforms in (0, 1], one raw word each (exactly 1.0 with
         probability ``2**-53``, see the module docstring)."""
-        u = _uniform_in_place(self.raw(1 if size is None else int(size)))
-        return float(u[0]) if size is None else u
+        return _uniform_in_place(self.raw(int(size)))
 
     # -- documented variates ------------------------------------------------
 
-    def exponential(self, size: int | None = None):
-        """Unit-rate exponentials."""
-        x = uniform_to_exponential(self.uniform(1 if size is None else size))
-        return float(x[0]) if size is None else x
+    def exponential(self, size: int) -> np.ndarray:
+        """``size`` unit-rate exponentials."""
+        return uniform_to_exponential(self.uniform(size))
 
-    def gaussian(self, size: int | None = None):
-        """Standard normals."""
-        x = uniform_to_gaussian(self.uniform(1 if size is None else size))
-        return float(x[0]) if size is None else x
+    def gaussian(self, size: int) -> np.ndarray:
+        """``size`` standard normals."""
+        return uniform_to_gaussian(self.uniform(size))
 
-    def rademacher(self, size: int | None = None):
-        """Signs +-1 with equal probability."""
-        x = uniform_to_rademacher(self.uniform(1 if size is None else size))
-        return float(x[0]) if size is None else x
+    def rademacher(self, size: int) -> np.ndarray:
+        """``size`` signs +-1 with equal probability."""
+        return uniform_to_rademacher(self.uniform(size))
 
 
 # -- module-level operations -------------------------------------------------

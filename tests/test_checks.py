@@ -25,7 +25,7 @@ from ltfsm import (
     truncation_bound,
     truncation_bound_lp,
 )
-from ltfsm.localtime import _grid_times
+from ltfsm.fbm import FbmPath, _grid_times
 from ltfsm.streams import RandomStream, _cursor
 
 # callers of the shot-noise range (0, 2), ``fbm._check_alpha``
@@ -100,3 +100,5 @@ def test_the_output_grid_is_bitwise_each_former_inline_grid(horizon, grid_points
     assert grid[1:].tobytes() == positive.tobytes()
     config = SeriesConfig(alpha=1.2, hurst=0.3, horizon=horizon, grid_points=grid_points)
     assert config.grid_times.tobytes() == grid.tobytes()
+    path = FbmPath(0.7, horizon, np.zeros(grid_points + 1))  # its times were inline too
+    assert path.times.tobytes() == grid.tobytes()

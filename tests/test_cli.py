@@ -454,6 +454,25 @@ def test_unknown_subcommand_exits_via_argparse():
         main(["transmogrify"])
 
 
+@pytest.mark.parametrize(
+    "args, flag, value",
+    [(["bounds", "--alpha", "1.5", "--q", "2.5", "--N", "3"], "--beta", "-1e-3"),
+     (CF_ARGS, "--u", "-2e-1")],
+    ids=["bounds-beta", "validate-cf-u"],
+)
+def test_a_negative_value_in_exponent_notation_reads_as_the_joined_spelling(
+    tmp_path, capsys, args, flag, value
+):
+    # argparse alone reads ``--beta -1e-3`` as two flags and exits 2
+    out = ["--out", str(tmp_path / "out.csv")]
+    code = main(args + [f"{flag}={value}"] + out)
+    report, written = capsys.readouterr().out, (tmp_path / "out.csv").read_bytes()
+    assert f"{flag[2:]} = {float(value):.12g}\n" in report
+    assert main(args + [flag, value] + out) == code in (0, 3)
+    assert capsys.readouterr().out == report
+    assert (tmp_path / "out.csv").read_bytes() == written
+
+
 # -- non-finite options ------------------------------------------------------------
 
 

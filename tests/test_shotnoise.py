@@ -1,6 +1,7 @@
 """Unit tests for the error budgets of the shot-noise series."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -287,3 +288,45 @@ def test_a_term_count_past_2_64_gives_finite_budgets():
     report = build_bound_report(n, 3.0, 0.5)
     assert all(math.isfinite(value) for value in report.as_dict().values())
     assert 0.0 < report.truncation_bound < 1e-90
+
+
+def _budget(name, N=5, q=3.0, alpha=1.0, moment=1.0):
+    """The public budget ``name`` at ``N=5, q=3, alpha=1`` and a unit moment
+    unless told otherwise; the report once for each moment it takes."""
+    return {
+        "bound_B_q": lambda: bound_B_q(q),
+        "truncation_bound": lambda: truncation_bound(N, q, alpha, moment),
+        "truncation_bound_lp": lambda: truncation_bound_lp(N, q, alpha, moment, 2.0, 2.0),
+        "approximation_bound": lambda: approximation_bound(N, INF, q, alpha, 0.0, moment),
+        "approximation_bound_lp": lambda: approximation_bound_lp(
+            N, INF, q, alpha, 0.0, moment, 2.0, 2.0),
+        "report-moment_q": lambda: build_bound_report(N, q, alpha, moment_q=moment),
+        "report-moment_qk": lambda: build_bound_report(N, q, alpha, moment_qk=moment),
+    }[name]()
+
+
+_MOMENT = {"truncation_bound": "moment_q", "truncation_bound_lp": "moment_q",
+           "approximation_bound": "moment_qk", "approximation_bound_lp": "moment_qk",
+           "report-moment_q": "moment_q", "report-moment_qk": "moment_qk"}
+# rule -> (bad arguments, {budget: the message it raises})
+_RULES = {
+    "q": ({"q": INF}, {name: "q must be finite and >= 2" for name in ["bound_B_q", *_MOMENT]}),
+    "N": ({"N": 2.5}, {name: "N must be an integer >= 1" for name in _MOMENT}),
+    "head": ({"N": 2}, {name: "N * alpha must exceed q" if name == "truncation_bound_lp"
+                        else "(N + 1) * alpha must exceed q" for name in _MOMENT}),
+    **{f"moment={value}": ({"moment": value},
+                           {name: f"{moment} must be finite and >= 0"
+                            for name, moment in _MOMENT.items()})
+       for value in (-1.0, INF, NAN)},
+}
+
+
+@pytest.mark.parametrize(
+    "rule, budget",
+    [(rule, budget) for rule, (_, messages) in _RULES.items() for budget in messages],
+)
+def test_each_budget_rule_raises_one_message_from_every_budget_that_enforces_it(rule, budget):
+    args, messages = _RULES[rule]
+    _budget(budget)  # the default arguments are legal
+    with pytest.raises(ValueError, match=f"^{re.escape(messages[budget])}$"):
+        _budget(budget, **args)

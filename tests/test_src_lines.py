@@ -1,5 +1,6 @@
 """The code- and prose-line counts of ``tools/src_lines.py``, which reports
-the line deltas of ``src/`` for each change."""
+the line deltas of ``src/`` for each change, and its repeated-pair scan,
+which keeps each refusal of ``src/ltfsm`` stated once."""
 
 import importlib.util
 import pathlib
@@ -57,3 +58,28 @@ def test_a_package_against_itself_changes_by_zero_and_one_more_code_line_by_one(
     # one more code line and one more prose line, the comment
     assert changed == {name: [str(int(n) + 1) for n in same[name][:2]] + ["+1", "+1"]
                        for name in ("fbm.py", "total")}
+
+
+def test_the_pair_scan_finds_a_pair_repeated_across_modules_up_to_spacing_and_comments(
+    tmp_path, capsys
+):
+    rule = "def f(x):\n    if x < 0:\n        raise ValueError('x must be >= 0')\n"
+    (tmp_path / "a.py").write_text('"""Doc."""\n\n' + rule)
+    (tmp_path / "b.py").write_text(rule.replace("x < 0:", "x<0:  # rule") + "\ny = 1\n")
+    pairs = src_lines.repeated_pairs(tmp_path)
+    assert pairs == {
+        ("def f ( x ) :", "if x < 0 :"): ["a.py:3", "b.py:1"],
+        ("if x < 0 :", "raise ValueError ( 'x must be >= 0' )"): ["a.py:4", "b.py:2"],
+    }
+    assert src_lines.main(["--pairs", str(tmp_path)]) == 0
+    assert "2x  if x < 0 :\n    raise ValueError ( 'x must be >= 0' )\n    at a.py:4 b.py:2\n" in (
+        capsys.readouterr().out)
+
+
+def test_no_rule_is_stated_twice_in_the_package():
+    # a repeated pair of consecutive code lines that holds a ``raise`` is one
+    # refusal written in two places; state it once and call it from both
+    package = _PATH.parent.parent / "src" / "ltfsm"
+    restated = [(pair, places) for pair, places in src_lines.repeated_pairs(package).items()
+                if any("raise" in line.split() for line in pair)]
+    assert restated == []

@@ -125,14 +125,6 @@ def test_nested_substreams_depart_from_flat_ones():
     assert not np.array_equal(nested, flat)
 
 
-def test_scalar_calls_return_floats_matching_the_vector_head():
-    for name in ("uniform", "exponential", "gaussian", "rademacher"):
-        scalar = getattr(RandomStream(9), name)()
-        vector = getattr(RandomStream(9), name)(4)
-        assert isinstance(scalar, float)
-        assert scalar == vector[0]
-
-
 def test_transforms_are_the_single_source_of_truth():
     u = raw_to_uniform(RandomStream(17).raw(1000))
     assert np.array_equal(RandomStream(17).uniform(1000), u)
@@ -296,13 +288,6 @@ def test_stable_transform_is_bitwise_the_formula_and_leaves_its_uniforms(alpha):
 def test_stable_oracle_is_symmetric():
     x = sample_stable_oracle(1.5, RandomStream(14), 100000)
     assert abs(np.mean(np.tanh(x))) < 0.01
-
-
-def test_stable_oracle_domain_and_scalar_form():
-    for alpha in (0.0, -1.0, 2.5):
-        with pytest.raises(ValueError):
-            sample_stable_oracle(alpha, RandomStream(1), 2)
-    assert isinstance(sample_stable_oracle(1.2, RandomStream(15)), float)
 
 
 def test_guarded_cache_builds_a_key_once_for_threads_that_ask_at_once():

@@ -6,11 +6,18 @@ and a trailing comment is a code line), so blank lines are the rest.  Run
 from anywhere::
 
     python3 tools/src_lines.py [package directory [base package directory]]
+    python3 tools/src_lines.py --pairs [package directory]
 
 Each line gives a module's name, its code lines and its prose lines.  With
 a base directory (say, an export of the parent commit's ``src/ltfsm``), it
 also gives the change of both against the base; a module missing from
 either side counts 0 there.
+
+With ``--pairs`` it prints instead every pair of consecutive code lines
+(compared token by token, so spacing and trailing comments do not count)
+that occurs more than once in the package: its count, the two lines, and
+where each occurrence starts.  A pair that holds a ``raise`` is a rule
+stated twice.
 """
 
 import ast
@@ -57,6 +64,30 @@ def line_counts(source: str) -> tuple[int, int]:
     return len(code), len((docs | comments) - code)
 
 
+def code_lines(source: str) -> list[tuple[int, str]]:
+    """The code lines of ``source`` as ``(line number, tokens)`` pairs, in
+    order, each line's tokens joined by single spaces; a token spanning
+    several lines counts on its first, and docstrings are left out."""
+    docs = _docstring_lines(ast.parse(source))
+    lines: dict[int, list[str]] = {}
+    for tok in tokenize.generate_tokens(io.StringIO(source).readline):
+        if tok.type not in _SKIP and tok.start[0] not in docs:
+            lines.setdefault(tok.start[0], []).append(tok.string)
+    return [(number, " ".join(tokens)) for number, tokens in lines.items()]
+
+
+def repeated_pairs(root: pathlib.Path) -> dict[tuple[str, str], list[str]]:
+    """Each pair of consecutive code lines that occurs more than once in the
+    modules of ``root``, with the ``module:line`` where each occurrence
+    starts."""
+    where: dict[tuple[str, str], list[str]] = {}
+    for path in sorted(root.glob("*.py")):
+        lines = code_lines(path.read_text())
+        for (number, first), (_, second) in zip(lines, lines[1:]):
+            where.setdefault((first, second), []).append(f"{path.name}:{number}")
+    return {pair: places for pair, places in where.items() if len(places) > 1}
+
+
 def _counts(root: pathlib.Path) -> dict[str, tuple[int, int]]:
     """Code and prose lines of each module of the package directory
     ``root``, and their ``total``."""
@@ -66,6 +97,12 @@ def _counts(root: pathlib.Path) -> dict[str, tuple[int, int]]:
 
 
 def main(argv: list[str]) -> int:
+    if argv[:1] == ["--pairs"]:
+        for (first, second), places in repeated_pairs(
+            pathlib.Path(argv[1]) if len(argv) > 1 else _PACKAGE
+        ).items():
+            print(f"{len(places)}x  {first}\n    {second}\n    at {' '.join(places)}")
+        return 0
     counts = _counts(pathlib.Path(argv[0]) if argv else _PACKAGE)
     base = _counts(pathlib.Path(argv[1])) if len(argv) > 1 else None
     modules = counts.keys() | (base or {}).keys()
