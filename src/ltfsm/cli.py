@@ -325,7 +325,9 @@ def _join_values(argv: list[str], flags: set[str]) -> list[str]:
     """``argv`` with each of ``flags`` joined to the token after it, as
     ``--flag=value``: every option takes exactly one value, and argparse
     would read ``--beta -1e-3`` as two flags (it takes a token that starts
-    with ``-`` for a value only when it reads like ``-1`` or ``-.5``)."""
+    with ``-`` for a value only when it reads like ``-1`` or ``-.5``).  The
+    parsers take no flag prefixes (``allow_abbrev=False``), so ``flags`` are
+    every spelling of a flag that they accept."""
     tokens = iter(argv)
     joined = []
     for token in tokens:
@@ -337,13 +339,14 @@ def _join_values(argv: list[str], flags: set[str]) -> list[str]:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="ltfsm",
+        allow_abbrev=False,
         description="Shot-noise series simulation of symmetric alpha-stable "
         "processes (local-time fractional stable motion and friends).",
     )
     sub = parser.add_subparsers(dest="command")
     flags = {"--config"}
     for name, (help_text, schema, _handler) in _COMMANDS.items():
-        command = sub.add_parser(name, help=help_text)
+        command = sub.add_parser(name, help=help_text, allow_abbrev=False)
         command.add_argument("--config", default=None, help="flat key = value file")
         for flag, (typ, _default, _least, _keyword) in schema.items():
             command.add_argument(f"--{flag}", type=typ, default=None)

@@ -10,8 +10,10 @@ whole result.
 Where each rule lives: chunk memory and threads, ``ltfsm.process._run_chunks``
 (shared with :func:`ltfsm.process.simulate_ltfsm`) on
 :func:`~ltfsm.process.resolve_threads` workers, so outputs are bitwise
-identical for any thread count; chunk sizes, :func:`_chunk_rows` from one
-byte budget, ``_CHUNK_BYTES``, and each driver's model of one replicate;
+identical for any thread count; each driver gives it the buffer layout of
+one replicate, and each block gets its own leading rows; chunk sizes,
+:func:`_chunk_rows` from one byte budget, ``_CHUNK_BYTES``, and each
+driver's model of one replicate;
 the memory refusals, ``_check_series``, ``_check_paths``,
 ``_check_arrivals`` and ``ltfsm.process._check_rwrr``; a chunk's rows from
 one Philox, :func:`ltfsm.streams._substream_heads`.  Every chunk worker
@@ -44,7 +46,6 @@ from .process import (
     _check_density,
     _check_memory,
     _check_rwrr,
-    _noise_lead,
     _occupation_curves,
     _run_chunks,
     _rwrr_row,
@@ -122,7 +123,7 @@ def _series_row_bytes(hurst: float, terms: int, points: int) -> int:
     draw, ``2 * points`` words per term, or later its curves, ``grid_points
     + 1`` floats per term, come on top of the chunk (see :func:`_chunk_rows`).
     """
-    return 8 * terms * (8 + sum(_term_layout(hurst, points)))
+    return 8 * terms * (8 + sum(_term_layout(hurst, points)[1:]))
 
 
 def _check_series(alpha, hurst, n_paths, terms, bandwidth, points, horizon, grid_points,
@@ -176,20 +177,11 @@ def series_path_ensemble(
     m = points
     p = terms
     idx = grid_index(m, horizon, _grid_times(horizon, grid_points))
-    kept, floats = _term_layout(hurst, m)
-    lead = _noise_lead(hurst)
-
-    chunk_rows = _chunk_rows(*sizes)
-    size = min(chunk_rows, n_paths)
-    layouts = [
-        ((size, 3 * p), np.uint64),
-        ((size, p, kept), np.uint64),
-        ((size, p * floats), np.float64),
-    ]
+    lead, kept, floats = _term_layout(hurst, m)
+    layouts = [((3 * p,), np.uint64), ((p, kept), np.uint64), ((p * floats,), np.float64)]
 
     def worker(start: int, out: np.ndarray, bitgen, head, noise, work) -> None:
         rows = len(out)
-        head, noise, work = head[:rows], noise[:rows], work[:rows]
         for r, bitgen in enumerate(_substream_heads(bitgen, stream, start, rows)):
             head[r] = bitgen.random_raw(3 * p)
             noise[r, :, lead:] = bitgen.random_raw(p * 2 * m).reshape(p, 2 * m)[:, : kept - lead]
@@ -201,7 +193,8 @@ def series_path_ensemble(
         _arrival_order_sum(gammas ** (-1.0 / alpha) * weights, curves, out)
         out[:, 0] = 0.0
 
-    return _run_chunks(worker, np.empty((n_paths, len(idx))), chunk_rows, threads, layouts)
+    return _run_chunks(worker, np.empty((n_paths, len(idx))), _chunk_rows(*sizes), threads,
+                       layouts)
 
 
 def rwrr_path_ensemble(
@@ -381,11 +374,9 @@ def _arrival_sums(
     signs = arrivals - skip
     # the larger raw draw of a row is its exponential words
     chunk_rows = _chunk_rows(_ARRIVAL_BYTES * arrivals, 8 * arrivals)
-    size = min(chunk_rows, count)
-    layouts = [((size, arrivals), np.uint64), ((size, signs), np.uint64)]
+    layouts = [((arrivals,), np.uint64), ((signs,), np.uint64)]
 
     def worker(start: int, out: np.ndarray, bitgen, exp, sgn) -> None:
-        exp, sgn = exp[: len(out)], sgn[: len(out)]
         for r, bitgen in enumerate(_substream_heads(bitgen, stream, start, len(out))):
             exp[r] = bitgen.random_raw(arrivals)
             sgn[r] = bitgen.random_raw(signs)

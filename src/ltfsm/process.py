@@ -47,9 +47,12 @@ Where each rule lives:
   :func:`ltfsm.experiments.series_path_ensemble`, run these three; they
   differ only in scheduling, per-term sizes and how they form the
   coefficients ``Gamma_n**(-1/alpha)``;
-* a term's buffers: ``_term_layout``;
-* chunk memory and threads: ``_run_chunks``, on :func:`resolve_threads`
-  workers;
+* a term's slots (the first that takes a drawn word, the words kept, the
+  work floats): ``_term_layout``;
+* the thread count (explicit, else ``LTFSM_THREADS``, else the CPUs, within
+  a memory budget): :func:`resolve_threads`;
+* chunk memory and threads: ``_run_chunks``, which sizes each buffer from
+  the layout of one row and hands a block its leading rows;
 * memory refusals: ``_check_memory``, with the models ``_term_bytes`` and
   ``_path_bytes``;
 * the random-walk baseline: ``_check_rwrr`` and the row kernel ``_rwrr_row``.
@@ -304,25 +307,21 @@ def gaussian_density_weight(x: np.ndarray, alpha: float) -> np.ndarray:
     return (2.0 * np.pi) ** (0.5 / alpha) * np.exp(x * x / (2.0 * alpha))
 
 
-def _term_layout(hurst: float, m: int) -> tuple[int, int]:
-    """The buffers of one term at grid size ``m``: its ``uint64`` noise word
-    slots and the ``float64`` entries of ``_occupation_curves``'s work array.
+def _term_layout(hurst: float, m: int) -> tuple[int, int, int]:
+    """The slots of one term at grid size ``m``: ``(lead, kept, floats)``.
+    Its ``uint64`` noise word slots ``lead .. kept - 1`` take the first
+    ``kept - lead`` words of its ``2 m``-word block, and ``floats`` is the
+    size of ``_occupation_curves``'s ``float64`` work array.
 
-    At H != 1/2 the slots hold all ``2 m`` words of its block, and the work
+    At H != 1/2 the slots hold all ``2 m`` words from slot 0, and the work
     array the complex half spectrum (``m + 1`` values), then the path.  At
     H = 1/2 the fGn step reads only the first ``m`` words; they fill slots
     ``1 .. m``, and the path is built in the slots' own memory, slot 0
     holding its exact 0, so there is no work array.  Every memory model,
     both drivers' buffer layouts and the per-term draw read it."""
     if hurst == 0.5:
-        return m + 1, 0
-    return 2 * m, 2 * (m + 1)
-
-
-def _noise_lead(hurst: float) -> int:
-    """The first of a term's noise word slots (``_term_layout``) that takes a
-    drawn word: 1 at H = 1/2, where slot 0 becomes the path's exact 0, else 0."""
-    return int(hurst == 0.5)
+        return 1, m + 1, 0
+    return 0, 2 * m, 2 * (m + 1)
 
 
 def _term_bytes(hurst: float, m: int) -> int:
@@ -333,7 +332,7 @@ def _term_bytes(hurst: float, m: int) -> int:
     m = 2**18 measured 16 MiB of peak RSS, ``64 m`` bytes in all) or the
     first build of the embedding coefficients (``32 m``, their ``8 m``
     kept in the cache included)."""
-    return 8 * sum(_term_layout(hurst, m)) + (8 if hurst == 0.5 else 32) * m
+    return 8 * sum(_term_layout(hurst, m)[1:]) + (8 if hurst == 0.5 else 32) * m
 
 
 def _path_bytes(terms: int, grid_points: int) -> int:
@@ -378,7 +377,7 @@ def _occupation_curves(hurst, m, horizon, bandwidth, words, centers, idx, work):
     The caller owns the memory.  ``words`` is a C-contiguous ``uint64``
     array; it becomes uniforms, then normals, in its own memory.  At
     H != 1/2 ``work`` is a 1-d ``float64`` array of at least
-    ``rows * _term_layout(hurst, m)[1]`` entries: ``fbm._fgn_into`` writes
+    ``rows * _term_layout(hurst, m)[2]`` entries: ``fbm._fgn_into`` writes
     the half spectrum into it, the inverse FFT overwrites the normals, and
     the fGn goes back into ``work``.  At H = 1/2 ``work`` is not used: the
     fGn is the normals of slots ``1 .. m`` scaled in place, and slot 0
@@ -450,27 +449,21 @@ def _series_head(words: np.ndarray, alpha: float, density: str):
 _THREAD_BYTES = 32_000_000
 
 
-def _requested_threads(threads: int | None) -> int | None:
-    """Explicit ``threads``, else ``LTFSM_THREADS``, checked; ``None`` when
-    neither is set."""
+def resolve_threads(threads: int | None = None, thread_bytes: int = _THREAD_BYTES) -> int:
+    """Worker count: explicit ``threads``, else ``LTFSM_THREADS``, each
+    checked (``ValueError`` names a bad one), else the CPUs this process may
+    run on, but no more threads than add ``_THREAD_BYTES`` (32 MB) of working
+    memory to the first when each holds ``thread_bytes`` (by default all 32
+    MB, so at most 2; the series and LePage ensembles pass their 2 MB chunk
+    budget, so at most 17)."""
     if threads is not None:
         _check_counts(threads=threads)
         return int(threads)
     env = os.environ.get("LTFSM_THREADS")
-    if env is not None and not (env.strip().isdecimal() and int(env) >= 1):
-        raise ValueError(f"LTFSM_THREADS must be an integer >= 1, got {env!r}")
-    return None if env is None else int(env)
-
-
-def resolve_threads(threads: int | None = None, thread_bytes: int = _THREAD_BYTES) -> int:
-    """Worker count: explicit ``threads``, else ``LTFSM_THREADS``, else the
-    CPUs this process may run on, but no more threads than add
-    ``_THREAD_BYTES`` (32 MB) of working memory to the first when each holds
-    ``thread_bytes`` (by default all 32 MB, so at most 2; the series and
-    LePage ensembles pass their 2 MB chunk budget, so at most 17)."""
-    requested = _requested_threads(threads)
-    if requested is not None:
-        return requested
+    if env is not None:
+        if not (env.strip().isdecimal() and int(env) >= 1):
+            raise ValueError(f"LTFSM_THREADS must be an integer >= 1, got {env!r}")
+        return int(env)
     if hasattr(os, "sched_getaffinity"):
         cpus = len(os.sched_getaffinity(0))
     else:
@@ -486,49 +479,53 @@ def _run_chunks(worker, out: np.ndarray, chunk_rows: int, threads: int, layouts=
 
     The only place that allocates chunk memory: before any block runs, the
     calling thread makes one buffer set for each worker thread
-    (``min(threads, blocks)``): a ``Philox`` for the block to seat, and
-    ``np.empty(shape, dtype)`` arrays, one per ``(shape, dtype)`` in
-    ``layouts``.  Sets that together need more than physical memory are
-    refused with ``ValueError`` before any is made (``_check_memory``), at
-    any thread count, explicit or not.  A thread keeps its set, passed whole
-    after the block's rows, and takes the next block in row order until none
-    is left, so every later block reuses memory that is already faulted in,
-    and no two running blocks share a set.  Every block runs on a plain
-    ``threading.Thread`` that the calling thread starts and joins, at one
-    thread too (a block run in the calling thread faulted its temporaries
-    back in from the main heap at every block), so no executor (nor its
-    ``concurrent.futures``, ``logging`` and ``queue`` imports) is loaded.
-    Each thread runs in its own copy of the caller's context, so a caller's
-    ``np.errstate`` holds in every block.  Blocks are handed out one at a
-    time: after the first block that raises, no thread starts another, and
-    that error is raised once the running blocks have returned.  An error in
-    the calling thread while it waits (a ``KeyboardInterrupt``) stops the
-    hand-out the same way and is raised at once; the running blocks finish
-    on their own."""
+    (``min(threads, blocks)``): a ``Philox`` for the block to seat, and one
+    array per ``(shape, dtype)`` in ``layouts``, the layout of one row, of
+    ``min(chunk_rows, len(out))`` such rows.  Sets that together need more
+    than physical memory are refused with ``ValueError`` before any is made
+    (``_check_memory``), at any thread count, explicit or not.  A thread
+    keeps its set and takes the next block in row order until none is left;
+    each array reaches the block as its leading rows, one per row of the
+    block, C-contiguous and in the same memory for every block, so every
+    later block reuses memory that is already faulted in, and no two running
+    blocks share a set.  Every block runs on a plain ``threading.Thread``
+    that the calling thread starts and joins, at one thread too (a block run
+    in the calling thread faulted its temporaries back in from the main heap
+    at every block), so no executor (nor its ``concurrent.futures``,
+    ``logging`` and ``queue`` imports) is loaded.  Each thread runs in its
+    own copy of the caller's context, so a caller's ``np.errstate`` holds in
+    every block.  Blocks are handed out one at a time: after the first block
+    that raises, no thread starts another, and that error is raised once the
+    running blocks have returned.  An error in the calling thread while it
+    waits (a ``KeyboardInterrupt``) stops the hand-out the same way and is
+    raised at once; the running blocks finish on their own."""
     starts = range(0, len(out), chunk_rows)
     threads = min(threads, len(starts))
-    set_bytes = sum(int(np.prod(shape)) * np.dtype(dtype).itemsize for shape, dtype in layouts)
+    rows = min(chunk_rows, len(out))
+    set_bytes = rows * sum(int(np.prod(shape)) * np.dtype(dtype).itemsize
+                           for shape, dtype in layouts)
     _check_memory(f"one buffer set per thread (threads = {threads})", threads * set_bytes,
                   "lower the thread count (threads= or LTFSM_THREADS)")
-    sets = [(Philox(key=0), *(np.empty(shape, dtype) for shape, dtype in layouts))
+    sets = [(Philox(key=0), *(np.empty((rows, *shape), dtype) for shape, dtype in layouts))
             for _ in range(threads)]
     blocks = iter(starts)
     lock = threading.Lock()
     errors = []  # ``list.append`` is atomic
 
-    def run(buffers) -> None:
+    def run(bitgen, *arrays) -> None:
         while not errors:
             with lock:
                 s = next(blocks, None)
             if s is None:
                 return
+            block = out[s : s + chunk_rows]
             try:
-                worker(s, out[s : s + chunk_rows], *buffers)
+                worker(s, block, bitgen, *(array[: len(block)] for array in arrays))
             except BaseException as error:  # re-raised in the calling thread
                 errors.append(error)
 
     # one copy of the caller's context per thread: two cannot enter one
-    workers = [threading.Thread(target=contextvars.copy_context().run, args=(run, buffers))
+    workers = [threading.Thread(target=contextvars.copy_context().run, args=(run, *buffers))
                for buffers in sets]
     for thread in workers:
         thread.start()
@@ -584,7 +581,7 @@ def simulate_ltfsm(
     refused run builds no coefficient.
     """
     _check_density(density)
-    requested = _requested_threads(threads)
+    resolve_threads(threads)  # a bad count is refused before the head is drawn
     alpha, hurst, k, horizon = config.alpha, config.hurst, params.k, config.horizon
     _check_memory(f"the head and curves of {params.P} terms on {config.grid_points + 1} times",
                   _path_bytes(params.P, config.grid_points),
@@ -602,25 +599,25 @@ def simulate_ltfsm(
     _check_memory(f"the largest term (m = {largest})", term_bytes,
                   "cap the grid size with max_points")
     key, head_end = _cursor(stream)
-    threads = resolve_threads(requested, term_bytes)
-    lead = _noise_lead(hurst)
+    threads = resolve_threads(threads, term_bytes)
     # the running total of the points in int64: the noise block of term
     # ``n`` (0-based) starts ``2 (ends[n] - points[n])`` words past the head
     ends = np.cumsum(points)
 
     def worker(n: int, out: np.ndarray, bitgen, words: np.ndarray, work: np.ndarray) -> None:
         m = int(points[n])
-        kept = _term_layout(hurst, m)[0]
+        lead, kept, _ = _term_layout(hurst, m)
         if hurst != 0.5:  # built before the term's words are drawn, not beside them
             fbm._embedding_coefficients(hurst, m)
         _seek(bitgen, key, head_end + 2 * (int(ends[n]) - m))
-        words[lead:kept] = bitgen.random_raw(kept - lead)
+        words[0, lead:kept] = bitgen.random_raw(kept - lead)
         idx = grid_index(m, horizon, times)
-        out[:] = _occupation_curves(hurst, m, horizon, k, words[None, :kept], locations[n],
-                                    idx, work)
+        out[:] = _occupation_curves(hurst, m, horizon, k, words[:, :kept], locations[n], idx,
+                                    work[0])
 
-    # one term per block
-    layouts = list(zip(_term_layout(hurst, largest), (np.uint64, np.float64)))
+    # one term per block, on the (noise words, work) layout of the largest
+    _, kept, floats = _term_layout(hurst, largest)
+    layouts = [((kept,), np.uint64), ((floats,), np.float64)]
     curves = _run_chunks(worker, np.empty((params.P, len(times))), 1, threads, layouts)
     _seek(stream._bitgen, key, head_end + 2 * int(ends[-1]))
     curves *= weights[:, None]

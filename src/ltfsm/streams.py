@@ -6,8 +6,8 @@ bit generator:
 
 * stream identity: the Philox key words are ``(seed, substream_id)``, both
   64-bit.  Child streams derive a fresh ``substream_id`` with a SplitMix64
-  finalizer (see :func:`_mix64`), so ``(seed, substream_id)`` pairs never need
-  central coordination.
+  finalizer (see :func:`_substream_ids`), so ``(seed, substream_id)`` pairs
+  never need central coordination.
 * uniforms: ``u = ((raw >> 11) + 0.5) * 2**-53`` (one raw word per uniform),
   which lies in ``(0, 1]``: the sum rounds half to even, so the top ``2**11``
   words, ``raw >= 2**64 - 2**11`` (probability ``2**-53``), map to exactly
@@ -34,7 +34,8 @@ word's top bit into the float's sign bit, bitwise equal to
 ``x * uniform_to_rademacher(raw_to_uniform(w))``.
 
 Where each rule lives: uniforms in the words' own memory,
-``_uniform_in_place``; many substreams from one generator,
+``_uniform_in_place``; a child's substream id, for one child or a chunk's
+rows, ``_substream_ids``; many substreams from one generator,
 ``_substream_heads``; any word offset of a stream, ``_seek`` and
 ``_cursor``; NumPy's ``Philox`` and SciPy's ufuncs without their packages,
 ``_import_compiled`` and ``_special_ufunc``; what the chunk threads build
@@ -142,22 +143,6 @@ def _special_ufunc(name: str):
     return getattr(_import_compiled("scipy.special._ufuncs"), name)
 
 
-def _splitmix64(z: int) -> int:
-    """SplitMix64 finalizer (bijective on 64-bit words)."""
-    z &= _MASK64
-    z ^= z >> 30
-    z = (z * 0xBF58476D1CE4E5B9) & _MASK64
-    z ^= z >> 27
-    z = (z * 0x94D049BB133111EB) & _MASK64
-    z ^= z >> 31
-    return z
-
-
-def _mix64(parent: int, child: int) -> int:
-    """Derive a child substream id from (parent id, child index)."""
-    return _splitmix64((parent + _GOLDEN * (child + 1)) & _MASK64)
-
-
 def _philox_key(seed: int, substream_id: int) -> tuple[int, int]:
     """Philox key words (low, high) of the stream ``(seed, substream_id)``."""
     return seed & _MASK64, substream_id & _MASK64
@@ -242,7 +227,7 @@ class RandomStream:
         """Deterministic independent child stream for index ``child >= 0``."""
         if child < 0:
             raise ValueError("substream index must be >= 0")
-        return RandomStream(self.seed & _MASK64, _mix64(self.substream_id, child))
+        return RandomStream(self.seed & _MASK64, _substream_ids(self, child, 1)[0])
 
     # -- raw layers --------------------------------------------------------
 
@@ -285,10 +270,12 @@ def poisson_arrivals(count: int, stream) -> np.ndarray:
 
 
 def _substream_ids(stream: RandomStream, start: int, rows: int) -> list[int]:
-    """``_mix64(stream.substream_id, start + r)`` for ``r < rows``, in one
-    ``uint64`` numpy pass (numpy's array arithmetic wraps mod ``2**64``);
-    :func:`_mix64` stays the scalar reference, used by
-    :meth:`RandomStream.substream`."""
+    """The substream ids of children ``start .. start + rows - 1`` of
+    ``stream``, the one derivation of a child id: the SplitMix64 finalizer
+    (bijective on 64-bit words) of ``parent + GOLDEN * (child + 1)``, all mod
+    ``2**64``, for ``parent = stream.substream_id``.  One ``uint64`` numpy
+    pass (numpy's array arithmetic wraps mod ``2**64``), for a chunk's rows
+    and for :meth:`RandomStream.substream` (``rows = 1``) alike."""
     z = np.arange(rows, dtype=np.uint64)
     z *= np.uint64(_GOLDEN)
     z += np.uint64((stream.substream_id + _GOLDEN * (start + 1)) & _MASK64)

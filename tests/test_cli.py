@@ -473,6 +473,20 @@ def test_a_negative_value_in_exponent_notation_reads_as_the_joined_spelling(
     assert (tmp_path / "out.csv").read_bytes() == written
 
 
+@pytest.mark.parametrize(
+    "args",
+    [["--alpha", "1.5", "--bet", "-1e-3"], ["--alpha", "1.5", "--bet=-1e-3"], ["--alph", "1.5"]],
+    ids=["prefix-value", "prefix-joined", "prefix-alpha"],
+)
+def test_an_abbreviated_flag_exits_2_and_writes_nothing(tmp_path, capsys, args):
+    # flags are spelled in full: a prefix is an unknown flag, whatever follows it
+    with pytest.raises(SystemExit) as exited:
+        main(["bounds", "--q", "2.5", "--N", "3"] + args + ["--out", str(tmp_path / "out.txt")])
+    assert exited.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []  # no report and no manifest
+
+
 # -- non-finite options ------------------------------------------------------------
 
 

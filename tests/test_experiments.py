@@ -528,20 +528,23 @@ def test_lepage_samples_are_bitwise_invariant_to_the_chunk_budget(monkeypatch, t
 # -- the one chunk runner
 
 
+def _address(array) -> int:
+    return array.__array_interface__["data"][0]
+
+
 def test_run_chunks_reuses_one_buffer_set_across_blocks():
     seen = []
 
     def worker(start, out, bitgen, head, work):
         seen.append((bitgen, head, work))
-        # a block of fewer rows takes the leading rows, C-contiguous, so words
-        # still convert to uniforms in place
-        head, work = head[: len(out)], work[: len(out)]
+        # each block gets the leading rows of every buffer, one per row of
+        # its own, C-contiguous, so words still convert to uniforms in place
+        assert len(head) == len(work) == len(out)
         assert head.flags.c_contiguous and work.flags.c_contiguous
-        assert head.__array_interface__["data"] == seen[0][1].__array_interface__["data"]
         head[:] = start
         out[:] = head[:, 0]
 
-    layouts = [((5, 3), np.uint64), ((5, 2, 4), np.float64)]
+    layouts = [((3,), np.uint64), ((2, 4), np.float64)]  # the layout of one row
     out = np.zeros(12, np.int64)
     assert _run_chunks(worker, out, 5, 1, layouts) is out  # filled in place
     assert out.tolist() == [0] * 5 + [5] * 5 + [10] * 2
@@ -549,7 +552,12 @@ def test_run_chunks_reuses_one_buffer_set_across_blocks():
     assert isinstance(bitgen, Philox)
     assert head.shape == (5, 3) and head.dtype == np.uint64
     assert work.shape == (5, 2, 4) and work.dtype == np.float64
-    assert all(b is bitgen and h is head and w is work for b, h, w in seen)
+    # the 2-row last block gets views that start at the set's memory
+    assert seen[2][1].shape == (2, 3) and seen[2][2].shape == (2, 2, 4)
+    # every block in the same memory, the set's
+    assert all(b is bitgen for b, _, _ in seen)
+    assert all(_address(h) == _address(head) and h.base is head.base for _, h, _ in seen)
+    assert all(_address(w) == _address(work) and w.base is work.base for _, _, w in seen)
     # another call gets its own set
     again = []
     _run_chunks(lambda start, out, b, h, w: again.append((b, h)), np.empty(5), 5, 1, layouts)
@@ -591,15 +599,16 @@ def test_run_chunks_allocates_one_set_per_concurrent_block_in_the_calling_thread
     busy, used = set(), {}
 
     def worker(start, out, bitgen, buf):
+        # each block gets its own view: a set is told by the memory it holds
         with lock:
-            assert id(buf) not in busy  # no two running blocks share a set
-            busy.add(id(buf))
-            used[id(buf)] = buf
+            assert _address(buf) not in busy  # no two running blocks share a set
+            busy.add(_address(buf))
+            used[_address(buf)] = buf
         time.sleep(0.001)
         with lock:
-            busy.remove(id(buf))
+            busy.remove(_address(buf))
 
-    _run_chunks(worker, np.zeros(total), 3, threads, [((3,), np.float64)])
+    _run_chunks(worker, np.zeros(total), 3, threads, [((), np.float64)])
     assert allocations == bitgens == [caller] * sets
     assert 1 <= len(used) <= sets == min(threads, -(-total // 3))
 
@@ -630,7 +639,7 @@ def test_run_chunks_runs_every_block_in_the_callers_errstate(threads):
         np.multiply(buf, buf, out=out)  # overflows
 
     with np.errstate(over="raise"), pytest.raises(FloatingPointError, match="overflow"):
-        _run_chunks(worker, np.empty(8), 2, threads, [((2,), np.float64)])
+        _run_chunks(worker, np.empty(8), 2, threads, [((), np.float64)])
 
 
 @pytest.mark.parametrize("threads", [1, 2])

@@ -292,7 +292,7 @@ def test_simulate_ltfsm_follows_the_documented_draw_order(density):
     expect = np.zeros(len(idx))
     for n in range(params.P):
         words = _term_words(cfg.hurst, s.raw(2 * m)[None])
-        work = np.empty(_term_layout(cfg.hurst, m)[1])
+        work = np.empty(_term_layout(cfg.hurst, m)[2])
         curve = _occupation_curves(
             cfg.hurst, m, cfg.horizon, params.k, words, locations[n], idx, work
         )
@@ -331,7 +331,7 @@ def _draw_order_reference(cfg, params, stream, density):
         m = params.points_for(n + 1, gamma)
         idx = grid_index(m, cfg.horizon, cfg.grid_times)
         words = _term_words(cfg.hurst, stream.raw(2 * m)[None])
-        work = np.empty(_term_layout(cfg.hurst, m)[1])
+        work = np.empty(_term_layout(cfg.hurst, m)[2])
         curve = _occupation_curves(
             cfg.hurst, m, cfg.horizon, params.k, words, locations[n], idx, work
         )
@@ -403,7 +403,7 @@ def test_threaded_terms_peak_at_their_chunk_buffers(hurst):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    kept, floats = _term_layout(hurst, m)  # noise words kept per term, work floats
+    _, kept, floats = _term_layout(hurst, m)  # noise words kept per term, work floats
     pair = 8 * (kept + floats)
     assert peak <= 1.10 * 2 * (pair + 8 * kept)
 
@@ -480,7 +480,7 @@ def test_every_threads_buffer_set_counts_in_the_memory_refusal(monkeypatch):
     # one term fits, and so do three (noise words, work) sets, but not four
     cfg = SeriesConfig(alpha=1.3, hurst=0.7, grid_points=9, delta=0.1, delta_prime=0.2)
     params = flat_params(8, 2, 4096)
-    three_sets = 3 * 8 * sum(_term_layout(0.7, 4096))
+    three_sets = 3 * 8 * sum(_term_layout(0.7, 4096)[1:])
     assert three_sets > _term_bytes(0.7, 4096)
     expect = simulate_ltfsm(cfg, params, RandomStream(61), threads=1)
     monkeypatch.setattr(process, "_physical_bytes", lambda: three_sets)
@@ -623,6 +623,26 @@ def test_an_unknown_density_is_rejected_before_any_draw():
         simulate_ltfsm(cfg, flat_params(3, 2, 8), _NoDraws(), density="poisson")
 
 
+@pytest.mark.parametrize(
+    "threads, env, message",
+    [(0, None, "threads must be an integer >= 1"),
+     (None, "abc", "LTFSM_THREADS must be an integer >= 1, got 'abc'")],
+    ids=["zero", "env-abc"],
+)
+def test_a_bad_thread_count_is_refused_before_any_word_is_drawn(
+    monkeypatch, threads, env, message
+):
+    if env is None:
+        monkeypatch.delenv("LTFSM_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("LTFSM_THREADS", env)
+    cfg = SeriesConfig(alpha=1.2, hurst=0.5, grid_points=4)
+    stream = RandomStream(61)
+    with pytest.raises(ValueError, match=message):
+        simulate_ltfsm(cfg, flat_params(3, 2, 8), stream, threads=threads)
+    assert _cursor(stream)[1] == 0  # not even the head
+
+
 def test_tuned_simulation_runs_end_to_end_when_capped():
     cfg = SeriesConfig(alpha=1.2, hurst=0.5, epsilon=0.8, grid_points=10, max_points=256)
     with pytest.warns(RuntimeWarning, match="capped"):
@@ -639,10 +659,10 @@ def test_occupation_curves_rows_are_the_per_path_occupation(hurst, rows):
     idx = grid_index(m, horizon, times)
     blocks = RandomStream(rows).raw(rows * 2 * m).reshape(rows, 2 * m)
     centers = RandomStream(rows + 100).gaussian(rows).reshape(rows, 1) * 0.3
-    work = np.empty(rows * _term_layout(hurst, m)[1])
+    work = np.empty(rows * _term_layout(hurst, m)[2])
     # the kernel works in the memory of its words (and at H != 1/2 of work)
     words = _term_words(hurst, blocks.copy())
-    assert words.shape == (rows, _term_layout(hurst, m)[0])
+    assert words.shape == (rows, _term_layout(hurst, m)[1])
     curves = _occupation_curves(hurst, m, horizon, k, words, centers, idx, work)
     assert curves.shape == (rows, len(idx))
     stream = RandomStream(rows)  # row r's block is the r-th fBm path of that stream
@@ -651,7 +671,7 @@ def test_occupation_curves_rows_are_the_per_path_occupation(hurst, rows):
         expect = discretized_occupation(path, k, float(centers[r, 0]), times).values
         assert np.array_equal(curves[r], expect)
     if hurst == 0.5:  # the first m words after the path's 0 slot, no work array
-        assert _term_layout(hurst, m) == (m + 1, 0)
+        assert _term_layout(hurst, m) == (1, m + 1, 0)
         words = _term_words(hurst, blocks.copy())
         words[:, 0] = 0  # whatever slot 0 holds
         again = _occupation_curves(hurst, m, horizon, k, words, centers, idx, None)

@@ -3,7 +3,10 @@ the line deltas of ``src/`` for each change, and its repeated-pair scan,
 which keeps each refusal of ``src/ltfsm`` stated once."""
 
 import importlib.util
+import os
 import pathlib
+import subprocess
+import sys
 
 _PATH = pathlib.Path(__file__).parent.parent / "tools" / "src_lines.py"
 _SPEC = importlib.util.spec_from_file_location("src_lines", _PATH)
@@ -83,3 +86,17 @@ def test_no_rule_is_stated_twice_in_the_package():
     restated = [(pair, places) for pair, places in src_lines.repeated_pairs(package).items()
                 if any("raise" in line.split() for line in pair)]
     assert restated == []
+
+
+def test_a_reader_that_closes_the_pipe_ends_the_run_quietly():
+    # the read end is closed before the tool writes, as ``| head -1`` closes
+    # it while the tool still writes: no traceback, no "Exception ignored"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        run = subprocess.run([sys.executable, str(_PATH), "--pairs"], stdout=write_end,
+                             stderr=subprocess.PIPE, timeout=60)
+    finally:
+        os.close(write_end)
+    assert run.stderr == b""
+    assert run.returncode == 1

@@ -16,6 +16,7 @@ from ltfsm.streams import (
     _guarded_cache,
     _seek,
     _substream_heads,
+    _substream_ids,
     _uniform_in_place,
     poisson_arrivals,
     raw_to_uniform,
@@ -83,6 +84,26 @@ def test_seek_reads_the_stream_from_any_word_offset():
     assert np.array_equal(_seek(bitgen, key, far + 3).random_raw(5), reference.random_raw(8)[3:])
 
 
+@pytest.mark.parametrize(
+    "parent, child, expect",
+    [
+        (0, 0, 16294208416658607535),
+        (0, 1, 7960286522194355700),
+        (7, 12345, 11255707010330781529),
+        (12345, 2**40, 7128148681715144737),
+        (2**64 - 1, 0, 16490336266968443936),
+        (2**64 - 2, 3, 2229658653670313015),
+        (2**64 - 1, 2**32 + 5, 3618010693452812559),
+        (0x9E3779B97F4A7C15, 2**63, 14154714916085338130),
+    ],
+)
+def test_substream_ids_are_the_recorded_splitmix_values(parent, child, expect):
+    # recorded values of the SplitMix64 child derivation, which every
+    # seeded output rests on; a parent near 2**64 wraps mod 2**64
+    assert RandomStream(11, parent).substream(child).substream_id == expect
+    assert _substream_ids(RandomStream(11, parent), child, 2)[0] == expect
+
+
 def test_substreams_differ_and_are_reproducible():
     base = RandomStream(11)
     a = base.substream(0).raw(16)
@@ -98,7 +119,7 @@ def test_substreams_differ_and_are_reproducible():
 def test_substream_words_rows_equal_the_per_substream_draws(width):
     # widths off a multiple of 4 would expose Philox buffer words leaking
     # from one row into the next; the all-ones seed and id with a start past
-    # 2**32 check that the vectorized child ids wrap mod 2**64 as _mix64 does
+    # 2**32 check that the child ids of a row wrap mod 2**64 as one child's do
     streams = (
         RandomStream(11),
         RandomStream(2**64 + 3, 5).substream(2).substream(7),

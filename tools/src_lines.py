@@ -18,10 +18,14 @@ With ``--pairs`` it prints instead every pair of consecutive code lines
 that occurs more than once in the package: its count, the two lines, and
 where each occurrence starts.  A pair that holds a ``raise`` is a rule
 stated twice.
+
+A reader that closes the pipe early (``| head -1``) ends the run quietly,
+with exit status 1.
 """
 
 import ast
 import io
+import os
 import pathlib
 import sys
 import tokenize
@@ -117,4 +121,12 @@ def main(argv: list[str]) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    try:
+        status = main(sys.argv[1:])
+        sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
+    except BrokenPipeError:
+        # the reader left (``| head -1``): stop without a traceback, and send
+        # the unflushed rest to the null device, so the exit flush is quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        status = 1
+    sys.exit(status)
